@@ -31,13 +31,13 @@ from .shortrate import (
     BondTerms,
     BondVariant,
     RateModel,
+    _a_for,
     b_factor,
     bond_price,
     conditional_moments,
     ode_residual,
     zero_yield,
 )
-from .shortrate import a_shot, a_vasicek, a_general
 from .transform import Backend, QuadratureSpec
 from .validation import (
     backend_agreement,
@@ -302,12 +302,10 @@ def _run_bond(cfg: RunConfig) -> tuple[list[dict], int]:
     r0 = float(cfg.bond["r0"])
     for maturity in cfg.bond["maturities"]:
         terms = BondTerms(t=t0, T=float(maturity), r_t=r0)
-        p = bond_price(cfg.rate_model, terms, variant, cfg.quad)
-        a_val = {
-            BondVariant.SHOT: a_shot(cfg.rate_model, t0, terms.T, cfg.quad),
-            BondVariant.VASICEK: a_vasicek(cfg.rate_model, t0, terms.T),
-            BondVariant.GENERAL: a_general(cfg.rate_model, t0, terms.T, cfg.quad),
-        }[variant]
+        # the price is exp(A - B r0), formed here exactly as bond_price does,
+        # so A is computed once per row
+        a_val = _a_for(cfg.rate_model, t0, terms.T, variant, cfg.quad)
+        b_val = b_factor(cfg.rate_model, t0, terms.T)
         rows.append(
             {
                 **_rate_cols(cfg),
@@ -316,8 +314,8 @@ def _run_bond(cfg: RunConfig) -> tuple[list[dict], int]:
                 "r0": r0,
                 "variant": variant.value,
                 "A": a_val,
-                "B": b_factor(cfg.rate_model, t0, terms.T),
-                "price": p,
+                "B": b_val,
+                "price": math.exp(a_val - b_val * r0),
             }
         )
     return rows, 0

@@ -1,5 +1,7 @@
 """Exception hierarchy for the shotpricer library."""
 
+import math
+
 
 class ShotPricerError(Exception):
     """Base class for all shotpricer errors."""
@@ -40,3 +42,12 @@ class QuadratureError(ShotPricerError):
 
 class ConfigError(ShotPricerError):
     """Raised for malformed CLI/run configuration input."""
+
+
+def require_finite(obj, *fields: str) -> None:
+    """Raise ParameterError naming the first of ``fields`` of ``obj`` that is
+    NaN or infinite."""
+    for name in fields:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")

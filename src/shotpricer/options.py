@@ -15,7 +15,7 @@ from enum import Enum
 
 from scipy.special import ndtr
 
-from .errors import DegenerateMaturityError, ParameterError
+from .errors import DegenerateMaturityError, ParameterError, require_finite
 from .jump_measure import GaussianJumpLaw, varsigma
 from .transform import (
     DEFAULT_QUAD,
@@ -58,6 +58,7 @@ class OptionTerms:
     kind: OptionKind
 
     def __post_init__(self) -> None:
+        require_finite(self, "spot", "strike", "tau", "rate", "dividend")
         if self.spot <= 0.0:
             raise ParameterError(f"spot must be > 0, got {self.spot}")
         if self.strike <= 0.0:
@@ -76,6 +77,7 @@ class AssetModel:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self, "lam", "sigma")
         if self.lam < 0.0:
             raise ParameterError(f"lam must be >= 0, got {self.lam}")
         if self.sigma < 0.0:

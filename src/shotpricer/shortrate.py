@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from ._quad import adaptive_gauss_legendre
-from .errors import ParameterError
+from .errors import ParameterError, require_finite
 from .jump_measure import GaussianJumpLaw
 from .transform import DEFAULT_QUAD, QuadratureSpec
 
@@ -64,6 +64,7 @@ class RateModel:
     law: GaussianJumpLaw
 
     def __post_init__(self) -> None:
+        require_finite(self, "a", "b", "sigma_r", "lambda_r")
         if self.a <= 0.0:
             raise ParameterError(f"mean reversion a must be > 0, got {self.a}")
         if self.sigma_r < 0.0:
@@ -79,6 +80,7 @@ class BondTerms:
     r_t: float
 
     def __post_init__(self) -> None:
+        require_finite(self, "t", "T", "r_t")
         if not 0.0 <= self.t <= self.T:
             raise ParameterError(f"need 0 <= t <= T, got t={self.t}, T={self.T}")
 

@@ -28,6 +28,7 @@ Callers needing one-sided limits must nudge l themselves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -56,6 +57,12 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Entries kept by the series caches. One request (a strike chain, or a
+# contract's price and Greeks) works on one (model, tau) at a time, so a
+# few entries capture all the sharing while memory stays bounded.
+_PARTS_CACHE_SIZE = 8
+_LSET_CACHE_SIZE = 16
 
 
 class Backend(str, Enum):
@@ -201,7 +208,13 @@ class _SeriesParts:
     log_plain: np.ndarray
 
 
+@functools.lru_cache(maxsize=_PARTS_CACHE_SIZE)
 def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
+    """Mixture ingredients for one (spec, quad), shared by every threshold.
+
+    Cached, so the arrays are read-only: every caller sees the same ones.
+    A TruncationError propagates and is not cached.
+    """
     law = spec.law
     m = spec.mean_count
     theta = law.nu + 0.5 * law.delta**2
@@ -215,8 +228,10 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
         hi = min(hi, quad.n_max)
         while True:
             log_p = _log_poisson_pmf(m, hi)
-            plain_tail = 1.0 - math.fsum(np.exp(log_p))
-            tilt_tail = 1.0 - math.fsum(np.exp(log_p + np.arange(hi + 1) * theta - m_tilt + m))
+            plain_tail = 1.0 - math.fsum(np.exp(log_p).tolist())
+            tilt_tail = 1.0 - math.fsum(
+                np.exp(log_p + np.arange(hi + 1) * theta - m_tilt + m).tolist()
+            )
             if plain_tail < tail_target and tilt_tail < tail_target:
                 break
             if hi >= quad.n_max:
@@ -229,7 +244,7 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
     n = np.arange(len(log_p), dtype=float)
     # lam tau varsigma == m_tilt - m, so the tilted weights stay normalized.
     tilt_w = np.exp(log_p + n * theta - (m_tilt - m))
-    return _SeriesParts(
+    parts = _SeriesParts(
         n=n,
         plain_w=np.exp(log_p),
         tilt_w=tilt_w,
@@ -237,6 +252,9 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
         sd=np.sqrt(n * law.delta**2 + spec.sigma**2 * spec.tau),
         log_plain=log_p,
     )
+    for arr in vars(parts).values():
+        arr.flags.writeable = False
+    return parts
 
 
 def _series_cdf(
@@ -260,7 +278,7 @@ def _series_cdf(
         else:
             hit = gap < 0.0 if complement else gap >= 0.0
         terms.append(w[~cont] * hit)
-    return float(math.fsum(np.concatenate(terms)))
+    return float(math.fsum(np.concatenate(terms).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +599,7 @@ def green_density(
     cont = p.sd > 0.0
     z = (w - p.mean[cont]) / p.sd[cont]
     dens = p.plain_w[cont] / p.sd[cont] * np.exp(-0.5 * z * z) / _SQRT_2PI
-    return math.exp(-r * spec.tau) * float(math.fsum(dens))
+    return math.exp(-r * spec.tau) * float(math.fsum(dens.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +634,16 @@ class LSet:
 
 
 def series_lset(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -> LSet:
-    """Evaluate both transforms and all analytic derivatives term by term."""
+    """Evaluate both transforms and all analytic derivatives term by term.
+
+    Results are memoized per (spec, l, quad): a call and a put at one strike,
+    and their jump-parameter Greeks, share one evaluation.
+    """
+    return _series_lset(spec, float(l), quad)
+
+
+@functools.lru_cache(maxsize=_LSET_CACHE_SIZE)
+def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
     law = spec.law
     tau, lam, sigma = spec.tau, spec.lam, spec.sigma
     nu, delta = law.nu, law.delta
@@ -625,8 +652,8 @@ def series_lset(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -
     n = p.n
     cont = p.sd > 0.0
 
-    def fsum(arr) -> float:
-        return float(math.fsum(np.asarray(arr, dtype=float)))
+    def fsum(arr: np.ndarray) -> float:
+        return math.fsum(arr.tolist())
 
     # weight log-derivatives (same shape for plain and tilted atoms included)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from shotpricer import (
     AssetModel,
+    BondTerms,
     CharSpec,
     GaussianJumpLaw,
     OptionKind,
     OptionTerms,
+    RateModel,
     cdf_plain,
     cdf_tilted,
     char_function,
@@ -22,6 +24,7 @@ from shotpricer import (
     varsigma,
     xi,
 )
+from shotpricer.errors import ParameterError
 
 nu_st = st.floats(min_value=-0.5, max_value=0.5)
 delta_st = st.floats(min_value=0.0, max_value=0.6)
@@ -104,3 +107,28 @@ def test_new_greeks_kind_invariant(strike, tau, lam, nu, delta):
     assert abs(got_c.kappa - got_p.kappa) <= 1e-10 * scale
     assert abs(got_c.mu - got_p.mu) <= 1e-10 * scale
     assert abs(got_c.epsilon - got_p.epsilon) <= 1e-10 * scale
+
+
+_VALID_FIELDS = {
+    OptionTerms: dict(spot=100.0, strike=95.0, tau=1.0, rate=0.03, dividend=0.01, kind="call"),
+    AssetModel: dict(lam=1.0, law=GaussianJumpLaw(-0.05, 0.15), sigma=0.1),
+    BondTerms: dict(t=0.0, T=5.0, r_t=0.03),
+    RateModel: dict(a=0.5, b=0.03, sigma_r=0.01, lambda_r=1.0, law=GaussianJumpLaw(0.01, 0.02)),
+}
+_NUMERIC_FIELDS = [
+    (cls, name)
+    for cls, fields in _VALID_FIELDS.items()
+    for name, value in fields.items()
+    if isinstance(value, float)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(_NUMERIC_FIELDS),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_non_finite_field_raises_parameter_error(field, bad):
+    cls, name = field
+    with pytest.raises(ParameterError, match="finite"):
+        cls(**{**_VALID_FIELDS[cls], name: bad})
