@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import ParameterError, QuadratureError
 
 
 @lru_cache(maxsize=64)
@@ -43,14 +44,21 @@ def adaptive_gauss_legendre(
 
     Each panel is accepted when one bisection changes its estimate by less
     than the panel's share of the tolerance; otherwise it is split. ``f``
-    must accept an ndarray of abscissae.
+    must accept an ndarray of abscissae. Non-finite bounds raise
+    ParameterError and a non-finite panel estimate raises QuadratureError,
+    so neither can drive the bisection down to ``max_depth``.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ParameterError(f"integration bounds must be finite, got [{a}, {b}]")
     if a == b:
         return 0.0
 
     def panel(lo: float, hi: float) -> float:
         x, w = gauss_legendre(lo, hi, nodes)
-        return float(np.dot(w, f(x)))
+        est = float(np.dot(w, f(x)))
+        if not math.isfinite(est):
+            raise QuadratureError(f"integrand not finite on [{lo}, {hi}]", achieved=est)
+        return est
 
     whole = panel(a, b)
     scale = max(abs(whole), 1e-30)

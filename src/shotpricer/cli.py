@@ -32,6 +32,7 @@ from .shortrate import (
     BondVariant,
     RateModel,
     _a_for,
+    _affine_price,
     b_factor,
     bond_price,
     conditional_moments,
@@ -259,7 +260,7 @@ def _run_price(cfg: RunConfig) -> tuple[list[dict], int]:
 def _run_greeks(cfg: RunConfig) -> tuple[list[dict], int]:
     rows = []
     for terms in _option_grid(cfg):
-        g = common_greeks(terms, cfg.asset, cfg.backend, cfg.quad)
+        g = common_greeks(terms, cfg.asset, cfg.quad)
         # greek_ prefix keeps the sensitivities clear of the jump-parameter
         # columns (nu, delta) that make each row self-contained
         row = {
@@ -275,7 +276,7 @@ def _run_greeks(cfg: RunConfig) -> tuple[list[dict], int]:
             "greek_epsilon": None,
         }
         if cfg.asset.lam > 0.0:
-            ng = new_greeks(terms, cfg.asset, cfg.backend, cfg.quad)
+            ng = new_greeks(terms, cfg.asset, cfg.quad)
             row.update(
                 {"greek_kappa": ng.kappa, "greek_mu": ng.mu, "greek_epsilon": ng.epsilon}
             )
@@ -302,8 +303,8 @@ def _run_bond(cfg: RunConfig) -> tuple[list[dict], int]:
     r0 = float(cfg.bond["r0"])
     for maturity in cfg.bond["maturities"]:
         terms = BondTerms(t=t0, T=float(maturity), r_t=r0)
-        # the price is exp(A - B r0), formed here exactly as bond_price does,
-        # so A is computed once per row
+        # the price is formed from A exactly as bond_price does, so A is
+        # computed once per row
         a_val = _a_for(cfg.rate_model, t0, terms.T, variant, cfg.quad)
         b_val = b_factor(cfg.rate_model, t0, terms.T)
         rows.append(
@@ -315,7 +316,7 @@ def _run_bond(cfg: RunConfig) -> tuple[list[dict], int]:
                 "variant": variant.value,
                 "A": a_val,
                 "B": b_val,
-                "price": math.exp(a_val - b_val * r0),
+                "price": _affine_price(a_val, b_val, r0),
             }
         )
     return rows, 0
@@ -519,7 +520,7 @@ def _run_validate(cfg: RunConfig) -> tuple[list[dict], int]:
     ident_terms = OptionTerms(
         spot=spot, strike=0.95 * spot, tau=1.0, rate=rate, dividend=div, kind=OptionKind.CALL
     )
-    for name, residual in identity_report(ident_terms, ident_model, cfg.backend, cfg.quad):
+    for name, residual in identity_report(ident_terms, ident_model, cfg.quad):
         record("greek_identity", name, residual, _VALIDATE_CHECKS["greek_identity"])
 
     failures = sum(1 for row in rows if row["status"] == "FAIL")

@@ -16,7 +16,7 @@ separately) and direct evaluation at l = 0 raises KinkError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from scipy.special import ndtr
 from .errors import DegenerateMaturityError, KinkError, ParameterError, ShotPricerError
 from .jump_measure import GaussianJumpLaw, varsigma
 from .options import AssetModel, OptionKind, OptionTerms, bs_d1_d2, l_parameter, price
-from .transform import DEFAULT_QUAD, Backend, QuadratureSpec, series_lset
+from .transform import DEFAULT_QUAD, QuadratureSpec, series_lset
 
 __all__ = [
     "GreekSet",
@@ -81,13 +81,11 @@ def _check_evaluable(terms: OptionTerms, model: AssetModel) -> float:
 def common_greeks(
     terms: OptionTerms,
     model: AssetModel,
-    backend: Backend = Backend.SERIES,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> GreekSet:
     """Delta, gamma, rho, psi, theta (and vega when sigma > 0).
 
-    The values are the analytic series derivatives; ``backend`` is accepted
-    for interface symmetry but derivatives always ride the series route.
+    The values are the analytic series derivatives.
     """
     l = _check_evaluable(terms, model)
     ls = series_lset(model.char_spec(terms.tau), l, quad)
@@ -124,7 +122,6 @@ def common_greeks(
 def new_greeks(
     terms: OptionTerms,
     model: AssetModel,
-    backend: Backend = Backend.SERIES,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> NewGreekSet:
     """kappa, mu, epsilon: sensitivities to lam, nu, delta.
@@ -218,7 +215,6 @@ def _fd_step(param: float) -> float:
 def identity_report(
     terms: OptionTerms,
     model: AssetModel,
-    backend: Backend = Backend.SERIES,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> list[tuple[str, float]]:
     """Relative residuals of the cross-identities among the Greeks.
@@ -243,11 +239,11 @@ def identity_report(
     disc_strike = strike * math.exp(-terms.rate * tau)
 
     ls = series_lset(model.char_spec(tau), l, quad)
-    call = _with_kind(terms, OptionKind.CALL)
-    put = _with_kind(terms, OptionKind.PUT)
-    g_call = common_greeks(call, model, backend, quad)
-    g_put = common_greeks(put, model, backend, quad)
-    ng = new_greeks(call, model, backend, quad)
+    call = replace(terms, kind=OptionKind.CALL)
+    put = replace(terms, kind=OptionKind.PUT)
+    g_call = common_greeks(call, model, quad)
+    g_put = common_greeks(put, model, quad)
+    ng = new_greeks(call, model, quad)
 
     def scale(*vals: float) -> float:
         return max(max(abs(v) for v in vals), 1e-8)
@@ -273,10 +269,10 @@ def identity_report(
     )
 
     def delta_of_lam(x: float) -> float:
-        return common_greeks(call, _with_lam(model, x), backend, quad).delta
+        return common_greeks(call, replace(model, lam=x), quad).delta
 
     def rho_of_lam(x: float) -> float:
-        return common_greeks(call, _with_lam(model, x), backend, quad).rho
+        return common_greeks(call, replace(model, lam=x), quad).rho
 
     d_delta = fd_sensitivity(delta_of_lam, lam, _fd_step(lam))
     d_rho = fd_sensitivity(rho_of_lam, lam, _fd_step(lam))
@@ -319,10 +315,3 @@ def _xi_weighted_density(
     dens = np.exp(-0.5 * z * z) / (_SQRT_2PI * sd)
     return float(math.fsum((p[:-1] - p[1:]) * dens))
 
-
-def _with_kind(terms: OptionTerms, kind: OptionKind) -> OptionTerms:
-    return OptionTerms(terms.spot, terms.strike, terms.tau, terms.rate, terms.dividend, kind)
-
-
-def _with_lam(model: AssetModel, lam: float) -> AssetModel:
-    return AssetModel(lam=lam, law=model.law, sigma=model.sigma)

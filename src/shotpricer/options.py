@@ -2,15 +2,18 @@
 
 The call value is S e^{-q tau} L1(l) - K e^{-r tau} L2(l) where L1/L2 are the
 tilted/plain cumulative transforms from :mod:`shotpricer.transform` and l is
-the drift-adjusted log-moneyness. Puts are priced through the complement
-identities L + (1 - L), which makes put-call parity exact by construction.
+the drift-adjusted log-moneyness. The put value is
+K e^{-r tau} S2(l) - S e^{-q tau} S1(l) with S1/S2 the survival transforms,
+which carry the mass above l directly: deep out-of-the-money puts keep their
+relative precision instead of cancelling in 1 - L, and since L + S == 1
+put-call parity holds to rounding.
 The lam = 0 limit is Black-Scholes; sigma = 0 is the pure-jump model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from scipy.special import ndtr
@@ -24,6 +27,8 @@ from .transform import (
     QuadratureSpec,
     cdf_plain,
     cdf_tilted,
+    survival_plain,
+    survival_tilted,
 )
 
 __all__ = [
@@ -151,12 +156,14 @@ def price(
         l_eval = math.nextafter(0.0, math.inf)  # right limit at the atom
 
     spec = model.char_spec(terms.tau)
-    tilted = cdf_tilted(spec, l_eval, backend, quad)
-    plain = cdf_plain(spec, l_eval, backend, quad)
     if terms.kind is OptionKind.CALL:
-        value = disc_spot * tilted - disc_strike * plain
+        spot_leg = cdf_tilted(spec, l_eval, backend, quad)
+        strike_leg = cdf_plain(spec, l_eval, backend, quad)
+        value = disc_spot * spot_leg - disc_strike * strike_leg
     else:
-        value = disc_strike * (1.0 - plain) - disc_spot * (1.0 - tilted)
+        spot_leg = survival_tilted(spec, l_eval, backend, quad)
+        strike_leg = survival_plain(spec, l_eval, backend, quad)
+        value = disc_strike * strike_leg - disc_spot * spot_leg
     est = _price_error_estimate(terms, quad, backend)
     return PriceResult(max(value, 0.0), l, backend, est)
 
@@ -202,20 +209,9 @@ def parity_residual(
     """C - P - (S e^{-q tau} - K e^{-r tau}); zero up to numerical error."""
     if terms.tau <= 0.0:
         raise DegenerateMaturityError("parity residual needs tau > 0")
-    call = price(_with_kind(terms, OptionKind.CALL), model, backend, quad).value
-    put = price(_with_kind(terms, OptionKind.PUT), model, backend, quad).value
+    call = price(replace(terms, kind=OptionKind.CALL), model, backend, quad).value
+    put = price(replace(terms, kind=OptionKind.PUT), model, backend, quad).value
     forward_gap = terms.spot * math.exp(-terms.dividend * terms.tau) - terms.strike * math.exp(
         -terms.rate * terms.tau
     )
     return call - put - forward_gap
-
-
-def _with_kind(terms: OptionTerms, kind: OptionKind) -> OptionTerms:
-    return OptionTerms(
-        spot=terms.spot,
-        strike=terms.strike,
-        tau=terms.tau,
-        rate=terms.rate,
-        dividend=terms.dividend,
-        kind=kind,
-    )

@@ -23,6 +23,7 @@ import numpy as np
 
 from ._quad import adaptive_gauss_legendre
 from .errors import ParameterError, require_finite
+from .greeks import fd_sensitivity
 from .jump_measure import GaussianJumpLaw
 from .transform import DEFAULT_QUAD, QuadratureSpec
 
@@ -168,7 +169,18 @@ def bond_price(
     if terms.t == terms.T:
         return 1.0
     a_val = _a_for(model, terms.t, terms.T, variant, quad)
-    return math.exp(a_val - b_factor(model, terms.t, terms.T) * terms.r_t)
+    return _affine_price(a_val, b_factor(model, terms.t, terms.T), terms.r_t)
+
+
+def _affine_price(a_val: float, b_val: float, r_t: float) -> float:
+    """exp(A - B r); ParameterError when that leaves the floating-point range."""
+    exponent = a_val - b_val * r_t
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise ParameterError(
+            f"bond price exp(A - B r) overflows: exponent A - B r = {exponent:.6g}"
+        ) from None
 
 
 def conditional_moments(
@@ -221,8 +233,8 @@ def ode_residual(
         def db(x: float) -> float:
             return b_factor(model, x, T)
 
-        dA = _richardson(da, s, h)
-        dB = _richardson(db, s, h)
+        dA = fd_sensitivity(da, s, h)
+        dB = fd_sensitivity(db, s, h)
         b_here = b_factor(model, s, T)
         source = 0.0
         if variant is not BondVariant.SHOT:
@@ -232,12 +244,6 @@ def ode_residual(
         res_a = max(res_a, abs(dA + source))
         res_b = max(res_b, abs(dB - model.a * b_here + 1.0))
     return res_a, res_b
-
-
-def _richardson(f, at: float, h: float) -> float:
-    d_h = (f(at + h) - f(at - h)) / (2.0 * h)
-    d_h2 = (f(at + 0.5 * h) - f(at - 0.5 * h)) / h
-    return (4.0 * d_h2 - d_h) / 3.0
 
 
 def zero_yield(price: float, tenor: float) -> float:

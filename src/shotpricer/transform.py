@@ -14,10 +14,12 @@ exp(-z) change of weight). Two independent evaluation routes are provided:
   with explicit weights. Exact up to the Poisson tail cutoff; this is the
   reference backend and the only one that also ships analytic parameter
   derivatives (used by the Greeks).
-* fourier: invert psi numerically with Gauss-Legendre panels in k, then
-  integrate the recovered density in z. When sigma = 0 the integrand tends
-  to exp(-lam tau) at large |k| (a point mass at z = 0); that constant is
-  peeled off analytically and only the decaying remainder is inverted.
+* fourier: Gil-Pelaez inversion, one integral in k per cumulative, on
+  Gauss-Legendre panels. It reads only psi, with no Poisson weights, so it
+  is an independent cross-check of the series. When sigma = 0 the
+  characteristic function tends to the atom weight exp(-lam tau) at large
+  |k| (a point mass at z = 0); that constant is peeled off analytically,
+  only the decaying remainder is inverted, and the atom is added back.
 
 At sigma = 0 both cumulatives jump at l = 0 by the atom weight. Values at
 l = 0 are taken literally: the plain cdf includes the atom (closed bracket),
@@ -64,6 +66,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _PARTS_CACHE_SIZE = 8
 _LSET_CACHE_SIZE = 16
 
+# Panel-count doublings the Fourier backend tries before giving up.
+_FOURIER_DOUBLINGS = 6
+
 
 class Backend(str, Enum):
     """Evaluation strategy for the cumulative transforms."""
@@ -78,10 +83,11 @@ class QuadratureSpec:
 
     ``rel_tol`` is the target for the Fourier backend (the series backend is
     exact up to the Poisson tail, which is kept an order of magnitude
-    tighter). ``k_max`` is the minimum frequency truncation; the envelope
-    rule may extend it and failed tolerance checks double it up to four
-    times. ``k_nodes`` are Gauss-Legendre nodes per panel, ``n_max`` caps
-    the Poisson series.
+    tighter). ``k_max`` is the frequency floor: the Fourier integral runs to
+    at least ``k_max``, further where the characteristic-function envelope
+    requires it. On a missed tolerance the panel count doubles; the
+    frequency range stays. ``k_nodes`` are Gauss-Legendre nodes per panel,
+    ``n_max`` caps the Poisson series.
     """
 
     rel_tol: float = 1e-9
@@ -127,13 +133,11 @@ class CharSpec:
 
 def char_function(spec: CharSpec, k: complex) -> complex:
     """psi(k), the undiscounted characteristic function at time scale tau."""
-    law = spec.law
-    k = complex(k)
-    xi_k = np.exp(1j * k * law.nu - 0.5 * k * k * law.delta**2) - 1.0
-    return complex(np.exp((-0.5 * spec.sigma**2 * k * k + spec.lam * xi_k) * spec.tau))
+    return complex(_char_function_grid(spec, np.complex128(k)))
 
 
 def _char_function_grid(spec: CharSpec, k: np.ndarray) -> np.ndarray:
+    """psi over an array of (possibly complex) frequencies."""
     law = spec.law
     xi_k = np.exp(1j * k * law.nu - 0.5 * k * k * law.delta**2) - 1.0
     return np.exp((-0.5 * spec.sigma**2 * k * k + spec.lam * xi_k) * spec.tau)
@@ -299,174 +303,43 @@ class FourierGrid:
     k_max: float
 
 
-def _fourier_bounds(spec: CharSpec, quad: QuadratureSpec):
-    """Support box and narrowest component scale, from model parameters only.
-
-    Each Poisson count contributes a Gaussian component; the box covers all
-    components whose weight matters, each out to the quantile its own weight
-    requires (heavier tails get wider multiples, negligible weights none).
-    """
-    from scipy.special import ndtri
-    from scipy.stats import poisson
-
-    law = spec.law
-    m = spec.mean_count
-    theta = law.nu + 0.5 * law.delta**2
-    m_tilt = m * math.exp(theta)
-    if spec.sigma > 0.0:
-        s_min = spec.sigma * math.sqrt(spec.tau)
-    else:
-        s_min = law.delta
-    if s_min == 0.0:
-        raise QuadratureError(
-            "fourier backend needs a diffusive or jump-width component (sigma or delta > 0)"
-        )
-    if m == 0.0:
-        n_hi = 0
-    else:
-        n_hi = int(max(poisson.isf(1e-15, m), poisson.isf(1e-15, m_tilt))) + 1
-    n = np.arange(n_hi + 1, dtype=float)
-    sd = np.sqrt(n * law.delta**2 + spec.sigma**2 * spec.tau)
-    mean = -n * law.nu
-    if m == 0.0:
-        w_plain = w_tilt = np.array([1.0])
-    else:
-        log_p = _log_poisson_pmf(m, n_hi)
-        w_plain = np.exp(log_p)
-        w_tilt = np.exp(log_p + n * theta - (m_tilt - m))
-
-    tol_each = quad.rel_tol / (100.0 * (n_hi + 1))
-
-    def reach(weights: np.ndarray) -> np.ndarray:
-        need = np.minimum(tol_each / np.maximum(weights, 1e-300), 0.49)
-        mult = -ndtri(need)
-        mult = np.where(weights < tol_each, 0.0, np.minimum(mult, 9.0))
-        return mult
-
-    r_plain = reach(w_plain)
-    r_tilt = reach(w_tilt)
-    live_p = w_plain >= tol_each
-    live_t = w_tilt >= tol_each
-    z_hi = float(np.max((mean + r_plain * sd)[live_p])) if live_p.any() else 0.0
-    lo_plain = float(np.min((mean - r_plain * sd)[live_p])) if live_p.any() else 0.0
-    # the exp(-z) tilt shifts each component mean down by its variance
-    lo_tilt = (
-        float(np.min((mean - sd * sd - r_tilt * sd)[live_t])) if live_t.any() else 0.0
-    )
-    z_lo = min(lo_plain, lo_tilt, 0.0) - 0.25
-    z_hi = max(z_hi, 0.0) + 0.25
-    return z_lo, z_hi, s_min
-
-
 def _fourier_kmax(spec: CharSpec, tol_k: float, floor: float) -> float:
-    """Frequency truncation where the integrand envelope dips below tol."""
+    """Frequency truncation where both integrand envelopes dip below tol.
+
+    The tilted transform's envelope is the plain one with the mean count
+    lam tau replaced by lam tau e^{nu + delta^2/2}, so one rule bounds both.
+    """
     law = spec.law
     m = spec.mean_count
+    m_tilt = m * math.exp(law.nu + 0.5 * law.delta**2)
 
-    def envelope(k: float) -> float:
+    def envelope(k: float, mean: float) -> float:
         gauss = math.exp(-0.5 * spec.sigma**2 * k * k * spec.tau)
         x = 0.5 * k * k * law.delta**2
         if spec.sigma == 0.0:
             # atom already subtracted: bound |e^{lam tau phi} - 1| e^{-lam tau}
             phi = math.exp(-x)
-            return math.exp(-m) * math.expm1(m * phi) if m * phi < 700.0 else 1.0
-        jump = math.exp(m * math.expm1(-x))
+            return math.exp(-mean) * math.expm1(mean * phi) if mean * phi < 700.0 else 1.0
+        jump = math.exp(mean * math.expm1(-x))
         return jump * gauss
+
+    def over(k: float) -> bool:
+        return max(envelope(k, m), envelope(k, m_tilt)) > tol_k
 
     lo, hi = 1.0, 2.0
     for _ in range(80):
-        if envelope(hi) <= tol_k:
+        if not over(hi):
             break
         hi *= 2.0
     else:
         raise QuadratureError("no frequency truncation meets the envelope bound")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if envelope(mid) <= tol_k:
-            hi = mid
-        else:
+        if over(mid):
             lo = mid
+        else:
+            hi = mid
     return max(floor, hi)
-
-
-def _fourier_pass(
-    spec: CharSpec,
-    ls: np.ndarray,
-    quad: QuadratureSpec,
-    z_panel_w: float,
-    z_nodes_n: int,
-    k_panel_w: float,
-    k_max: float,
-    z_lo: float,
-    z_hi: float,
-):
-    """One full double-quadrature sweep; returns the four transform arrays."""
-    atom = math.exp(-spec.mean_count) if spec.sigma == 0.0 else 0.0
-    pref = math.exp(-(0.5 * spec.sigma**2 + spec.lam * varsigma(spec.law)) * spec.tau)
-
-    # panel breaks in z, aligned with every threshold and with the atom at 0
-    breaks = {z_lo, z_hi, 0.0}
-    breaks.update(float(l) for l in ls)
-    breaks = sorted(b for b in breaks if z_lo <= b <= z_hi)
-    edges: list[float] = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        n_sub = max(1, int(math.ceil((hi - lo) / z_panel_w)))
-        step = (hi - lo) / n_sub
-        edges.extend(lo + i * step for i in range(n_sub))
-    edges.append(z_hi)
-    edges_arr = np.asarray(edges)
-
-    z_nodes = []
-    z_weights = []
-    for lo, hi in zip(edges_arr[:-1], edges_arr[1:]):
-        x, w = gauss_legendre(float(lo), float(hi), z_nodes_n)
-        z_nodes.append(x)
-        z_weights.append(w)
-    z_nodes = np.concatenate(z_nodes)
-    z_weights = np.concatenate(z_weights)
-
-    n_panels = max(4, int(math.ceil(k_max / k_panel_w)))
-    k_nodes_all = []
-    k_weights_all = []
-    for i in range(n_panels):
-        lo = k_max * i / n_panels
-        hi = k_max * (i + 1) / n_panels
-        x, w = gauss_legendre(lo, hi, quad.k_nodes)
-        k_nodes_all.append(x)
-        k_weights_all.append(w)
-    k_arr = np.concatenate(k_nodes_all)
-    kw_arr = np.concatenate(k_weights_all)
-
-    g = kw_arr * (_char_function_grid(spec, k_arr) - atom)
-
-    # dens(z) = (1/pi) Re \int_0^kmax e^{ikz} (psi(k) - atom) dk
-    dens = np.empty_like(z_nodes)
-    chunk = max(1, 4_000_000 // max(1, k_arr.size))
-    for i in range(0, z_nodes.size, chunk):
-        zc = z_nodes[i : i + chunk]
-        phase = np.exp(1j * np.outer(zc, k_arr))
-        dens[i : i + chunk] = (phase @ g).real / math.pi
-
-    plain_panel = (z_weights * dens).reshape(-1, z_nodes_n).sum(axis=1)
-    tilt_panel = (z_weights * np.exp(-z_nodes) * dens).reshape(-1, z_nodes_n).sum(axis=1)
-
-    panel_hi = edges_arr[1:]
-    plain_cum = np.concatenate([[0.0], np.cumsum(plain_panel)])
-    tilt_cum = np.concatenate([[0.0], np.cumsum(tilt_panel)])
-    plain_tot = plain_cum[-1]
-    tilt_tot = tilt_cum[-1]
-
-    out = {"plain": [], "tilted": [], "plain_surv": [], "tilted_surv": []}
-    for l in ls:
-        # thresholds are panel edges by construction, so this split is exact
-        pos = int(np.searchsorted(panel_hi, l, side="right"))
-        below_p = plain_cum[pos]
-        below_t = tilt_cum[pos]
-        out["plain"].append(below_p + (atom if l >= 0.0 else 0.0))
-        out["tilted"].append(pref * (below_t + (atom if l > 0.0 else 0.0)))
-        out["plain_surv"].append(plain_tot - below_p + (atom if l < 0.0 else 0.0))
-        out["tilted_surv"].append(pref * (tilt_tot - below_t + (atom if l <= 0.0 else 0.0)))
-    return {k: np.asarray(v) for k, v in out.items()}
 
 
 def fourier_grid(
@@ -474,40 +347,63 @@ def fourier_grid(
 ) -> FourierGrid:
     """Evaluate all four cumulative transforms on a grid of thresholds.
 
-    The double quadrature runs at a working resolution plus a coarsened one
-    (double-width panels in both k and z); their spread is the reported
-    error estimate. On a miss the resolution doubles, up to four retries,
-    before QuadratureError carries out the achieved estimate.
+    Gil-Pelaez inversion: with phi the characteristic function of a law and
+    a its atom at zero,
+
+        F(l) = (1 - a)/2 - (1/pi) int_0^k_max Im(e^{-ikl} (phi(k) - a)) / k dk
+
+    and the survival is (1 - a)/2 plus the same integral; the atom is added
+    back with the bracket conventions of the module docstring. The plain law
+    has phi(k) = psi(-k), the tilted one pref * psi(-k - i). The integral
+    runs on Gauss-Legendre panels whose count doubles until two passes agree
+    to ``rel_tol``; their spread is the reported error estimate. After
+    ``_FOURIER_DOUBLINGS`` misses QuadratureError carries out the estimate.
     """
     ls = np.atleast_1d(np.asarray(ls, dtype=float))
-    z_lo, z_hi, s_min = _fourier_bounds(spec, quad)
-    tol_k = quad.rel_tol / (10.0 * max(1.0, z_hi - z_lo))
-    k_max = _fourier_kmax(spec, tol_k, floor=quad.k_max)
-    z_scale = max(abs(z_lo), abs(z_hi), 1.0)
-
-    z_w = s_min / 2.0
-    z_nodes_n = 16
-    k_w = quad.k_nodes / z_scale
-    est = math.inf
-    for _ in range(5):
-        coarse = _fourier_pass(
-            spec, ls, quad, 2.0 * z_w, z_nodes_n, 2.0 * k_w, k_max, z_lo, z_hi
+    if not np.all(np.isfinite(ls)):
+        raise ParameterError(f"thresholds must be finite, got {ls}")
+    if spec.sigma == 0.0 and spec.law.delta == 0.0:
+        raise QuadratureError(
+            "fourier backend needs a diffusive or jump-width component (sigma or delta > 0)"
         )
-        cur = _fourier_pass(spec, ls, quad, z_w, z_nodes_n, k_w, k_max, z_lo, z_hi)
-        est = max(float(np.max(np.abs(cur[key] - coarse[key]))) for key in cur)
+    pref = math.exp(-(0.5 * spec.sigma**2 + spec.lam * varsigma(spec.law)) * spec.tau)
+    atom = math.exp(-spec.mean_count) if spec.sigma == 0.0 else 0.0
+    atom_t = pref * atom
+    k_max = _fourier_kmax(spec, quad.rel_tol / 10.0, floor=quad.k_max)
+
+    def integrals(n_panels: int) -> np.ndarray:
+        """(1/pi) int Im(...)/k dk per threshold; columns plain, tilted."""
+        x, w = gauss_legendre(0.0, k_max / n_panels, quad.k_nodes)
+        k = (np.arange(n_panels)[:, None] * (k_max / n_panels) + x).ravel()
+        wk = np.tile(w, n_panels) / (math.pi * k)
+        g = np.stack(
+            [
+                wk * (_char_function_grid(spec, -k) - atom),
+                wk * (pref * _char_function_grid(spec, -k - 1j) - atom_t),
+            ],
+            axis=1,
+        )
+        return (np.exp(-1j * np.outer(ls, k)) @ g).imag
+
+    # e^{-ikl} turns |l| radians per unit k; start near k_nodes radians a panel
+    n_panels = max(4, math.ceil(k_max * float(np.max(np.abs(ls), initial=1.0)) / quad.k_nodes))
+    prev = integrals(n_panels)
+    for _ in range(_FOURIER_DOUBLINGS):
+        n_panels *= 2
+        cur = integrals(n_panels)
+        est = float(np.max(np.abs(cur - prev)))
         if est <= quad.rel_tol:
+            plain, tilted = cur[:, 0], cur[:, 1]
             return FourierGrid(
                 ls=ls,
-                plain=cur["plain"],
-                tilted=cur["tilted"],
-                plain_surv=cur["plain_surv"],
-                tilted_surv=cur["tilted_surv"],
+                plain=0.5 * (1.0 - atom) - plain + atom * (ls >= 0.0),
+                tilted=0.5 * (1.0 - atom_t) - tilted + atom_t * (ls > 0.0),
+                plain_surv=0.5 * (1.0 - atom) + plain + atom * (ls < 0.0),
+                tilted_surv=0.5 * (1.0 - atom_t) + tilted + atom_t * (ls <= 0.0),
                 est_error=est,
                 k_max=k_max,
             )
-        z_w /= 2.0
-        k_w /= 2.0
-        k_max *= 2.0
+        prev = cur
     raise QuadratureError(
         f"fourier backend missed rel_tol={quad.rel_tol:g}", achieved=est
     )

@@ -147,6 +147,12 @@ class TestPrice:
         assert lo <= at <= hi
         assert hi - lo < 1e-6
 
+    def test_deep_otm_put_keeps_its_size(self, mixed_model):
+        # 1 - L cancels to nothing this far out; the survival route does not
+        far = price(make_terms(100.0, 20.0, rate=0.03, dividend=0.01, kind="put"), mixed_model)
+        near = price(make_terms(100.0, 30.0, rate=0.03, dividend=0.01, kind="put"), mixed_model)
+        assert 0.0 < far.value < near.value
+
 
 class TestBsPrice:
     def test_atm_value(self):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +26,7 @@ from shotpricer import (
     xi,
 )
 from shotpricer.errors import ParameterError
+from shotpricer.transform import DEFAULT_QUAD, fourier_grid
 
 nu_st = st.floats(min_value=-0.5, max_value=0.5)
 delta_st = st.floats(min_value=0.0, max_value=0.6)
@@ -74,6 +76,27 @@ def test_cdfs_monotone_and_complementary(nu, delta, lam, sigma, tau, l1, gap):
     assert cdf_tilted(spec, l1) <= cdf_tilted(spec, l2) + 1e-12
     assert cdf_plain(spec, l1) + survival_plain(spec, l1) == pytest.approx(1.0, abs=1e-12)
     assert cdf_tilted(spec, l1) + survival_tilted(spec, l1) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sigma=st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=0.4)),
+    lam_tau=st.floats(min_value=0.05, max_value=20.0),
+    tau=tau_st,
+    nu=st.floats(min_value=-0.2, max_value=0.2),
+    delta=st.floats(min_value=0.02, max_value=0.3),
+    ls=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=6),
+)
+def test_fourier_grid_matches_series(sigma, lam_tau, tau, nu, delta, ls):
+    spec = CharSpec(tau=tau, lam=lam_tau / tau, sigma=sigma, law=GaussianJumpLaw(nu, delta))
+    grid = fourier_grid(spec, ls)
+    series = (cdf_plain, cdf_tilted, survival_plain, survival_tilted)
+    for fn, got in zip(series, (grid.plain, grid.tilted, grid.plain_surv, grid.tilted_surv)):
+        want = np.array([fn(spec, l) for l in ls])
+        assert np.max(np.abs(got - want)) <= 1e-7
+    assert grid.est_error <= DEFAULT_QUAD.rel_tol
+    assert np.max(np.abs(grid.plain + grid.plain_surv - 1.0)) <= 1e-13
+    assert np.max(np.abs(grid.tilted + grid.tilted_surv - 1.0)) <= 1e-13
 
 
 @settings(max_examples=40, deadline=None)

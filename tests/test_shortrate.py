@@ -1,6 +1,8 @@
 """Affine bond pricing: factor loadings, intercept routes, moments, ODEs."""
 
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -20,8 +22,24 @@ from shotpricer import (
     ode_residual,
     zero_yield,
 )
-from shotpricer.errors import ParameterError
+from shotpricer.errors import ParameterError, ShotPricerError
 from shotpricer.shortrate import a_shot_substituted
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestBFactor:
@@ -40,6 +58,10 @@ class TestBFactor:
 class TestAShot:
     def test_maturity_zero(self, rate_jump_model):
         assert a_shot(rate_jump_model, 1.5, 1.5) == 0.0
+
+    def test_non_finite_bound_raises_at_once(self, rate_jump_model):
+        with time_limit(2.0), pytest.raises(ParameterError):
+            a_shot(rate_jump_model, 0.0, math.nan)
 
     def test_degenerate_law(self):
         model = RateModel(0.5, 0.0, 0.0, 2.0, GaussianJumpLaw(0.0, 0.0))
@@ -147,6 +169,11 @@ class TestBondPrice:
             for T in (1.0, 3.0, 7.0, 15.0)
         ]
         assert all(b < a for a, b in zip(prices_T, prices_T[1:]))
+
+    def test_overflow_is_a_typed_error(self):
+        model = RateModel(0.5, 0.0, 0.0, 1.0, GaussianJumpLaw(-0.5, 2.0))
+        with pytest.raises(ShotPricerError, match="exponent"):
+            bond_price(model, BondTerms(0.0, 30.0, 0.03))
 
 
 class TestConditionalMoments:

@@ -185,6 +185,19 @@ class TestFourierBackend:
             assert grid.tilted_surv[i] == pytest.approx(survival_tilted(spec, l), abs=1e-8)
         assert grid.est_error <= 1e-9
 
+    def test_atom_jumps_across_zero(self):
+        # sigma = 0: the peeled-off atom comes back on the right side of l = 0
+        law = GaussianJumpLaw(0.05, 0.1)
+        spec = CharSpec(tau=1.0, lam=1.5, sigma=0.0, law=law)
+        grid = fourier_grid(spec, [-1e-12, 1e-12])
+        assert grid.plain[1] - grid.plain[0] == pytest.approx(math.exp(-1.5), abs=1e-9)
+        assert grid.tilted[1] - grid.tilted[0] == pytest.approx(
+            math.exp(-1.5 * (1.0 + varsigma(law))), abs=1e-9
+        )
+        assert grid.plain_surv[0] - grid.plain_surv[1] == pytest.approx(
+            math.exp(-1.5), abs=1e-9
+        )
+
     def test_purely_atomic_rejected(self):
         spec = spec_of(lam=1.0, sigma=0.0, delta=0.0, nu=0.1)
         with pytest.raises(QuadratureError):
