@@ -17,9 +17,9 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from . import __version__
 from .errors import ConfigError, ShotPricerError
@@ -34,7 +34,6 @@ from .shortrate import (
     _a_for,
     _affine_price,
     b_factor,
-    bond_price,
     conditional_moments,
     ode_residual,
     zero_yield,
@@ -49,7 +48,55 @@ from .validation import (
 
 __all__ = ["RunConfig", "execute", "main"]
 
-_COMMANDS = ("price", "greeks", "bond", "curve", "mc", "validate", "limits")
+# Report columns of each command, in order. Runners return plain value dicts
+# and every row is projected onto these columns, None where a row has no value.
+_OPTION_COLUMNS = ("S", "K", "tau", "r", "q", "lambda", "nu", "delta", "sigma", "kind")
+_BOND_COLUMNS = ("a", "b", "sigma_r", "lambda_r", "nu_r", "delta_r", "t", "T", "r0", "variant")
+_COLUMNS: dict[str, tuple[str, ...]] = {
+    "price": (*_OPTION_COLUMNS, "price", "est_error", "backend"),
+    # greek_ prefix keeps the sensitivities clear of the jump-parameter
+    # columns (nu, delta) that make each row self-contained
+    "greeks": (
+        *_OPTION_COLUMNS,
+        "greek_delta",
+        "greek_gamma",
+        "greek_rho",
+        "greek_psi",
+        "greek_theta",
+        "greek_vega",
+        "greek_kappa",
+        "greek_mu",
+        "greek_epsilon",
+    ),
+    "bond": (*_BOND_COLUMNS, "A", "B", "price"),
+    "curve": (*_BOND_COLUMNS, "tenor", "price", "zero_yield"),
+    "mc": (
+        "target",
+        *_OPTION_COLUMNS,
+        "T",
+        "horizon",
+        "analytic",
+        "mc_mean",
+        "mc_std_error",
+        "z",
+        "paths",
+        "seed",
+        "antithetic",
+    ),
+    "validate": ("check", "config", "value", "tolerance", "status"),
+    "limits": ("scale", "price_error", "theta_error", "bond_a_error", "monotone"),
+}
+_COMMANDS = tuple(_COLUMNS)
+
+# flag -> (config section, key) it overrides; section None is the top level
+_FLAG_KEYS = {
+    "seed": ("sim", "seed"),
+    "paths": ("sim", "paths"),
+    "backend": (None, "backend"),
+    "tol": ("quad", "rel_tol"),
+    "out": ("output", "path"),
+    "format": ("output", "format"),
+}
 
 _DEFAULTS: dict[str, Any] = {
     "asset": {"lam": 1.0, "nu": -0.05, "delta": 0.15, "sigma": 0.0},
@@ -133,18 +180,10 @@ def _load_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     raw = _load_config_file(args.config) if args.config else {}
     merged = _merge(_DEFAULTS, raw)
-    if args.seed is not None:
-        merged["sim"]["seed"] = args.seed
-    if args.paths is not None:
-        merged["sim"]["paths"] = args.paths
-    if args.backend is not None:
-        merged["backend"] = args.backend
-    if args.tol is not None:
-        merged["quad"]["rel_tol"] = args.tol
-    if args.out is not None:
-        merged["output"]["path"] = args.out
-    if args.format is not None:
-        merged["output"]["format"] = args.format
+    for flag, (section, key) in _FLAG_KEYS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            (merged[section] if section else merged)[key] = value
     if merged["output"]["format"] not in ("csv", "json"):
         raise ConfigError(f"unknown output format '{merged['output']['format']}'")
 
@@ -212,12 +251,13 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _option_grid(cfg: RunConfig):
+def _option_rows(cfg: RunConfig) -> Iterator[tuple[OptionTerms, dict]]:
+    """Each configured contract with the model columns that reprice it."""
     c = cfg.contracts
     for tau in c["maturities"]:
         for strike in c["strikes"]:
             for kind in c["kinds"]:
-                yield OptionTerms(
+                terms = OptionTerms(
                     spot=float(c["spot"]),
                     strike=float(strike),
                     tau=float(tau),
@@ -225,212 +265,124 @@ def _option_grid(cfg: RunConfig):
                     dividend=float(c["dividend"]),
                     kind=OptionKind(kind),
                 )
+                yield terms, {
+                    "S": terms.spot,
+                    "K": terms.strike,
+                    "tau": terms.tau,
+                    "r": terms.rate,
+                    "q": terms.dividend,
+                    "lambda": cfg.asset.lam,
+                    "nu": cfg.asset.law.nu,
+                    "delta": cfg.asset.law.delta,
+                    "sigma": cfg.asset.sigma,
+                    "kind": terms.kind.value,
+                }
 
 
-def _model_cols(cfg: RunConfig, terms: OptionTerms) -> dict:
-    return {
-        "S": terms.spot,
-        "K": terms.strike,
-        "tau": terms.tau,
-        "r": terms.rate,
-        "q": terms.dividend,
-        "lambda": cfg.asset.lam,
-        "nu": cfg.asset.law.nu,
-        "delta": cfg.asset.law.delta,
-        "sigma": cfg.asset.sigma,
-        "kind": terms.kind.value,
-    }
+def _bond_rows(cfg: RunConfig) -> Iterator[tuple[BondTerms, dict]]:
+    """Each configured bond maturity with its model columns, A, B and price.
+
+    The price is formed from A exactly as bond_price does, so A is computed
+    once per row.
+    """
+    m = cfg.rate_model
+    variant = BondVariant(cfg.bond["variant"])
+    t0 = float(cfg.bond["t"])
+    r0 = float(cfg.bond["r0"])
+    for maturity in cfg.bond["maturities"]:
+        terms = BondTerms(t=t0, T=float(maturity), r_t=r0)
+        a_val = _a_for(m, t0, terms.T, variant, cfg.quad)
+        b_val = b_factor(m, t0, terms.T)
+        yield terms, {
+            "a": m.a,
+            "b": m.b,
+            "sigma_r": m.sigma_r,
+            "lambda_r": m.lambda_r,
+            "nu_r": m.law.nu,
+            "delta_r": m.law.delta,
+            "t": t0,
+            "T": terms.T,
+            "r0": r0,
+            "variant": variant.value,
+            "A": a_val,
+            "B": b_val,
+            "price": _affine_price(a_val, b_val, r0),
+        }
 
 
 def _run_price(cfg: RunConfig) -> tuple[list[dict], int]:
     rows = []
-    for terms in _option_grid(cfg):
+    for terms, row in _option_rows(cfg):
         res = price(terms, cfg.asset, cfg.backend, cfg.quad)
         rows.append(
-            {
-                **_model_cols(cfg, terms),
-                "price": res.value,
-                "est_error": res.est_error,
-                "backend": res.backend.value,
-            }
+            {**row, "price": res.value, "est_error": res.est_error, "backend": res.backend.value}
         )
     return rows, 0
 
 
 def _run_greeks(cfg: RunConfig) -> tuple[list[dict], int]:
     rows = []
-    for terms in _option_grid(cfg):
-        g = common_greeks(terms, cfg.asset, cfg.quad)
-        # greek_ prefix keeps the sensitivities clear of the jump-parameter
-        # columns (nu, delta) that make each row self-contained
-        row = {
-            **_model_cols(cfg, terms),
-            "greek_delta": g.delta,
-            "greek_gamma": g.gamma,
-            "greek_rho": g.rho,
-            "greek_psi": g.psi,
-            "greek_theta": g.theta,
-            "greek_vega": g.vega,
-            "greek_kappa": None,
-            "greek_mu": None,
-            "greek_epsilon": None,
-        }
+    for terms, row in _option_rows(cfg):
+        greeks = asdict(common_greeks(terms, cfg.asset, cfg.quad))
         if cfg.asset.lam > 0.0:
-            ng = new_greeks(terms, cfg.asset, cfg.quad)
-            row.update(
-                {"greek_kappa": ng.kappa, "greek_mu": ng.mu, "greek_epsilon": ng.epsilon}
-            )
-        rows.append(row)
+            greeks.update(asdict(new_greeks(terms, cfg.asset, cfg.quad)))
+        rows.append({**row, **{f"greek_{name}": value for name, value in greeks.items()}})
     return rows, 0
-
-
-def _rate_cols(cfg: RunConfig) -> dict:
-    m = cfg.rate_model
-    return {
-        "a": m.a,
-        "b": m.b,
-        "sigma_r": m.sigma_r,
-        "lambda_r": m.lambda_r,
-        "nu_r": m.law.nu,
-        "delta_r": m.law.delta,
-    }
 
 
 def _run_bond(cfg: RunConfig) -> tuple[list[dict], int]:
-    rows = []
-    variant = BondVariant(cfg.bond["variant"])
-    t0 = float(cfg.bond["t"])
-    r0 = float(cfg.bond["r0"])
-    for maturity in cfg.bond["maturities"]:
-        terms = BondTerms(t=t0, T=float(maturity), r_t=r0)
-        # the price is formed from A exactly as bond_price does, so A is
-        # computed once per row
-        a_val = _a_for(cfg.rate_model, t0, terms.T, variant, cfg.quad)
-        b_val = b_factor(cfg.rate_model, t0, terms.T)
-        rows.append(
-            {
-                **_rate_cols(cfg),
-                "t": t0,
-                "T": terms.T,
-                "r0": r0,
-                "variant": variant.value,
-                "A": a_val,
-                "B": b_val,
-                "price": _affine_price(a_val, b_val, r0),
-            }
-        )
-    return rows, 0
+    return [row for _, row in _bond_rows(cfg)], 0
 
 
 def _run_curve(cfg: RunConfig) -> tuple[list[dict], int]:
     rows = []
-    variant = BondVariant(cfg.bond["variant"])
-    t0 = float(cfg.bond["t"])
-    r0 = float(cfg.bond["r0"])
-    for maturity in cfg.bond["maturities"]:
-        terms = BondTerms(t=t0, T=float(maturity), r_t=r0)
-        p = bond_price(cfg.rate_model, terms, variant, cfg.quad)
-        tenor = terms.T - t0
-        rows.append(
-            {
-                **_rate_cols(cfg),
-                "t": t0,
-                "T": terms.T,
-                "r0": r0,
-                "variant": variant.value,
-                "tenor": tenor,
-                "price": p,
-                "zero_yield": zero_yield(p, tenor) if tenor > 0 else None,
-            }
-        )
+    for terms, row in _bond_rows(cfg):
+        tenor = terms.T - terms.t
+        zero = zero_yield(row["price"], tenor) if tenor > 0 else None
+        rows.append({**row, "tenor": tenor, "zero_yield": zero})
     return rows, 0
 
 
 def _run_mc(cfg: RunConfig) -> tuple[list[dict], int]:
+    sim = cfg.sim
+
+    def row(target: str, cols: dict, analytic: float, est) -> dict:
+        z = (analytic - est.mean) / est.std_error if est.std_error > 0 else 0.0
+        return {
+            "target": target,
+            **cols,
+            "analytic": analytic,
+            "mc_mean": est.mean,
+            "mc_std_error": est.std_error,
+            "z": z,
+            "paths": est.paths_used,
+            "seed": sim.seed,
+            "antithetic": sim.antithetic,
+        }
+
     rows = []
-    for terms in _option_grid(cfg):
+    for terms, cols in _option_rows(cfg):
         analytic = price(terms, cfg.asset, cfg.backend, cfg.quad).value
-        est = mc_option_price(terms, cfg.asset, cfg.sim)
-        z = (analytic - est.mean) / est.std_error if est.std_error > 0 else 0.0
-        rows.append(
-            {
-                "target": "option",
-                **_model_cols(cfg, terms),
-                "T": None,
-                "horizon": None,
-                "analytic": analytic,
-                "mc_mean": est.mean,
-                "mc_std_error": est.std_error,
-                "z": z,
-                "paths": est.paths_used,
-                "seed": cfg.sim.seed,
-                "antithetic": cfg.sim.antithetic,
-            }
-        )
-    variant = BondVariant(cfg.bond["variant"])
-    t0 = float(cfg.bond["t"])
+        rows.append(row("option", cols, analytic, mc_option_price(terms, cfg.asset, sim)))
+    m = cfg.rate_model
     r0 = float(cfg.bond["r0"])
-    for maturity in cfg.bond["maturities"]:
-        terms_b = BondTerms(t=t0, T=float(maturity), r_t=r0)
-        analytic = bond_price(cfg.rate_model, terms_b, variant, cfg.quad)
-        est = mc_bond_price(cfg.rate_model, terms_b, cfg.sim)
-        z = (analytic - est.mean) / est.std_error if est.std_error > 0 else 0.0
-        rows.append(
-            {
-                "target": "bond",
-                "S": None,
-                "K": None,
-                "tau": None,
-                "r": r0,
-                "q": None,
-                "lambda": cfg.rate_model.lambda_r,
-                "nu": cfg.rate_model.law.nu,
-                "delta": cfg.rate_model.law.delta,
-                "sigma": cfg.rate_model.sigma_r,
-                "kind": variant.value,
-                "T": terms_b.T,
-                "horizon": None,
-                "analytic": analytic,
-                "mc_mean": est.mean,
-                "mc_std_error": est.std_error,
-                "z": z,
-                "paths": est.paths_used,
-                "seed": cfg.sim.seed,
-                "antithetic": cfg.sim.antithetic,
-            }
-        )
+    # bond and rate rows put the rate model in the option model's columns
+    rate_cols = {
+        "r": r0,
+        "lambda": m.lambda_r,
+        "nu": m.law.nu,
+        "delta": m.law.delta,
+        "sigma": m.sigma_r,
+    }
+    for terms, bond in _bond_rows(cfg):
+        cols = {**rate_cols, "kind": bond["variant"], "T": terms.T}
+        rows.append(row("bond", cols, bond["price"], mc_bond_price(m, terms, sim)))
     horizon = 1.0
-    mean, var = conditional_moments(cfg.rate_model, r0, horizon)
-    mean_est, var_est = mc_rate_moments(cfg.rate_model, r0, horizon, cfg.sim)
-    for target, analytic, est in (
-        ("rate_mean", mean, mean_est),
-        ("rate_variance", var, var_est),
-    ):
-        z = (analytic - est.mean) / est.std_error if est.std_error > 0 else 0.0
-        rows.append(
-            {
-                "target": target,
-                "S": None,
-                "K": None,
-                "tau": None,
-                "r": r0,
-                "q": None,
-                "lambda": cfg.rate_model.lambda_r,
-                "nu": cfg.rate_model.law.nu,
-                "delta": cfg.rate_model.law.delta,
-                "sigma": cfg.rate_model.sigma_r,
-                "kind": None,
-                "T": None,
-                "horizon": horizon,
-                "analytic": analytic,
-                "mc_mean": est.mean,
-                "mc_std_error": est.std_error,
-                "z": z,
-                "paths": est.paths_used,
-                "seed": cfg.sim.seed,
-                "antithetic": cfg.sim.antithetic,
-            }
-        )
+    mean, var = conditional_moments(m, r0, horizon)
+    mean_est, var_est = mc_rate_moments(m, r0, horizon, sim)
+    cols = {**rate_cols, "horizon": horizon}
+    rows.append(row("rate_mean", cols, mean, mean_est))
+    rows.append(row("rate_variance", cols, var, var_est))
     return rows, 0
 
 
@@ -572,42 +524,35 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def _header_lines(cfg: RunConfig) -> list[str]:
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return [
-        f"shotpricer {__version__}",
-        f"command: {cfg.command}",
-        f"generated: {stamp}",
-        "config: " + json.dumps(cfg.resolved, sort_keys=True),
-    ]
-
-
 def render_report(cfg: RunConfig, rows: list[dict]) -> str:
     """Serialize rows with the reproducibility contract: the body below the
     header is byte-identical across runs with the same config and seed."""
+    header = {
+        "version": __version__,
+        "command": cfg.command,
+        "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "config": cfg.resolved,
+    }
     if cfg.out_format == "json":
-        doc = {
-            "header": {
-                "version": __version__,
-                "command": cfg.command,
-                "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                "config": cfg.resolved,
-            },
-            "rows": rows,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    lines = ["# " + line for line in _header_lines(cfg)]
+        return json.dumps({"header": header, "rows": rows}, sort_keys=True, indent=2) + "\n"
+    lines = [
+        f"# shotpricer {header['version']}",
+        f"# command: {header['command']}",
+        f"# generated: {header['generated']}",
+        "# config: " + json.dumps(header["config"], sort_keys=True),
+    ]
     if rows:
-        cols = list(rows[0].keys())
+        cols = _COLUMNS[cfg.command]
         lines.append(",".join(cols))
         for row in rows:
-            lines.append(",".join(_fmt(row.get(col)) for col in cols))
+            lines.append(",".join(_fmt(row[col]) for col in cols))
     return "\n".join(lines) + "\n"
 
 
 def execute(cfg: RunConfig) -> int:
     """Run one command and write its report; returns the process exit code."""
-    rows, status = _RUNNERS[cfg.command](cfg)
+    values, status = _RUNNERS[cfg.command](cfg)
+    rows = [{col: row.get(col) for col in _COLUMNS[cfg.command]} for row in values]
     text = render_report(cfg, rows)
     if cfg.out_path:
         with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:

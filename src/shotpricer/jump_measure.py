@@ -9,9 +9,10 @@ a local change to this module.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -95,15 +96,15 @@ def varsigma(law: GaussianJumpLaw) -> float:
     return math.expm1(law.nu + 0.5 * law.delta * law.delta)
 
 
-def xi(law: GaussianJumpLaw, k: complex) -> complex:
+def xi(law: GaussianJumpLaw, k: complex | np.ndarray) -> complex | np.ndarray:
     """Characteristic exponent per unit intensity, E[e^{ik eta} - 1].
 
     Closed form for the Gaussian law: exp(ik nu - k^2 delta^2/2) - 1.
-    Accepts complex ``k``; in particular xi(-i) == varsigma, the identity
-    that ties the tilted and plain transforms together.
+    Accepts complex ``k``, scalar or array; in particular xi(-i) == varsigma,
+    the identity that ties the tilted and plain transforms together.
     """
-    k = complex(k)
-    return cmath.exp(1j * k * law.nu - 0.5 * k * k * law.delta * law.delta) - 1.0
+    k = np.asarray(k)
+    return np.exp(1j * k * law.nu - 0.5 * k * k * law.delta**2) - 1.0
 
 
 def diffusion_moments(rate: ArrivalRate, law: GaussianJumpLaw) -> tuple[float, float]:

@@ -27,6 +27,7 @@ from .transform import (
     QuadratureSpec,
     cdf_plain,
     cdf_tilted,
+    fourier_grid,
     survival_plain,
     survival_tilted,
 )
@@ -156,21 +157,23 @@ def price(
         l_eval = math.nextafter(0.0, math.inf)  # right limit at the atom
 
     spec = model.char_spec(terms.tau)
-    if terms.kind is OptionKind.CALL:
-        spot_leg = cdf_tilted(spec, l_eval, backend, quad)
-        strike_leg = cdf_plain(spec, l_eval, backend, quad)
+    call = terms.kind is OptionKind.CALL
+    if backend is Backend.FOURIER:
+        # one grid carries both legs and measures its own error
+        grid = fourier_grid(spec, [l_eval], quad)
+        spot_leg = float((grid.tilted if call else grid.tilted_surv)[0])
+        strike_leg = float((grid.plain if call else grid.plain_surv)[0])
+        est = (disc_spot + disc_strike) * grid.est_error
+    else:
+        spot_leg = (cdf_tilted if call else survival_tilted)(spec, l_eval, backend, quad)
+        strike_leg = (cdf_plain if call else survival_plain)(spec, l_eval, backend, quad)
+        # the series is exact up to its Poisson tail cutoff
+        est = (terms.spot + terms.strike) * (min(quad.rel_tol, 1e-9) / 10.0)
+    if call:
         value = disc_spot * spot_leg - disc_strike * strike_leg
     else:
-        spot_leg = survival_tilted(spec, l_eval, backend, quad)
-        strike_leg = survival_plain(spec, l_eval, backend, quad)
         value = disc_strike * strike_leg - disc_spot * spot_leg
-    est = _price_error_estimate(terms, quad, backend)
     return PriceResult(max(value, 0.0), l, backend, est)
-
-
-def _price_error_estimate(terms: OptionTerms, quad: QuadratureSpec, backend: Backend) -> float:
-    tail = min(quad.rel_tol, 1e-9) / 10.0 if backend is Backend.SERIES else quad.rel_tol
-    return (terms.spot + terms.strike) * tail
 
 
 def bs_d1_d2(terms: OptionTerms, sigma: float) -> tuple[float, float]:

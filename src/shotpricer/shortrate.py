@@ -104,6 +104,8 @@ def a_shot(
     model: RateModel, t: float, T: float, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> float:
     """Jump contribution to the bond intercept, integrated over s in [t, T]."""
+    if t > T:
+        raise ParameterError("need t <= T")
     if t == T or model.lambda_r == 0.0:
         return 0.0
     if model.law.nu == 0.0 and model.law.delta == 0.0:

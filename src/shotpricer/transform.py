@@ -40,7 +40,7 @@ from scipy.special import gammaln, ndtr
 
 from ._quad import gauss_legendre
 from .errors import ParameterError, QuadratureError, TruncationError
-from .jump_measure import GaussianJumpLaw, varsigma
+from .jump_measure import GaussianJumpLaw, varsigma, xi
 
 __all__ = [
     "Backend",
@@ -138,54 +138,48 @@ def char_function(spec: CharSpec, k: complex) -> complex:
 
 def _char_function_grid(spec: CharSpec, k: np.ndarray) -> np.ndarray:
     """psi over an array of (possibly complex) frequencies."""
-    law = spec.law
-    xi_k = np.exp(1j * k * law.nu - 0.5 * k * k * law.delta**2) - 1.0
-    return np.exp((-0.5 * spec.sigma**2 * k * k + spec.lam * xi_k) * spec.tau)
+    return np.exp((-0.5 * spec.sigma**2 * k * k + spec.lam * xi(spec.law, k)) * spec.tau)
 
 
-def _log_poisson_pmf(mean: float, count: int) -> np.ndarray:
-    n = np.arange(count + 1, dtype=float)
-    return -mean + n * math.log(mean) - gammaln(n + 1.0)
+def _poisson_log_pmf(
+    mean: float, tail_target: float, n_max: int, theta: float = 0.0
+) -> np.ndarray:
+    """log P_0..log P_N of Poisson(mean), N grown until the tail beyond N is
+    below ``tail_target`` both for these weights and for their tilt by
+    e^{n theta}, which is Poisson(mean e^theta).
+
+    Raises TruncationError if ``n_max`` is hit first.
+    """
+    if mean == 0.0:
+        return np.array([0.0])
+    m_tilt = mean * math.exp(theta)
+    peak = max(mean, m_tilt)
+    hi = min(int(math.ceil(peak + 12.0 * math.sqrt(peak) + 30.0)), n_max)
+    while True:
+        n = np.arange(hi + 1, dtype=float)
+        log_p = -mean + n * math.log(mean) - gammaln(n + 1.0)
+        plain_tail = 1.0 - math.fsum(np.exp(log_p).tolist())
+        tilt_tail = 1.0 - math.fsum(np.exp(log_p + n * theta - m_tilt + mean).tolist())
+        if plain_tail < tail_target and tilt_tail < tail_target:
+            return log_p
+        if hi >= n_max:
+            raise TruncationError(
+                f"Poisson cutoff n_max={n_max} met tail "
+                f"{max(plain_tail, tilt_tail):g} > {tail_target:g}",
+                tail_mass=float(max(plain_tail, tilt_tail)),
+            )
+        hi = min(2 * hi + 50, n_max)
 
 
 def poisson_weights(mean_count: float, quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
-    """Poisson pmf values P_0..P_N with tail mass below ``rel_tol / 10``.
-
-    The weights come from the forward recurrence P_{n+1} = P_n m/(n+1),
-    anchored at the modal count in log space when the mean is large enough
-    to underflow P_0. Raises TruncationError if ``n_max`` is hit first.
+    """Poisson pmf values P_0..P_N, N the first count whose tail mass is below
+    ``rel_tol / 10``. Raises TruncationError if ``n_max`` is hit first.
     """
     if mean_count < 0 or not math.isfinite(mean_count):
         raise ParameterError(f"mean_count must be >= 0, got {mean_count}")
-    if mean_count == 0.0:
-        return np.array([1.0])
     tail_target = quad.rel_tol / 10.0
-    hi = int(math.ceil(mean_count + 12.0 * math.sqrt(mean_count) + 30.0))
-    hi = min(hi, quad.n_max)
-    weights = _poisson_pmf_array(mean_count, hi)
-    cum = np.cumsum(weights)
-    idx = np.nonzero(cum >= 1.0 - tail_target)[0]
-    if idx.size == 0:
-        if hi < quad.n_max:
-            weights = _poisson_pmf_array(mean_count, quad.n_max)
-            cum = np.cumsum(weights)
-            idx = np.nonzero(cum >= 1.0 - tail_target)[0]
-        if idx.size == 0:
-            raise TruncationError(
-                f"Poisson tail bound {tail_target:g} not met by n_max={quad.n_max}",
-                tail_mass=float(1.0 - cum[-1]),
-            )
-    return weights[: int(idx[0]) + 1]
-
-
-def _poisson_pmf_array(mean: float, hi: int) -> np.ndarray:
-    if mean <= 200.0:
-        w = np.empty(hi + 1)
-        w[0] = math.exp(-mean)
-        for n in range(1, hi + 1):
-            w[n] = w[n - 1] * (mean / n)
-        return w
-    return np.exp(_log_poisson_pmf(mean, hi))
+    w = np.exp(_poisson_log_pmf(mean_count, tail_target, quad.n_max))
+    return w[: int(np.searchsorted(np.cumsum(w), 1.0 - tail_target)) + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -223,28 +217,7 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
     m = spec.mean_count
     theta = law.nu + 0.5 * law.delta**2
     m_tilt = m * math.exp(theta)
-    if m == 0.0:
-        log_p = np.array([0.0])
-    else:
-        tail_target = min(quad.rel_tol, 1e-9) / 10.0
-        peak = max(m, m_tilt)
-        hi = int(math.ceil(peak + 12.0 * math.sqrt(peak) + 30.0))
-        hi = min(hi, quad.n_max)
-        while True:
-            log_p = _log_poisson_pmf(m, hi)
-            plain_tail = 1.0 - math.fsum(np.exp(log_p).tolist())
-            tilt_tail = 1.0 - math.fsum(
-                np.exp(log_p + np.arange(hi + 1) * theta - m_tilt + m).tolist()
-            )
-            if plain_tail < tail_target and tilt_tail < tail_target:
-                break
-            if hi >= quad.n_max:
-                raise TruncationError(
-                    f"series cutoff n_max={quad.n_max} met tail "
-                    f"{max(plain_tail, tilt_tail):g} > {tail_target:g}",
-                    tail_mass=float(max(plain_tail, tilt_tail)),
-                )
-            hi = min(2 * hi + 50, quad.n_max)
+    log_p = _poisson_log_pmf(m, min(quad.rel_tol, 1e-9) / 10.0, quad.n_max, theta)
     n = np.arange(len(log_p), dtype=float)
     # lam tau varsigma == m_tilt - m, so the tilted weights stay normalized.
     tilt_w = np.exp(log_p + n * theta - (m_tilt - m))
@@ -264,6 +237,8 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
 def _series_cdf(
     spec: CharSpec, l: float, quad: QuadratureSpec, tilted: bool, complement: bool
 ) -> float:
+    if math.isnan(l):
+        raise ParameterError("threshold l must not be NaN")
     p = _series_parts(spec, quad)
     w = p.tilt_w if tilted else p.plain_w
     cont = p.sd > 0.0
@@ -488,6 +463,8 @@ def green_density(
     if spec.sigma == 0.0 and (spec.lam == 0.0 or spec.law.delta == 0.0):
         raise ParameterError("density undefined: displacement law is purely atomic")
     w = float(u)
+    if math.isnan(w):
+        raise ParameterError("displacement u must not be NaN")
     if not shifted:
         drift = (r - q - 0.5 * spec.sigma**2 - spec.lam * varsigma(spec.law)) * spec.tau
         w = w + drift
@@ -540,6 +517,8 @@ def series_lset(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -
 
 @functools.lru_cache(maxsize=_LSET_CACHE_SIZE)
 def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
+    if math.isnan(l):
+        raise ParameterError("threshold l must not be NaN")
     law = spec.law
     tau, lam, sigma = spec.tau, spec.lam, spec.sigma
     nu, delta = law.nu, law.delta

@@ -7,6 +7,18 @@ import pytest
 from shotpricer.cli import main
 
 PRICE_COLUMNS = "S,K,tau,r,q,lambda,nu,delta,sigma,kind,price,est_error,backend"
+OPTION = "S,K,tau,r,q,lambda,nu,delta,sigma,kind"
+BOND = "a,b,sigma_r,lambda_r,nu_r,delta_r,t,T,r0,variant"
+REPORT_COLUMNS = {
+    "price": PRICE_COLUMNS,
+    "greeks": OPTION + ",greek_delta,greek_gamma,greek_rho,greek_psi,greek_theta,greek_vega"
+    ",greek_kappa,greek_mu,greek_epsilon",
+    "bond": BOND + ",A,B,price",
+    "curve": BOND + ",tenor,price,zero_yield",
+    "mc": "target," + OPTION + ",T,horizon,analytic,mc_mean,mc_std_error,z,paths,seed,antithetic",
+    "validate": "check,config,value,tolerance,status",
+    "limits": "scale,price_error,theta_error,bond_a_error,monotone",
+}
 
 
 def run(argv, capsys):
@@ -69,6 +81,41 @@ class TestPrice:
         assert {"version", "command", "generated", "config"} <= set(doc["header"])
         assert len(doc["rows"]) == 12
         assert doc["rows"][0]["backend"] == "series"
+
+
+class TestReportLayout:
+    @pytest.mark.parametrize("command", list(REPORT_COLUMNS))
+    def test_columns_pinned(self, command, tmp_path, capsys):
+        argv = [command, "--paths", "2000"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert body_lines(out)[0] == REPORT_COLUMNS[command]
+        target = tmp_path / "report.json"
+        assert run(argv + ["--format", "json", "--out", str(target)], capsys)[0] == 0
+        rows = json.loads(target.read_text())["rows"]
+        assert rows
+        for row in rows:
+            assert sorted(row) == sorted(REPORT_COLUMNS[command].split(","))
+
+    def test_missing_values_are_null(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"asset": {"lam": 0.0, "sigma": 0.2}}')
+        target = tmp_path / "greeks.json"
+        run(["greeks", "--config", str(cfg), "--format", "json", "--out", str(target)], capsys)
+        for row in json.loads(target.read_text())["rows"]:
+            assert row["greek_kappa"] is None and row["greek_vega"] is not None
+        target = tmp_path / "mc.json"
+        run(["mc", "--paths", "2000", "--format", "json", "--out", str(target)], capsys)
+        rows = json.loads(target.read_text())["rows"]
+        for row in rows:
+            if row["target"] == "option":
+                assert row["horizon"] is None and row["T"] is None
+            else:
+                assert row["S"] is None and row["K"] is None
+        code, out, _ = run(["greeks", "--config", str(cfg)], capsys)
+        assert code == 0
+        kappa = REPORT_COLUMNS["greeks"].split(",").index("greek_kappa")
+        assert all(line.split(",")[kappa] == "" for line in body_lines(out)[1:])
 
 
 class TestConfigHandling:

@@ -107,6 +107,29 @@ class TestPrice:
         b = price(terms, mixed_model, Backend.FOURIER).value
         assert a == pytest.approx(b, abs=1e-6)
 
+    def test_fourier_price_runs_one_grid_and_reports_its_error(self, monkeypatch):
+        import shotpricer.options as options_mod
+        import shotpricer.transform as transform_mod
+
+        original = transform_mod.fourier_grid
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(options_mod, "fourier_grid", counted, raising=False)
+        monkeypatch.setattr(transform_mod, "fourier_grid", counted)
+        model = AssetModel(1.0, GaussianJumpLaw(0.0, 0.1), 0.0)
+        for kind in (OptionKind.CALL, OptionKind.PUT):
+            calls.clear()
+            terms = make_terms(100, 100, tau=1.0, rate=0.03, kind=kind)
+            res = price(terms, model, Backend.FOURIER)
+            assert len(calls) == 1
+            # the grid's measured spread, far below the (S + K) rel_tol formula
+            assert res.est_error < (terms.spot + terms.strike) * 1e-9 / 100.0
+            assert res.value == pytest.approx(price(terms, model).value, abs=1e-7)
+
     def test_value_bounds(self, mixed_model):
         for strike in (60.0, 90.0, 100.0, 130.0, 200.0):
             terms = make_terms(100, strike, tau=1.2, rate=0.03, dividend=0.01)

@@ -63,6 +63,14 @@ class TestAShot:
         with time_limit(2.0), pytest.raises(ParameterError):
             a_shot(rate_jump_model, 0.0, math.nan)
 
+    def test_reversed_bounds_raise_parameter_error(self, rate_jump_model):
+        # same error as the substituted route, before any quadrature runs
+        with time_limit(2.0):
+            with pytest.raises(ParameterError, match="need t <= T"):
+                a_shot(rate_jump_model, 2.0, 1.0)
+            with pytest.raises(ParameterError, match="need t <= T"):
+                a_shot_substituted(rate_jump_model, 2.0, 1.0)
+
     def test_degenerate_law(self):
         model = RateModel(0.5, 0.0, 0.0, 2.0, GaussianJumpLaw(0.0, 0.0))
         assert a_shot(model, 0.0, 4.0) == 0.0

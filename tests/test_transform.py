@@ -21,7 +21,7 @@ from shotpricer import (
     varsigma,
 )
 from shotpricer.errors import ParameterError, QuadratureError, TruncationError
-from shotpricer.transform import fourier_grid
+from shotpricer.transform import fourier_grid, series_lset
 
 
 def spec_of(tau=1.0, lam=1.0, sigma=0.0, nu=0.0, delta=0.1):
@@ -158,6 +158,25 @@ class TestSeriesCdf:
         val = cdf_plain(spec, 0.1)
         assert 0.0 < val < 1.0
         assert cdf_plain(spec, 60.0) == pytest.approx(1.0, abs=1e-10)
+
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            cdf_plain,
+            cdf_tilted,
+            survival_plain,
+            survival_tilted,
+            lambda spec, l: series_lset(spec, l).l1,
+            green_density,
+        ],
+        ids=["cdf_plain", "cdf_tilted", "survival_plain", "survival_tilted", "series_lset",
+             "green_density"],
+    )
+    def test_nan_threshold_raises(self, evaluate):
+        # the Fourier backend rejects the same input with the same error
+        with pytest.raises(ParameterError):
+            evaluate(spec_of(lam=1.0, sigma=0.0, delta=0.1), math.nan)
 
 
 class TestFourierBackend:
