@@ -9,6 +9,10 @@ import numpy as np
 
 from .errors import ParameterError, QuadratureError
 
+# Gauss-Legendre nodes per adaptive panel, and the deepest bisection allowed.
+_NODES = 16
+_MAX_DEPTH = 24
+
 
 @lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -32,21 +36,14 @@ def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u * np.sqrt(2.0), w / np.sqrt(np.pi)
 
 
-def adaptive_gauss_legendre(
-    f,
-    a: float,
-    b: float,
-    rel_tol: float = 1e-10,
-    nodes: int = 16,
-    max_depth: int = 24,
-) -> float:
+def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
     """Adaptive panel Gauss-Legendre integration of a vectorized callable.
 
     Each panel is accepted when one bisection changes its estimate by less
     than the panel's share of the tolerance; otherwise it is split. ``f``
     must accept an ndarray of abscissae. Non-finite bounds raise
     ParameterError and a non-finite panel estimate raises QuadratureError,
-    so neither can drive the bisection down to ``max_depth``.
+    so neither can drive the bisection down to ``_MAX_DEPTH``.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ParameterError(f"integration bounds must be finite, got [{a}, {b}]")
@@ -54,7 +51,7 @@ def adaptive_gauss_legendre(
         return 0.0
 
     def panel(lo: float, hi: float) -> float:
-        x, w = gauss_legendre(lo, hi, nodes)
+        x, w = gauss_legendre(lo, hi, _NODES)
         est = float(np.dot(w, f(x)))
         if not math.isfinite(est):
             raise QuadratureError(f"integrand not finite on [{lo}, {hi}]", achieved=est)
@@ -71,8 +68,8 @@ def adaptive_gauss_legendre(
         right = panel(mid, hi)
         err = abs(left + right - est)
         tol_here = rel_tol * scale * (hi - lo) / abs(b - a)
-        if err <= tol_here or depth >= max_depth:
-            if depth >= max_depth and err > tol_here:
+        if err <= tol_here or depth >= _MAX_DEPTH:
+            if depth >= _MAX_DEPTH and err > tol_here:
                 raise QuadratureError(
                     f"adaptive quadrature stalled on [{lo}, {hi}]", achieved=err
                 )

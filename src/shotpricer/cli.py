@@ -123,7 +123,7 @@ _DEFAULTS: dict[str, Any] = {
         "variant": "general",
     },
     "sim": {"paths": 100000, "seed": 20240701, "antithetic": False},
-    "quad": {"rel_tol": 1e-9, "k_max": 16.0, "k_nodes": 32, "n_max": 4096},
+    "quad": {"rel_tol": 1e-9},
     "backend": "series",
     "output": {"path": None, "format": "csv"},
 }
@@ -208,12 +208,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             seed=int(merged["sim"]["seed"]),
             antithetic=bool(merged["sim"]["antithetic"]),
         )
-        quad = QuadratureSpec(
-            rel_tol=float(merged["quad"]["rel_tol"]),
-            k_max=float(merged["quad"]["k_max"]),
-            k_nodes=int(merged["quad"]["k_nodes"]),
-            n_max=int(merged["quad"]["n_max"]),
-        )
+        quad = QuadratureSpec(rel_tol=float(merged["quad"]["rel_tol"]))
         backend = Backend(merged["backend"])
         BondVariant(merged["bond"]["variant"])
         for kind in merged["contracts"]["kinds"]:

@@ -165,10 +165,10 @@ def price(
         strike_leg = float((grid.plain if call else grid.plain_surv)[0])
         est = (disc_spot + disc_strike) * grid.est_error
     else:
-        spot_leg = (cdf_tilted if call else survival_tilted)(spec, l_eval, backend, quad)
-        strike_leg = (cdf_plain if call else survival_plain)(spec, l_eval, backend, quad)
+        spot_leg = (cdf_tilted if call else survival_tilted)(spec, l_eval, quad)
+        strike_leg = (cdf_plain if call else survival_plain)(spec, l_eval, quad)
         # the series is exact up to its Poisson tail cutoff
-        est = (terms.spot + terms.strike) * (min(quad.rel_tol, 1e-9) / 10.0)
+        est = (terms.spot + terms.strike) * quad.series_tail
     if call:
         value = disc_spot * spot_leg - disc_strike * strike_leg
     else:

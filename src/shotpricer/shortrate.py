@@ -100,6 +100,11 @@ def _jump_source(model: RateModel, b_val) -> np.ndarray:
     return model.lambda_r * np.expm1(-law.nu * b_val + 0.5 * law.delta**2 * b_val**2)
 
 
+def _intercept_integral(integrand, lo: float, hi: float, quad: QuadratureSpec) -> float:
+    """Adaptive quadrature of an intercept integrand, at most 1e-10 relative."""
+    return adaptive_gauss_legendre(integrand, lo, hi, rel_tol=min(quad.rel_tol, 1e-10))
+
+
 def a_shot(
     model: RateModel, t: float, T: float, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> float:
@@ -115,7 +120,7 @@ def a_shot(
         b_val = -np.expm1(-model.a * (T - s)) / model.a
         return _jump_source(model, b_val)
 
-    return adaptive_gauss_legendre(integrand, t, T, rel_tol=min(quad.rel_tol, 1e-10), nodes=16)
+    return _intercept_integral(integrand, t, T, quad)
 
 
 def a_shot_substituted(
@@ -133,7 +138,7 @@ def a_shot_substituted(
     def integrand(y: np.ndarray) -> np.ndarray:
         return _jump_source(model, y) / (1.0 - model.a * y)
 
-    return adaptive_gauss_legendre(integrand, 0.0, b_here, rel_tol=min(quad.rel_tol, 1e-10), nodes=16)
+    return _intercept_integral(integrand, 0.0, b_here, quad)
 
 
 def a_vasicek(model: RateModel, t: float, T: float) -> float:

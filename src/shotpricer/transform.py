@@ -9,13 +9,14 @@ the "plain" one (probability that the negated compound-Poisson-plus-Gaussian
 displacement stays below l) and the "tilted" one (the same mass under an
 exp(-z) change of weight). Two independent evaluation routes are provided:
 
-* series: condition on the Poisson jump count. Each count contributes a
-  Gaussian component, so both transforms are finite mixtures of normal cdfs
-  with explicit weights. Exact up to the Poisson tail cutoff; this is the
-  reference backend and the only one that also ships analytic parameter
-  derivatives (used by the Greeks).
-* fourier: Gil-Pelaez inversion, one integral in k per cumulative, on
-  Gauss-Legendre panels. It reads only psi, with no Poisson weights, so it
+* series (``cdf_*``, ``survival_*``, ``series_lset``): condition on the
+  Poisson jump count. Each count contributes a Gaussian component, so both
+  transforms are finite mixtures of normal cdfs with explicit weights.
+  Exact up to the Poisson tail cutoff; this is the reference backend and
+  the only one that also ships analytic parameter derivatives (used by the
+  Greeks).
+* fourier (``fourier_grid``): Gil-Pelaez inversion, one integral in k per
+  cumulative, on Gauss-Legendre panels, for a batch of thresholds. It reads only psi, with no Poisson weights, so it
   is an independent cross-check of the series. When sigma = 0 the
   characteristic function tends to the atom weight exp(-lam tau) at large
   |k| (a point mass at z = 0); that constant is peeled off analytically,
@@ -69,6 +70,16 @@ _LSET_CACHE_SIZE = 16
 # Panel-count doublings the Fourier backend tries before giving up.
 _FOURIER_DOUBLINGS = 6
 
+# Fourier frequency floor: the integral runs to at least this k, further
+# where the characteristic-function envelope requires it.
+_K_MAX = 16.0
+
+# Gauss-Legendre nodes per Fourier panel.
+_K_NODES = 32
+
+# Most Poisson counts a series keeps (enough for lam tau up to about 3700).
+_N_MAX = 4096
+
 
 class Backend(str, Enum):
     """Evaluation strategy for the cumulative transforms."""
@@ -79,31 +90,25 @@ class Backend(str, Enum):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy/truncation controls shared by all numerical routines.
+    """Accuracy target shared by all numerical routines.
 
-    ``rel_tol`` is the target for the Fourier backend (the series backend is
-    exact up to the Poisson tail, which is kept an order of magnitude
-    tighter). ``k_max`` is the frequency floor: the Fourier integral runs to
-    at least ``k_max``, further where the characteristic-function envelope
-    requires it. On a missed tolerance the panel count doubles; the
-    frequency range stays. ``k_nodes`` are Gauss-Legendre nodes per panel,
-    ``n_max`` caps the Poisson series.
+    ``rel_tol`` is the target for the Fourier backend. The series backend is
+    exact up to the Poisson tail, which it keeps below ``series_tail``. The
+    Fourier frequency range follows from ``rel_tol`` and the
+    characteristic-function envelope, and its panel count doubles until two
+    passes agree; the series stops at 4096 terms (about lam tau 3700).
     """
 
     rel_tol: float = 1e-9
-    k_max: float = 16.0
-    k_nodes: int = 32
-    n_max: int = 4096
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol <= 1e-2:
             raise ParameterError(f"rel_tol must be in (0, 1e-2], got {self.rel_tol}")
-        if self.k_nodes < 16:
-            raise ParameterError(f"k_nodes must be >= 16, got {self.k_nodes}")
-        if self.n_max < 1:
-            raise ParameterError(f"n_max must be >= 1, got {self.n_max}")
-        if self.k_max <= 0:
-            raise ParameterError(f"k_max must be > 0, got {self.k_max}")
+
+    @property
+    def series_tail(self) -> float:
+        """Poisson tail mass the series may drop: a tenth of rel_tol, at most 1e-10."""
+        return min(self.rel_tol, 1e-9) / 10.0
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -141,20 +146,18 @@ def _char_function_grid(spec: CharSpec, k: np.ndarray) -> np.ndarray:
     return np.exp((-0.5 * spec.sigma**2 * k * k + spec.lam * xi(spec.law, k)) * spec.tau)
 
 
-def _poisson_log_pmf(
-    mean: float, tail_target: float, n_max: int, theta: float = 0.0
-) -> np.ndarray:
+def _poisson_log_pmf(mean: float, tail_target: float, theta: float = 0.0) -> np.ndarray:
     """log P_0..log P_N of Poisson(mean), N grown until the tail beyond N is
     below ``tail_target`` both for these weights and for their tilt by
     e^{n theta}, which is Poisson(mean e^theta).
 
-    Raises TruncationError if ``n_max`` is hit first.
+    Raises TruncationError if N would pass ``_N_MAX`` first.
     """
     if mean == 0.0:
         return np.array([0.0])
     m_tilt = mean * math.exp(theta)
     peak = max(mean, m_tilt)
-    hi = min(int(math.ceil(peak + 12.0 * math.sqrt(peak) + 30.0)), n_max)
+    hi = min(int(math.ceil(peak + 12.0 * math.sqrt(peak) + 30.0)), _N_MAX)
     while True:
         n = np.arange(hi + 1, dtype=float)
         log_p = -mean + n * math.log(mean) - gammaln(n + 1.0)
@@ -162,23 +165,23 @@ def _poisson_log_pmf(
         tilt_tail = 1.0 - math.fsum(np.exp(log_p + n * theta - m_tilt + mean).tolist())
         if plain_tail < tail_target and tilt_tail < tail_target:
             return log_p
-        if hi >= n_max:
+        if hi >= _N_MAX:
             raise TruncationError(
-                f"Poisson cutoff n_max={n_max} met tail "
+                f"Poisson cutoff n_max={_N_MAX} met tail "
                 f"{max(plain_tail, tilt_tail):g} > {tail_target:g}",
                 tail_mass=float(max(plain_tail, tilt_tail)),
             )
-        hi = min(2 * hi + 50, n_max)
+        hi = min(2 * hi + 50, _N_MAX)
 
 
 def poisson_weights(mean_count: float, quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
     """Poisson pmf values P_0..P_N, N the first count whose tail mass is below
-    ``rel_tol / 10``. Raises TruncationError if ``n_max`` is hit first.
+    ``rel_tol / 10``. Raises TruncationError past the series term cap.
     """
     if mean_count < 0 or not math.isfinite(mean_count):
         raise ParameterError(f"mean_count must be >= 0, got {mean_count}")
     tail_target = quad.rel_tol / 10.0
-    w = np.exp(_poisson_log_pmf(mean_count, tail_target, quad.n_max))
+    w = np.exp(_poisson_log_pmf(mean_count, tail_target))
     return w[: int(np.searchsorted(np.cumsum(w), 1.0 - tail_target)) + 1]
 
 
@@ -217,7 +220,7 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
     m = spec.mean_count
     theta = law.nu + 0.5 * law.delta**2
     m_tilt = m * math.exp(theta)
-    log_p = _poisson_log_pmf(m, min(quad.rel_tol, 1e-9) / 10.0, quad.n_max, theta)
+    log_p = _poisson_log_pmf(m, quad.series_tail, theta)
     n = np.arange(len(log_p), dtype=float)
     # lam tau varsigma == m_tilt - m, so the tilted weights stay normalized.
     tilt_w = np.exp(log_p + n * theta - (m_tilt - m))
@@ -237,6 +240,7 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
 def _series_cdf(
     spec: CharSpec, l: float, quad: QuadratureSpec, tilted: bool, complement: bool
 ) -> float:
+    l = float(l)
     if math.isnan(l):
         raise ParameterError("threshold l must not be NaN")
     p = _series_parts(spec, quad)
@@ -278,8 +282,9 @@ class FourierGrid:
     k_max: float
 
 
-def _fourier_kmax(spec: CharSpec, tol_k: float, floor: float) -> float:
-    """Frequency truncation where both integrand envelopes dip below tol.
+def _fourier_kmax(spec: CharSpec, tol_k: float) -> float:
+    """Frequency truncation where both integrand envelopes dip below tol,
+    and never below ``_K_MAX``.
 
     The tilted transform's envelope is the plain one with the mean count
     lam tau replaced by lam tau e^{nu + delta^2/2}, so one rule bounds both.
@@ -314,7 +319,7 @@ def _fourier_kmax(spec: CharSpec, tol_k: float, floor: float) -> float:
             lo = mid
         else:
             hi = mid
-    return max(floor, hi)
+    return max(_K_MAX, hi)
 
 
 def fourier_grid(
@@ -344,11 +349,11 @@ def fourier_grid(
     pref = math.exp(-(0.5 * spec.sigma**2 + spec.lam * varsigma(spec.law)) * spec.tau)
     atom = math.exp(-spec.mean_count) if spec.sigma == 0.0 else 0.0
     atom_t = pref * atom
-    k_max = _fourier_kmax(spec, quad.rel_tol / 10.0, floor=quad.k_max)
+    k_max = _fourier_kmax(spec, quad.rel_tol / 10.0)
 
     def integrals(n_panels: int) -> np.ndarray:
         """(1/pi) int Im(...)/k dk per threshold; columns plain, tilted."""
-        x, w = gauss_legendre(0.0, k_max / n_panels, quad.k_nodes)
+        x, w = gauss_legendre(0.0, k_max / n_panels, _K_NODES)
         k = (np.arange(n_panels)[:, None] * (k_max / n_panels) + x).ravel()
         wk = np.tile(w, n_panels) / (math.pi * k)
         g = np.stack(
@@ -360,8 +365,8 @@ def fourier_grid(
         )
         return (np.exp(-1j * np.outer(ls, k)) @ g).imag
 
-    # e^{-ikl} turns |l| radians per unit k; start near k_nodes radians a panel
-    n_panels = max(4, math.ceil(k_max * float(np.max(np.abs(ls), initial=1.0)) / quad.k_nodes))
+    # e^{-ikl} turns |l| radians per unit k; start near _K_NODES radians a panel
+    n_panels = max(4, math.ceil(k_max * float(np.max(np.abs(ls), initial=1.0)) / _K_NODES))
     prev = integrals(n_panels)
     for _ in range(_FOURIER_DOUBLINGS):
         n_panels *= 2
@@ -389,85 +394,42 @@ def fourier_grid(
 # ---------------------------------------------------------------------------
 
 
-def _cdf(spec, l, backend, quad, tilted, complement) -> float:
-    backend = Backend(backend)
-    if backend is Backend.SERIES:
-        return _series_cdf(spec, float(l), quad, tilted=tilted, complement=complement)
-    grid = fourier_grid(spec, [float(l)], quad)
-    key = {
-        (False, False): "plain",
-        (True, False): "tilted",
-        (False, True): "plain_surv",
-        (True, True): "tilted_surv",
-    }[(tilted, complement)]
-    return float(getattr(grid, key)[0])
-
-
-def cdf_plain(
-    spec: CharSpec,
-    l: float,
-    backend: Backend = Backend.SERIES,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def cdf_plain(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Plain cumulative transform: mass of the displacement law below l."""
-    return _cdf(spec, l, backend, quad, tilted=False, complement=False)
+    return _series_cdf(spec, l, quad, tilted=False, complement=False)
 
 
-def cdf_tilted(
-    spec: CharSpec,
-    l: float,
-    backend: Backend = Backend.SERIES,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def cdf_tilted(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Exponentially tilted cumulative transform; reaches 1 as l -> inf."""
-    return _cdf(spec, l, backend, quad, tilted=True, complement=False)
+    return _series_cdf(spec, l, quad, tilted=True, complement=False)
 
 
-def survival_plain(
-    spec: CharSpec,
-    l: float,
-    backend: Backend = Backend.SERIES,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def survival_plain(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Mass above l under the plain transform; cdf_plain + survival_plain == 1."""
-    return _cdf(spec, l, backend, quad, tilted=False, complement=True)
+    return _series_cdf(spec, l, quad, tilted=False, complement=True)
 
 
-def survival_tilted(
-    spec: CharSpec,
-    l: float,
-    backend: Backend = Backend.SERIES,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
+def survival_tilted(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Tilted mass above l; cdf_tilted + survival_tilted == 1."""
-    return _cdf(spec, l, backend, quad, tilted=True, complement=True)
+    return _series_cdf(spec, l, quad, tilted=True, complement=True)
 
 
 def green_density(
-    spec: CharSpec,
-    u: float,
-    r: float = 0.0,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-    q: float = 0.0,
-    shifted: bool = True,
+    spec: CharSpec, u: float, r: float = 0.0, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> float:
     """Discounted transition-kernel density at displacement u.
 
-    With ``shifted=True`` the caller has already folded the risk-neutral
-    drift into u; with ``shifted=False`` u is the raw log-price gap and the
-    drift (r - q - sigma^2/2 - lam varsigma) tau is applied here. Only the
-    continuous part is returned; for sigma = 0 the kernel also carries a
-    point mass exp(-lam tau) at zero displacement, which a density cannot
-    represent. Integrates to exp(-r tau) (minus the atom when sigma = 0).
+    The caller has already folded the risk-neutral drift
+    (r - q - sigma^2/2 - lam varsigma) tau into u. Only the continuous part
+    is returned; for sigma = 0 the kernel also carries a point mass
+    exp(-lam tau) at zero displacement, which a density cannot represent.
+    Integrates to exp(-r tau) (minus the atom when sigma = 0).
     """
     if spec.sigma == 0.0 and (spec.lam == 0.0 or spec.law.delta == 0.0):
         raise ParameterError("density undefined: displacement law is purely atomic")
     w = float(u)
     if math.isnan(w):
         raise ParameterError("displacement u must not be NaN")
-    if not shifted:
-        drift = (r - q - 0.5 * spec.sigma**2 - spec.lam * varsigma(spec.law)) * spec.tau
-        w = w + drift
     p = _series_parts(spec, quad)
     cont = p.sd > 0.0
     z = (w - p.mean[cont]) / p.sd[cont]

@@ -12,7 +12,7 @@ eight cumulative transforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ from .shortrate import (
     bond_price,
 )
 from .transform import (
+    _K_NODES,
     DEFAULT_QUAD,
     Backend,
     CharSpec,
@@ -44,7 +45,6 @@ from .transform import (
 
 __all__ = [
     "ResidualReport",
-    "DiffusionStudy",
     "ConvergenceRow",
     "option_pide_residual",
     "bond_pide_residual",
@@ -242,31 +242,6 @@ def bond_pide_residual(
 
 
 @dataclass(frozen=True)
-class DiffusionStudy:
-    """Scaling recipe for the high-intensity limit.
-
-    At scale n the asset jumps use lam = n lam0, nu = drift/lam,
-    delta^2 = variance/lam, and similarly for the rate block. Targets are
-    the Gaussian formulas with the scale's own aggregate moments.
-    """
-
-    scales: tuple[int, ...] = (1, 10, 100, 1000)
-    drift: float = 0.06
-    variance: float = 0.04
-    lam0: float = 1.0
-    spot: float = 100.0
-    strike: float = 105.0
-    tau: float = 1.0
-    rate: float = 0.03
-    dividend: float = 0.01
-    rate_a: float = 0.5
-    rate_drift: float = 0.012
-    rate_variance: float = 4e-4
-    rate_lam0: float = 1.0
-    bond_tenor: float = 5.0
-
-
-@dataclass(frozen=True)
 class ConvergenceRow:
     scale: int
     price_error: float
@@ -274,28 +249,36 @@ class ConvergenceRow:
     bond_error: float
 
 
-def diffusion_convergence(study: DiffusionStudy = DiffusionStudy()) -> list[ConvergenceRow]:
+# High-intensity scaling study. At scale n the asset jumps use lam = n,
+# nu = drift/lam and delta^2 = variance/lam, so the aggregate drift and
+# variance stay fixed, and the rate jumps scale the same way.
+_LIMIT_SCALES = (1, 10, 100, 1000)
+_LIMIT_DRIFT = 0.06
+_LIMIT_VARIANCE = 0.04
+_LIMIT_CALL = OptionTerms(
+    spot=100.0, strike=105.0, tau=1.0, rate=0.03, dividend=0.01, kind=OptionKind.CALL
+)
+_LIMIT_RATE_A = 0.5
+_LIMIT_RATE_DRIFT = 0.012
+_LIMIT_RATE_VARIANCE = 4e-4
+_LIMIT_BOND_TENOR = 5.0
+
+
+def diffusion_convergence() -> list[ConvergenceRow]:
     """Relative errors of the jump model against its Gaussian limits.
 
     Per scale: call price and theta against Black-Scholes with the scale's
     aggregate volatility, and the bond intercept against the Gaussian
     intercept with the matched long-term mean and volatility.
     """
+    terms = _LIMIT_CALL
     rows = []
-    for n in study.scales:
-        lam = n * study.lam0
-        nu = study.drift / lam
-        delta = math.sqrt(study.variance / lam)
+    for n in _LIMIT_SCALES:
+        lam = float(n)
+        nu = _LIMIT_DRIFT / lam
+        delta = math.sqrt(_LIMIT_VARIANCE / lam)
         model = AssetModel(lam=lam, law=GaussianJumpLaw(nu=nu, delta=delta), sigma=0.0)
         sigma_n = math.sqrt(lam * (nu * nu + delta * delta))
-        terms = OptionTerms(
-            spot=study.spot,
-            strike=study.strike,
-            tau=study.tau,
-            rate=study.rate,
-            dividend=study.dividend,
-            kind=OptionKind.CALL,
-        )
         value = price(terms, model).value
         target = bs_price(terms, sigma_n).value
         price_err = abs(value - target) / abs(target)
@@ -303,22 +286,21 @@ def diffusion_convergence(study: DiffusionStudy = DiffusionStudy()) -> list[Conv
         theta_target = bs_greeks(terms, sigma_n).theta
         greek_err = abs(theta - theta_target) / abs(theta_target)
 
-        lam_r = n * study.rate_lam0
-        nu_r = study.rate_drift / lam_r
-        delta_r = math.sqrt(study.rate_variance / lam_r)
+        nu_r = _LIMIT_RATE_DRIFT / lam
+        delta_r = math.sqrt(_LIMIT_RATE_VARIANCE / lam)
         rate_law = GaussianJumpLaw(nu=nu_r, delta=delta_r)
         jump_model = RateModel(
-            a=study.rate_a, b=0.0, sigma_r=0.0, lambda_r=lam_r, law=rate_law
+            a=_LIMIT_RATE_A, b=0.0, sigma_r=0.0, lambda_r=lam, law=rate_law
         )
         limit_model = RateModel(
-            a=study.rate_a,
-            b=lam_r * nu_r / study.rate_a,
-            sigma_r=math.sqrt(lam_r * (nu_r**2 + delta_r**2)),
+            a=_LIMIT_RATE_A,
+            b=lam * nu_r / _LIMIT_RATE_A,
+            sigma_r=math.sqrt(lam * (nu_r**2 + delta_r**2)),
             lambda_r=0.0,
             law=rate_law,
         )
-        a_jump = a_shot(jump_model, 0.0, study.bond_tenor)
-        a_limit = a_vasicek(limit_model, 0.0, study.bond_tenor)
+        a_jump = a_shot(jump_model, 0.0, _LIMIT_BOND_TENOR)
+        a_limit = a_vasicek(limit_model, 0.0, _LIMIT_BOND_TENOR)
         bond_err = abs(a_jump - a_limit) / abs(a_limit)
         rows.append(
             ConvergenceRow(
@@ -376,13 +358,13 @@ def backend_agreement(
         four = fourier_grid(spec, ls, quad)
         four_vals = (four.plain, four.tilted, four.plain_surv, four.tilted_surv)
         for fn, fv in zip(series_fns, four_vals):
-            sv = np.array([fn(spec, float(l), Backend.SERIES, quad) for l in ls])
+            sv = np.array([fn(spec, float(l), quad) for l in ls])
             worst = max(worst, float(np.max(np.abs(sv - fv))))
         points += ls.size
     return ResidualReport(
         max_residual=worst,
         grid_points=points,
         fd_steps=(0.0, 0.0),
-        quad_nodes=quad.k_nodes,
+        quad_nodes=_K_NODES,
         rejected_points=tuple(rejected),
     )

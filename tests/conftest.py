@@ -15,7 +15,7 @@ from shotpricer import (
 @pytest.fixture
 def tight_quad():
     """Tighter-than-default controls for reduction tests at 1e-9."""
-    return QuadratureSpec(rel_tol=1e-12, n_max=4096)
+    return QuadratureSpec(rel_tol=1e-12)
 
 
 @pytest.fixture

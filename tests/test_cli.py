@@ -131,6 +131,15 @@ class TestConfigHandling:
         assert code == 2
         assert "zzz" in err
 
+    @pytest.mark.parametrize("key", ["k_max", "k_nodes", "n_max"])
+    def test_fixed_quadrature_settings_rejected(self, tmp_path, capsys, key):
+        # only the tolerance is settable; the rest are library constants
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quad": {key: 1}}))
+        code, _, err = run(["price", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert f"unknown config key 'quad.{key}'" in err
+
     def test_invalid_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

@@ -79,25 +79,24 @@ def test_cached_parts_are_read_only():
 def test_quadrature_specs_never_share_an_entry():
     _clear()
     spec = CharSpec(tau=1.0, lam=3.0, sigma=0.0, law=GaussianJumpLaw(-0.05, 0.15))
-    short = QuadratureSpec(n_max=40)
-    parts_short = _series_parts(spec, short)
+    tight = QuadratureSpec(rel_tol=1e-12)
+    parts_tight = _series_parts(spec, tight)
     parts_default = _series_parts(spec, DEFAULT_QUAD)
-    assert parts_short is not parts_default
-    assert len(parts_short.n) < len(parts_default.n)
+    assert parts_tight is not parts_default
     assert _series_parts.cache_info().currsize == 2
-    assert series_lset(spec, 0.1, short) is not series_lset(spec, 0.1, DEFAULT_QUAD)
+    assert series_lset(spec, 0.1, tight) is not series_lset(spec, 0.1, DEFAULT_QUAD)
     assert _series_lset.cache_info().currsize == 2
 
 
 def test_truncation_error_is_raised_again_and_not_cached():
     _clear()
-    spec = CharSpec(tau=1.0, lam=50.0, sigma=0.0, law=GaussianJumpLaw(-0.05, 0.15))
-    quad = QuadratureSpec(n_max=10)
+    # lam tau 5000 needs more Poisson counts than the series keeps
+    spec = CharSpec(tau=1.0, lam=5000.0, sigma=0.0, law=GaussianJumpLaw(-0.05, 0.15))
     for _ in range(2):
         with pytest.raises(TruncationError):
-            series_lset(spec, 0.0, quad)
+            series_lset(spec, 0.0)
         with pytest.raises(TruncationError):
-            _series_parts(spec, quad)
+            _series_parts(spec, DEFAULT_QUAD)
     assert _series_parts.cache_info().currsize == 0
     assert _series_lset.cache_info().currsize == 0
     assert _series_parts.cache_info().misses == 4

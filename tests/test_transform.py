@@ -7,7 +7,6 @@ import pytest
 from scipy.special import ndtr
 
 from shotpricer import (
-    Backend,
     CharSpec,
     GaussianJumpLaw,
     QuadratureSpec,
@@ -60,7 +59,7 @@ class TestPoissonWeights:
 
     def test_cap_raises(self):
         with pytest.raises(TruncationError):
-            poisson_weights(50.0, QuadratureSpec(n_max=10))
+            poisson_weights(5000.0)
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ParameterError):
@@ -73,10 +72,6 @@ class TestSpecValidation:
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ParameterError):
             QuadratureSpec(rel_tol=0.1)
-        with pytest.raises(ParameterError):
-            QuadratureSpec(k_nodes=8)
-        with pytest.raises(ParameterError):
-            QuadratureSpec(n_max=0)
 
     def test_char_spec_ranges(self):
         with pytest.raises(ParameterError):
@@ -182,14 +177,14 @@ class TestSeriesCdf:
 class TestFourierBackend:
     def test_matches_series_on_thresholds(self):
         spec = spec_of(lam=1.0, nu=0.0, delta=0.1)
-        for l in (-0.5, 0.05, 0.4):
-            assert cdf_plain(spec, l, Backend.FOURIER) == pytest.approx(
-                cdf_plain(spec, l, Backend.SERIES), abs=1e-7
-            )
+        ls = (-0.5, 0.05, 0.4)
+        grid = fourier_grid(spec, ls)
+        for i, l in enumerate(ls):
+            assert grid.plain[i] == pytest.approx(cdf_plain(spec, l), abs=1e-7)
 
     def test_example_value(self):
         spec = spec_of(lam=1.0, nu=0.0, delta=0.1)
-        assert cdf_plain(spec, 0.05, Backend.FOURIER) == pytest.approx(
+        assert fourier_grid(spec, [0.05]).plain[0] == pytest.approx(
             0.7885845088177946, abs=1e-7
         )
 
@@ -220,7 +215,7 @@ class TestFourierBackend:
     def test_purely_atomic_rejected(self):
         spec = spec_of(lam=1.0, sigma=0.0, delta=0.0, nu=0.1)
         with pytest.raises(QuadratureError):
-            cdf_plain(spec, 0.3, Backend.FOURIER)
+            fourier_grid(spec, [0.3])
 
 
 class TestGreenDensity:
@@ -247,14 +242,6 @@ class TestGreenDensity:
             vals = np.array([green_density(spec, u) for u in us])
             masses.append(np.trapezoid(vals, us))
         assert masses[0] < masses[1] < masses[2]
-
-    def test_drift_shift_flag(self):
-        spec = spec_of(lam=1.0, sigma=0.2, nu=0.05, delta=0.1)
-        r, q = 0.04, 0.01
-        drift = (r - q - 0.5 * spec.sigma**2 - spec.lam * varsigma(spec.law)) * spec.tau
-        direct = green_density(spec, 0.3 + drift, r=r, shifted=True)
-        raw = green_density(spec, 0.3, r=r, q=q, shifted=False)
-        assert raw == pytest.approx(direct, rel=1e-12)
 
     def test_atomic_law_rejected(self):
         with pytest.raises(ParameterError):

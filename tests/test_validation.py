@@ -17,8 +17,6 @@ from shotpricer import (
     diffusion_convergence,
     option_pide_residual,
 )
-from shotpricer.validation import DiffusionStudy
-
 from conftest import make_terms
 
 
@@ -133,8 +131,3 @@ class TestDiffusionConvergence:
         assert final.price_error <= 0.01
         assert final.greek_error <= 0.01
         assert final.bond_error <= 0.005
-
-    def test_custom_study(self):
-        rows = diffusion_convergence(DiffusionStudy(scales=(1, 100)))
-        assert [r.scale for r in rows] == [1, 100]
-        assert rows[1].price_error < rows[0].price_error
