@@ -25,7 +25,7 @@ from scipy.special import ndtr
 from .errors import DegenerateMaturityError, KinkError, ParameterError, ShotPricerError
 from .jump_measure import GaussianJumpLaw, varsigma
 from .options import AssetModel, OptionKind, OptionTerms, bs_d1_d2, l_parameter, price
-from .transform import DEFAULT_QUAD, QuadratureSpec, series_lset
+from .transform import DEFAULT_QUAD, QuadratureSpec, _series_parts, series_lset
 
 __all__ = [
     "GreekSet",
@@ -300,15 +300,13 @@ def _xi_weighted_density(
 
     Conditioning on the jump count turns the integral into
     sum_{n>=1} (P_{n-1} - P_n) N'(l; -n nu, n delta^2); the n = 0 term is a
-    point mass at l = 0 and is dropped (callers stay off the kink).
+    point mass at l = 0 and is dropped (callers stay off the kink). The
+    weights are the series' own, so the identity compares like with like.
     """
-    from .transform import poisson_weights
-
     law = model.law
     if law.delta == 0.0:
         raise ParameterError("spectral term needs delta > 0")
-    p = poisson_weights(model.lam * tau, quad)
-    p = np.concatenate([p, [0.0]])
+    p = np.concatenate([_series_parts(model.char_spec(tau), quad).plain_w, [0.0]])
     n = np.arange(1, len(p))
     sd = np.sqrt(n) * law.delta
     z = (l + n * law.nu) / sd

@@ -48,7 +48,6 @@ __all__ = [
     "QuadratureSpec",
     "CharSpec",
     "char_function",
-    "poisson_weights",
     "cdf_plain",
     "cdf_tilted",
     "survival_plain",
@@ -146,7 +145,7 @@ def _char_function_grid(spec: CharSpec, k: np.ndarray) -> np.ndarray:
     return np.exp((-0.5 * spec.sigma**2 * k * k + spec.lam * xi(spec.law, k)) * spec.tau)
 
 
-def _poisson_log_pmf(mean: float, tail_target: float, theta: float = 0.0) -> np.ndarray:
+def _poisson_log_pmf(mean: float, tail_target: float, theta: float) -> np.ndarray:
     """log P_0..log P_N of Poisson(mean), N grown until the tail beyond N is
     below ``tail_target`` both for these weights and for their tilt by
     e^{n theta}, which is Poisson(mean e^theta).
@@ -172,17 +171,6 @@ def _poisson_log_pmf(mean: float, tail_target: float, theta: float = 0.0) -> np.
                 tail_mass=float(max(plain_tail, tilt_tail)),
             )
         hi = min(2 * hi + 50, _N_MAX)
-
-
-def poisson_weights(mean_count: float, quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
-    """Poisson pmf values P_0..P_N, N the first count whose tail mass is below
-    ``rel_tol / 10``. Raises TruncationError past the series term cap.
-    """
-    if mean_count < 0 or not math.isfinite(mean_count):
-        raise ParameterError(f"mean_count must be >= 0, got {mean_count}")
-    tail_target = quad.rel_tol / 10.0
-    w = np.exp(_poisson_log_pmf(mean_count, tail_target))
-    return w[: int(np.searchsorted(np.cumsum(w), 1.0 - tail_target)) + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,14 @@ class TestIdentities:
         for name, residual in identity_report(terms, model):
             assert residual <= 1e-4, f"{name} residual {residual}"
 
+    def test_epsilon_correction_uses_the_series_weights(self):
+        # the CLI validate model: the spectral correction and the Greeks it
+        # corrects sum the same Poisson weights, so only rounding is left
+        model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.0)
+        terms = make_terms(100.0, 95.0, 1.0, 0.03, 0.0)
+        residual = dict(identity_report(terms, model))["epsilon_mu_gamma"]
+        assert residual <= 1e-14
+
     def test_needs_pure_jump_model(self, mixed_model, atm_call):
         with pytest.raises(ParameterError):
             identity_report(atm_call, mixed_model)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import ndtr
+from scipy.stats import poisson
 
 from shotpricer import (
     CharSpec,
@@ -14,13 +15,12 @@ from shotpricer import (
     cdf_tilted,
     char_function,
     green_density,
-    poisson_weights,
     survival_plain,
     survival_tilted,
     varsigma,
 )
 from shotpricer.errors import ParameterError, QuadratureError, TruncationError
-from shotpricer.transform import fourier_grid, series_lset
+from shotpricer.transform import DEFAULT_QUAD, _series_parts, fourier_grid, series_lset
 
 
 def spec_of(tau=1.0, lam=1.0, sigma=0.0, nu=0.0, delta=0.1):
@@ -42,28 +42,32 @@ class TestCharFunction:
             assert abs(char_function(spec, k)) <= 1.0 + 1e-14
 
 
+def series_weights(mean):
+    """The series' Poisson(mean) weights, the library's one Poisson cutoff."""
+    return _series_parts(spec_of(lam=mean), DEFAULT_QUAD).plain_w
+
+
 class TestPoissonWeights:
     def test_zero_mean(self):
-        assert poisson_weights(0.0).tolist() == [1.0]
+        assert series_weights(0.0).tolist() == [1.0]
 
     def test_first_weight(self):
-        w = poisson_weights(1.0)
-        assert w[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert series_weights(1.0)[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     @pytest.mark.parametrize("mean", [0.1, 1.0, 4.0, 40.0, 1000.0])
     def test_mass_captured(self, mean):
-        quad = QuadratureSpec()
-        w = poisson_weights(mean, quad)
-        assert math.fsum(w) >= 1.0 - quad.rel_tol / 10.0
+        w = series_weights(mean)
+        assert poisson.sf(len(w) - 1, mean) <= DEFAULT_QUAD.series_tail
+        assert math.fsum(w) >= 1.0 - DEFAULT_QUAD.series_tail
         assert math.fsum(w) <= 1.0 + 1e-12
 
     def test_cap_raises(self):
         with pytest.raises(TruncationError):
-            poisson_weights(5000.0)
+            series_weights(5000.0)
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ParameterError):
-            poisson_weights(-1.0)
+            series_weights(-1.0)
 
 
 class TestSpecValidation:
