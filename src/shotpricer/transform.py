@@ -25,7 +25,7 @@ exp(-z) change of weight). Two independent evaluation routes are provided:
 At sigma = 0 both cumulatives jump at l = 0 by the atom weight. Values at
 l = 0 are taken literally: the plain cdf includes the atom (closed bracket),
 the tilted one excludes it (open bracket), and the survival functions carry
-the complementary conventions so that cdf + survival == 1 holds exactly.
+the complementary conventions, so cdf + survival == 1 up to rounding.
 Callers needing one-sided limits must nudge l themselves.
 """
 
@@ -183,8 +183,10 @@ class _SeriesParts:
     """Per-count ingredients of the mixture representation.
 
     ``plain_w`` are Poisson(lam tau) weights; ``tilt_w`` absorb the
-    exponential tilt and are exactly the Poisson(lam tau (1 + varsigma))
-    weights, so both sum to one. ``sd`` is the component standard deviation
+    exponential tilt and are the Poisson(lam tau (1 + varsigma)) weights.
+    Each set is divided by its own sum, so it sums to one to rounding: the
+    gammaln rounding in the log pmf would otherwise leave a gap that grows
+    with lam tau (6e-13 at lam tau 3000). ``sd`` is the component standard deviation
     sqrt(n delta^2 + sigma^2 tau); components with sd == 0 are point masses
     at ``mean`` = -n nu.
     """
@@ -194,7 +196,6 @@ class _SeriesParts:
     tilt_w: np.ndarray
     mean: np.ndarray
     sd: np.ndarray
-    log_plain: np.ndarray
 
 
 @functools.lru_cache(maxsize=_PARTS_CACHE_SIZE)
@@ -210,15 +211,15 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
     m_tilt = m * math.exp(theta)
     log_p = _poisson_log_pmf(m, quad.series_tail, theta)
     n = np.arange(len(log_p), dtype=float)
-    # lam tau varsigma == m_tilt - m, so the tilted weights stay normalized.
+    plain_w = np.exp(log_p)
+    # lam tau varsigma == m_tilt - m, so the tilted weights are Poisson too
     tilt_w = np.exp(log_p + n * theta - (m_tilt - m))
     parts = _SeriesParts(
         n=n,
-        plain_w=np.exp(log_p),
-        tilt_w=tilt_w,
+        plain_w=plain_w / math.fsum(plain_w.tolist()),
+        tilt_w=tilt_w / math.fsum(tilt_w.tolist()),
         mean=-n * law.nu,
         sd=np.sqrt(n * law.delta**2 + spec.sigma**2 * spec.tau),
-        log_plain=log_p,
     )
     for arr in vars(parts).values():
         arr.flags.writeable = False
@@ -249,7 +250,8 @@ def _series_cdf(
         else:
             hit = gap < 0.0 if complement else gap >= 0.0
         terms.append(w[~cont] * hit)
-    return float(math.fsum(np.concatenate(terms).tolist()))
+    # the weights sum to one only to rounding; a probability stays at most 1
+    return min(1.0, math.fsum(np.concatenate(terms).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +474,6 @@ def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
     law = spec.law
     tau, lam, sigma = spec.tau, spec.lam, spec.sigma
     nu, delta = law.nu, law.delta
-    vs = varsigma(law)
     p = _series_parts(spec, quad)
     n = p.n
     cont = p.sd > 0.0
@@ -480,15 +481,16 @@ def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
     def fsum(arr: np.ndarray) -> float:
         return math.fsum(arr.tolist())
 
-    # weight log-derivatives (same shape for plain and tilted atoms included)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n_over_lam = np.where(n > 0, n / lam, 0.0) if lam > 0 else np.zeros_like(n)
-    dlogp_dtau = -lam + np.where(n > 0, n / tau, 0.0)
-    dlogp_dlam = -tau + n_over_lam
-    dlogw_dtau = dlogp_dtau - lam * vs
-    dlogw_dlam = dlogp_dlam - tau * vs
-    dlogw_dnu = n - lam * tau * (vs + 1.0)
-    dlogw_ddelta = delta * (n - lam * tau * (vs + 1.0))
+    # Poisson weights of mean M obey n w_n = M w_{n-1}, so dw_n/dM is
+    # w_{n-1} - w_n, and a weight's derivative in any parameter is dM/dparam
+    # times that difference. The plain mean is lam tau; the tilted one is
+    # m_tilt = lam tau e^theta with theta = nu + delta^2/2, so dm_tilt/dnu is
+    # m_tilt and dm_tilt/ddelta is delta m_tilt. No n / lam or n / tau is
+    # formed, so a tiny lam or tau cannot overflow.
+    growth = math.exp(nu + 0.5 * delta**2)  # 1 + varsigma
+    m_tilt = lam * tau * growth
+    dwp = np.concatenate(([0.0], p.plain_w[:-1])) - p.plain_w
+    dwt = np.concatenate(([0.0], p.tilt_w[:-1])) - p.tilt_w
 
     s = p.sd[cont]
     wp = p.plain_w[cont]
@@ -501,59 +503,43 @@ def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
     Phi_a = ndtr(a)
     Phi_b = ndtr(b)
 
-    # threshold-argument derivatives at fixed l
-    da_dtau = -a * sigma**2 / (2.0 * s * s)
-    db_dtau = da_dtau + sigma**2 / (2.0 * s)
-    da_dnu = nc / s
-    db_dnu = da_dnu
-    da_ddelta = -a * nc * delta / (s * s)
-    db_ddelta = da_ddelta + nc * delta / s
-    da_dsigma = -a * sigma * tau / (s * s)
-    db_dsigma = da_dsigma + sigma * tau / s
+    # At fixed l, nu moves a and b by n / s; tau, delta and sigma move them
+    # only through s, with da/ds = -a/s and db/ds = 1 - a/s. The densities
+    # multiply a before the division by s, so where phi underflows to 0 the
+    # product is 0 rather than 0 * inf.
+    pa = -phi_a * a / s  # phi(a) da/ds
+    pb = phi_b - phi_b * a / s  # phi(b) db/ds
+    ds_dtau = sigma**2 / (2.0 * s)
+    ds_ddelta = nc * delta / s
+    ds_dsigma = sigma * tau / s
 
+    # the transforms and their derivatives in the Poisson mean
     l2 = fsum(wp * Phi_a)
     l1 = fsum(wt * Phi_b)
-    dl2_dl = fsum(wp * phi_a / s)
-    dl1_dl = fsum(wt * phi_b / s)
-    dl2_dtau = fsum(wp * (dlogp_dtau[cont] * Phi_a + phi_a * da_dtau))
-    dl1_dtau = fsum(wt * (dlogw_dtau[cont] * Phi_b + phi_b * db_dtau))
-    dl2_dlam = fsum(wp * dlogp_dlam[cont] * Phi_a)
-    dl1_dlam = fsum(wt * dlogw_dlam[cont] * Phi_b)
-    dl2_dnu = fsum(wp * phi_a * da_dnu)
-    dl1_dnu = fsum(wt * (dlogw_dnu[cont] * Phi_b + phi_b * db_dnu))
-    dl2_ddelta = fsum(wp * phi_a * da_ddelta)
-    dl1_ddelta = fsum(wt * (dlogw_ddelta[cont] * Phi_b + phi_b * db_ddelta))
-    dl2_dsigma = fsum(wp * phi_a * da_dsigma)
-    dl1_dsigma = fsum(wt * phi_b * db_dsigma)
-
+    l2_dm = fsum(dwp[cont] * Phi_a)
+    l1_dm = fsum(dwt[cont] * Phi_b)
     if np.any(~cont):
         gap = l - p.mean[~cont]
         step_p = (gap >= 0.0).astype(float)
         step_t = (gap > 0.0).astype(float)
-        wp0 = p.plain_w[~cont]
-        wt0 = p.tilt_w[~cont]
-        l2 += fsum(wp0 * step_p)
-        l1 += fsum(wt0 * step_t)
-        dl2_dtau += fsum(wp0 * dlogp_dtau[~cont] * step_p)
-        dl1_dtau += fsum(wt0 * dlogw_dtau[~cont] * step_t)
-        dl2_dlam += fsum(wp0 * dlogp_dlam[~cont] * step_p)
-        dl1_dlam += fsum(wt0 * dlogw_dlam[~cont] * step_t)
-        dl1_dnu += fsum(wt0 * dlogw_dnu[~cont] * step_t)
-        dl1_ddelta += fsum(wt0 * dlogw_ddelta[~cont] * step_t)
+        l2 += fsum(p.plain_w[~cont] * step_p)
+        l1 += fsum(p.tilt_w[~cont] * step_t)
+        l2_dm += fsum(dwp[~cont] * step_p)
+        l1_dm += fsum(dwt[~cont] * step_t)
 
     return LSet(
         l1=l1,
         l2=l2,
-        dl1_dl=dl1_dl,
-        dl2_dl=dl2_dl,
-        dl1_dtau=dl1_dtau,
-        dl2_dtau=dl2_dtau,
-        dl1_dlam=dl1_dlam,
-        dl2_dlam=dl2_dlam,
-        dl1_dnu=dl1_dnu,
-        dl2_dnu=dl2_dnu,
-        dl1_ddelta=dl1_ddelta,
-        dl2_ddelta=dl2_ddelta,
-        dl1_dsigma=dl1_dsigma,
-        dl2_dsigma=dl2_dsigma,
+        dl1_dl=fsum(wt * phi_b / s),
+        dl2_dl=fsum(wp * phi_a / s),
+        dl1_dtau=lam * growth * l1_dm + fsum(wt * pb * ds_dtau),
+        dl2_dtau=lam * l2_dm + fsum(wp * pa * ds_dtau),
+        dl1_dlam=tau * growth * l1_dm,
+        dl2_dlam=tau * l2_dm,
+        dl1_dnu=m_tilt * l1_dm + fsum(wt * phi_b * nc / s),
+        dl2_dnu=fsum(wp * phi_a * nc / s),
+        dl1_ddelta=delta * m_tilt * l1_dm + fsum(wt * pb * ds_ddelta),
+        dl2_ddelta=fsum(wp * pa * ds_ddelta),
+        dl1_dsigma=fsum(wt * pb * ds_dsigma),
+        dl2_dsigma=fsum(wp * pa * ds_dsigma),
     )

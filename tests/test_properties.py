@@ -1,5 +1,6 @@
 """Property-based invariants over randomized parameters."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,8 +26,8 @@ from shotpricer import (
     varsigma,
     xi,
 )
-from shotpricer.errors import ParameterError
-from shotpricer.transform import DEFAULT_QUAD, fourier_grid
+from shotpricer.errors import ParameterError, ShotPricerError, TruncationError
+from shotpricer.transform import DEFAULT_QUAD, fourier_grid, series_lset
 
 nu_st = st.floats(min_value=-0.5, max_value=0.5)
 delta_st = st.floats(min_value=0.0, max_value=0.6)
@@ -76,6 +77,36 @@ def test_cdfs_monotone_and_complementary(nu, delta, lam, sigma, tau, l1, gap):
     assert cdf_tilted(spec, l1) <= cdf_tilted(spec, l2) + 1e-12
     assert cdf_plain(spec, l1) + survival_plain(spec, l1) == pytest.approx(1.0, abs=1e-12)
     assert cdf_tilted(spec, l1) + survival_tilted(spec, l1) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    # lam tau runs past the series term cap (about 3700)
+    lam_tau=st.one_of(
+        st.floats(min_value=0.0, max_value=20.0), st.floats(min_value=20.0, max_value=6000.0)
+    ),
+    tau=tau_st,
+    sigma=st.one_of(st.just(0.0), sigma_st),
+    nu=nu_st,
+    delta=delta_st,
+    l=st.floats(min_value=-20.0, max_value=20.0),
+)
+def test_series_transforms_are_probabilities_or_raise(lam_tau, tau, sigma, nu, delta, l):
+    spec = CharSpec(tau=tau, lam=lam_tau / tau, sigma=sigma, law=GaussianJumpLaw(nu, delta))
+    try:
+        plain, plain_surv = cdf_plain(spec, l), survival_plain(spec, l)
+        tilted, tilted_surv = cdf_tilted(spec, l), survival_tilted(spec, l)
+        lset = series_lset(spec, l)
+    except ShotPricerError as exc:
+        # only a series longer than the term cap may fail
+        assert isinstance(exc, TruncationError)
+        assert spec.mean_count * max(1.0, math.exp(nu + 0.5 * delta**2)) > 3000.0
+        return
+    for value in (plain, plain_surv, tilted, tilted_surv):
+        assert 0.0 <= value <= 1.0
+    assert abs(plain + plain_surv - 1.0) <= 1e-15
+    assert abs(tilted + tilted_surv - 1.0) <= 1e-15
+    assert all(math.isfinite(v) for v in dataclasses.astuple(lset))
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,6 +14,7 @@ from shotpricer import (
     cdf_plain,
     cdf_tilted,
     char_function,
+    fd_sensitivity,
     green_density,
     survival_plain,
     survival_tilted,
@@ -56,10 +57,10 @@ class TestPoissonWeights:
 
     @pytest.mark.parametrize("mean", [0.1, 1.0, 4.0, 40.0, 1000.0])
     def test_mass_captured(self, mean):
+        # the dropped tail is below target and the kept weights sum to one
         w = series_weights(mean)
         assert poisson.sf(len(w) - 1, mean) <= DEFAULT_QUAD.series_tail
-        assert math.fsum(w) >= 1.0 - DEFAULT_QUAD.series_tail
-        assert math.fsum(w) <= 1.0 + 1e-12
+        assert math.fsum(w) == pytest.approx(1.0, abs=1e-15)
 
     def test_cap_raises(self):
         with pytest.raises(TruncationError):
@@ -176,6 +177,29 @@ class TestSeriesCdf:
         # the Fourier backend rejects the same input with the same error
         with pytest.raises(ParameterError):
             evaluate(spec_of(lam=1.0, sigma=0.0, delta=0.1), math.nan)
+
+
+class TestSeriesDerivatives:
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    def test_match_finite_differences(self, sigma):
+        base = dict(tau=0.8, lam=2.0, sigma=sigma, nu=-0.05, delta=0.15)
+        l = 0.1
+        ls = series_lset(spec_of(**base), l)
+        params = ("tau", "lam", "nu", "delta") + (("sigma",) if sigma > 0.0 else ())
+        for param in params:
+            for fn, name in ((cdf_tilted, "dl1"), (cdf_plain, "dl2")):
+                fd = fd_sensitivity(
+                    lambda x: fn(spec_of(**{**base, param: x}), l), base[param], 1e-4
+                )
+                assert getattr(ls, f"{name}_d{param}") == pytest.approx(fd, abs=1e-8), param
+
+    def test_tiny_intensity_keeps_the_first_jump(self):
+        # d/dlam of e^{-lam tau} sum_n (lam tau)^n/n! Phi_n at lam -> 0 is
+        # tau (Phi_1 - Phi_0); a subnormal lam must not overflow n / lam
+        spec = spec_of(lam=1e-310, sigma=0.1, nu=0.0, delta=0.1)
+        ls = series_lset(spec, 0.05)
+        phi0, phi1 = ndtr(0.05 / 0.1), ndtr(0.05 / math.sqrt(0.02))
+        assert ls.dl2_dlam == pytest.approx(phi1 - phi0, abs=1e-12)
 
 
 class TestFourierBackend:
