@@ -16,11 +16,12 @@ exp(-z) change of weight). Two independent evaluation routes are provided:
   the only one that also ships analytic parameter derivatives (used by the
   Greeks).
 * fourier (``fourier_grid``): Gil-Pelaez inversion, one integral in k per
-  cumulative, on Gauss-Legendre panels, for a batch of thresholds. It reads only psi, with no Poisson weights, so it
-  is an independent cross-check of the series. When sigma = 0 the
-  characteristic function tends to the atom weight exp(-lam tau) at large
-  |k| (a point mass at z = 0); that constant is peeled off analytically,
-  only the decaying remainder is inverted, and the atom is added back.
+  cumulative, on Gauss-Legendre panels, for a batch of thresholds. It reads
+  only psi, with no Poisson weights, so it is an independent cross-check of
+  the series. When sigma = 0 the characteristic function tends to the atom
+  weight exp(-lam tau) at large |k| (a point mass at z = 0); that constant
+  is peeled off analytically, only the decaying remainder is inverted, and
+  the atom is added back.
 
 At sigma = 0 both cumulatives jump at l = 0 by the atom weight. Values at
 l = 0 are taken literally: the plain cdf includes the atom (closed bracket),
@@ -166,7 +167,7 @@ def _poisson_log_pmf(mean: float, tail_target: float, theta: float) -> np.ndarra
             return log_p
         if hi >= _N_MAX:
             raise TruncationError(
-                f"Poisson cutoff n_max={_N_MAX} met tail "
+                f"Poisson series capped at {_N_MAX} terms met tail "
                 f"{max(plain_tail, tilt_tail):g} > {tail_target:g}",
                 tail_mass=float(max(plain_tail, tilt_tail)),
             )
@@ -186,9 +187,9 @@ class _SeriesParts:
     exponential tilt and are the Poisson(lam tau (1 + varsigma)) weights.
     Each set is divided by its own sum, so it sums to one to rounding: the
     gammaln rounding in the log pmf would otherwise leave a gap that grows
-    with lam tau (6e-13 at lam tau 3000). ``sd`` is the component standard deviation
-    sqrt(n delta^2 + sigma^2 tau); components with sd == 0 are point masses
-    at ``mean`` = -n nu.
+    with lam tau (6e-13 at lam tau 3000). ``sd`` is the component standard
+    deviation sqrt(n delta^2 + sigma^2 tau); components with sd == 0 are
+    point masses at ``mean`` = -n nu.
     """
 
     n: np.ndarray
