@@ -151,10 +151,11 @@ def _poisson_log_pmf(mean: float, tail_target: float, theta: float) -> np.ndarra
     below ``tail_target`` both for these weights and for their tilt by
     e^{n theta}, which is Poisson(mean e^theta).
 
-    Raises TruncationError if N would pass ``_N_MAX`` first.
+    Raises TruncationError if N would pass ``_N_MAX`` first. Mean 0 keeps
+    a zero-weight count 1, whose weight still moves with the mean.
     """
     if mean == 0.0:
-        return np.array([0.0])
+        return np.array([0.0, -np.inf])
     m_tilt = mean * math.exp(theta)
     peak = max(mean, m_tilt)
     hi = min(int(math.ceil(peak + 12.0 * math.sqrt(peak) + 30.0)), _N_MAX)

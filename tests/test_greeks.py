@@ -180,6 +180,27 @@ class TestIdentities:
             identity_report(atm_call, mixed_model)
 
 
+class TestHighIntensityAccuracy:
+    def test_jump_greeks_deep_in_the_money(self):
+        # lam tau 460 with narrow jumps: the jump Greeks are small differences
+        # of large weight sums. References: the Poisson sum differentiated at
+        # fixed l in 40-digit arithmetic (mpmath).
+        tau = 3.474779737324566
+        model = AssetModel(
+            459.98298769131037 / tau,
+            GaussianJumpLaw(-0.0029110736100341358, 0.00445407958360904),
+            0.0,
+        )
+        terms = OptionTerms(
+            78.91429989199577, 41.01376735583132, tau, 0.04512827650676012,
+            0.023801612777029652, OptionKind.CALL,
+        )
+        ng = new_greeks(terms, model)
+        assert ng.kappa == pytest.approx(1.1104896765547700e-10, abs=1e-14)
+        assert ng.mu == pytest.approx(-3.3657769766623619e-06, rel=1e-7)
+        assert ng.epsilon == pytest.approx(4.8073864492128134e-06, rel=1e-9)
+
+
 class TestBsGreeks:
     def test_atm_values(self):
         terms = make_terms()

@@ -50,7 +50,7 @@ def series_weights(mean):
 
 class TestPoissonWeights:
     def test_zero_mean(self):
-        assert series_weights(0.0).tolist() == [1.0]
+        assert series_weights(0.0).tolist() == [1.0, 0.0]
 
     def test_first_weight(self):
         assert series_weights(1.0)[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
@@ -193,10 +193,11 @@ class TestSeriesDerivatives:
                 )
                 assert getattr(ls, f"{name}_d{param}") == pytest.approx(fd, abs=1e-8), param
 
-    def test_tiny_intensity_keeps_the_first_jump(self):
+    @pytest.mark.parametrize("lam", [0.0, 1e-310])
+    def test_tiny_intensity_keeps_the_first_jump(self, lam):
         # d/dlam of e^{-lam tau} sum_n (lam tau)^n/n! Phi_n at lam -> 0 is
         # tau (Phi_1 - Phi_0); a subnormal lam must not overflow n / lam
-        spec = spec_of(lam=1e-310, sigma=0.1, nu=0.0, delta=0.1)
+        spec = spec_of(lam=lam, sigma=0.1, nu=0.0, delta=0.1)
         ls = series_lset(spec, 0.05)
         phi0, phi1 = ndtr(0.05 / 0.1), ndtr(0.05 / math.sqrt(0.02))
         assert ls.dl2_dlam == pytest.approx(phi1 - phi0, abs=1e-12)
