@@ -500,8 +500,11 @@ def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
     nc = n[cont]
     a = (l - p.mean[cont]) / s  # = (l + n nu)/s
     b = a + s
-    phi_a = np.exp(-0.5 * a * a) / _SQRT_2PI
-    phi_b = np.exp(-0.5 * b * b) / _SQRT_2PI
+    # a * a overflows only for components narrower than about 1e-154,
+    # where the density is 0 anyway
+    with np.errstate(over="ignore"):
+        phi_a = np.exp(-0.5 * a * a) / _SQRT_2PI
+        phi_b = np.exp(-0.5 * b * b) / _SQRT_2PI
     Phi_a = ndtr(a)
     Phi_b = ndtr(b)
 
@@ -530,8 +533,8 @@ def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
         l1_dm += fsum(dwt[~cont] * step_t)
 
     return LSet(
-        l1=l1,
-        l2=l2,
+        l1=min(1.0, l1),
+        l2=min(1.0, l2),
         dl1_dl=fsum(wt * phi_b / s),
         dl2_dl=fsum(wp * phi_a / s),
         dl1_dtau=lam * growth * l1_dm + fsum(wt * pb * ds_dtau),

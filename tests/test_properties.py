@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shotpricer import (
     AssetModel,
@@ -91,6 +91,10 @@ def test_cdfs_monotone_and_complementary(nu, delta, lam, sigma, tau, l1, gap):
     delta=delta_st,
     l=st.floats(min_value=-20.0, max_value=20.0),
 )
+# once 1 ulp above 1; an overflowing n / lam; 0 * inf in the delta derivative
+@example(lam_tau=2365.5036361581087, tau=1.0, sigma=0.0, nu=0.0, delta=0.2599791682814058, l=0.0)
+@example(lam_tau=2.2250738585e-313, tau=1.0, sigma=0.0, nu=0.0, delta=0.0, l=0.0)
+@example(lam_tau=1.0, tau=1.0, sigma=0.0, nu=0.5, delta=8.175987266377093e-157, l=0.0)
 def test_series_transforms_are_probabilities_or_raise(lam_tau, tau, sigma, nu, delta, l):
     spec = CharSpec(tau=tau, lam=lam_tau / tau, sigma=sigma, law=GaussianJumpLaw(nu, delta))
     try:
@@ -102,7 +106,7 @@ def test_series_transforms_are_probabilities_or_raise(lam_tau, tau, sigma, nu, d
         assert isinstance(exc, TruncationError)
         assert spec.mean_count * max(1.0, math.exp(nu + 0.5 * delta**2)) > 3000.0
         return
-    for value in (plain, plain_surv, tilted, tilted_surv):
+    for value in (plain, plain_surv, tilted, tilted_surv, lset.l1, lset.l2):
         assert 0.0 <= value <= 1.0
     assert abs(plain + plain_surv - 1.0) <= 1e-15
     assert abs(tilted + tilted_surv - 1.0) <= 1e-15
