@@ -146,31 +146,39 @@ def _char_function_grid(spec: CharSpec, k: np.ndarray) -> np.ndarray:
     return np.exp((-0.5 * spec.sigma**2 * k * k + spec.lam * xi(spec.law, k)) * spec.tau)
 
 
-def _poisson_log_pmf(mean: float, tail_target: float, theta: float) -> np.ndarray:
-    """log P_0..log P_N of Poisson(mean), N grown until the tail beyond N is
-    below ``tail_target`` both for these weights and for their tilt by
-    e^{n theta}, which is Poisson(mean e^theta).
+def _poisson_weights(
+    mean: float, tail_target: float, theta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson(mean) weights P_0..P_N and their tilt P_n e^{n theta - mean
+    (e^theta - 1)}, which is Poisson(mean e^theta), N grown until both tails
+    beyond N are below ``tail_target``.
 
-    Raises TruncationError if N would pass ``_N_MAX`` first. Mean 0 keeps
-    a zero-weight count 1, whose weight still moves with the mean.
+    Each set is divided by its own sum, so it sums to one to rounding: the
+    gammaln rounding in the log pmf would otherwise leave a gap that grows
+    with the mean (6e-13 at 3000). Raises TruncationError if N would pass
+    ``_N_MAX`` first. Mean 0 keeps a zero-weight count 1, whose weight still
+    moves with the mean.
     """
     if mean == 0.0:
-        return np.array([0.0, -np.inf])
+        return np.array([1.0, 0.0]), np.array([1.0, 0.0])
     m_tilt = mean * math.exp(theta)
     peak = max(mean, m_tilt)
     hi = min(int(math.ceil(peak + 12.0 * math.sqrt(peak) + 30.0)), _N_MAX)
     while True:
         n = np.arange(hi + 1, dtype=float)
         log_p = -mean + n * math.log(mean) - gammaln(n + 1.0)
-        plain_tail = 1.0 - math.fsum(np.exp(log_p).tolist())
-        tilt_tail = 1.0 - math.fsum(np.exp(log_p + n * theta - m_tilt + mean).tolist())
-        if plain_tail < tail_target and tilt_tail < tail_target:
-            return log_p
+        plain = np.exp(log_p)
+        tilt = np.exp(log_p + n * theta - (m_tilt - mean))
+        plain_mass = math.fsum(plain.tolist())
+        tilt_mass = math.fsum(tilt.tolist())
+        tail = max(1.0 - plain_mass, 1.0 - tilt_mass)
+        if tail < tail_target:
+            return plain / plain_mass, tilt / tilt_mass
         if hi >= _N_MAX:
             raise TruncationError(
                 f"Poisson series capped at {_N_MAX} terms met tail "
-                f"{max(plain_tail, tilt_tail):g} > {tail_target:g}",
-                tail_mass=float(max(plain_tail, tilt_tail)),
+                f"{tail:g} > {tail_target:g}",
+                tail_mass=tail,
             )
         hi = min(2 * hi + 50, _N_MAX)
 
@@ -185,12 +193,10 @@ class _SeriesParts:
     """Per-count ingredients of the mixture representation.
 
     ``plain_w`` are Poisson(lam tau) weights; ``tilt_w`` absorb the
-    exponential tilt and are the Poisson(lam tau (1 + varsigma)) weights.
-    Each set is divided by its own sum, so it sums to one to rounding: the
-    gammaln rounding in the log pmf would otherwise leave a gap that grows
-    with lam tau (6e-13 at lam tau 3000). ``sd`` is the component standard
-    deviation sqrt(n delta^2 + sigma^2 tau); components with sd == 0 are
-    point masses at ``mean`` = -n nu.
+    exponential tilt and are the Poisson(lam tau (1 + varsigma)) weights
+    (lam tau varsigma == m_tilt - m). Each set sums to one to rounding.
+    ``sd`` is the component standard deviation sqrt(n delta^2 + sigma^2 tau);
+    components with sd == 0 are point masses at ``mean`` = -n nu.
     """
 
     n: np.ndarray
@@ -208,18 +214,14 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
     A TruncationError propagates and is not cached.
     """
     law = spec.law
-    m = spec.mean_count
-    theta = law.nu + 0.5 * law.delta**2
-    m_tilt = m * math.exp(theta)
-    log_p = _poisson_log_pmf(m, quad.series_tail, theta)
-    n = np.arange(len(log_p), dtype=float)
-    plain_w = np.exp(log_p)
-    # lam tau varsigma == m_tilt - m, so the tilted weights are Poisson too
-    tilt_w = np.exp(log_p + n * theta - (m_tilt - m))
+    plain_w, tilt_w = _poisson_weights(
+        spec.mean_count, quad.series_tail, law.nu + 0.5 * law.delta**2
+    )
+    n = np.arange(len(plain_w), dtype=float)
     parts = _SeriesParts(
         n=n,
-        plain_w=plain_w / math.fsum(plain_w.tolist()),
-        tilt_w=tilt_w / math.fsum(tilt_w.tolist()),
+        plain_w=plain_w,
+        tilt_w=tilt_w,
         mean=-n * law.nu,
         sd=np.sqrt(n * law.delta**2 + spec.sigma**2 * spec.tau),
     )
