@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateMaturityError, KinkError, ParameterError, ShotPricerError
-from .jump_measure import GaussianJumpLaw, varsigma
-from .options import AssetModel, OptionKind, OptionTerms, bs_d1_d2, l_parameter, price
+from .jump_measure import varsigma
+from .options import AssetModel, OptionKind, OptionTerms, bs_d1_d2, l_parameter
 from .transform import DEFAULT_QUAD, QuadratureSpec, _series_parts, series_lset
 
 __all__ = [

@@ -210,14 +210,17 @@ def conditional_moments(
     return mean, var
 
 
+# Interior times ode_residual checks, and its largest difference step.
+_ODE_POINTS = 9
+_ODE_STEP = 1e-4
+
+
 def ode_residual(
     model: RateModel,
     t: float,
     T: float,
     variant: BondVariant = BondVariant.GENERAL,
     quad: QuadratureSpec = DEFAULT_QUAD,
-    fd_step: float = 1e-4,
-    grid_points: int = 9,
 ) -> tuple[float, float]:
     """Max |dA/dt + source| and |dB/dt - aB + 1| over interior times.
 
@@ -228,11 +231,11 @@ def ode_residual(
     if not t < T:
         raise ParameterError("need t < T")
     variant = BondVariant(variant)
-    inner = np.linspace(t, T, grid_points + 2)[1:-1]
+    inner = np.linspace(t, T, _ODE_POINTS + 2)[1:-1]
     res_a = 0.0
     res_b = 0.0
     for s in inner:
-        h = min(fd_step, 0.25 * (T - s), 0.25 * (s - t))
+        h = min(_ODE_STEP, 0.25 * (T - s), 0.25 * (s - t))
 
         def da(x: float) -> float:
             return _a_for(model, x, T, variant, quad)

@@ -70,6 +70,10 @@ _LSET_CACHE_SIZE = 16
 # Panel-count doublings the Fourier backend tries before giving up.
 _FOURIER_DOUBLINGS = 6
 
+# Most thresholds x frequency nodes one Fourier pass may evaluate (about 60 ms
+# and 32 MB); the largest pass in the tests has 10752, in the benchmark 1920.
+_FOURIER_BUDGET = 2**20
+
 # Fourier frequency floor: the integral runs to at least this k, further
 # where the characteristic-function envelope requires it.
 _K_MAX = 16.0
@@ -332,6 +336,8 @@ def fourier_grid(
     runs on Gauss-Legendre panels whose count doubles until two passes agree
     to ``rel_tol``; their spread is the reported error estimate. After
     ``_FOURIER_DOUBLINGS`` misses QuadratureError carries out the estimate.
+    A pass that would evaluate more than ``_FOURIER_BUDGET`` thresholds x
+    nodes raises QuadratureError before building its arrays.
     """
     ls = np.atleast_1d(np.asarray(ls, dtype=float))
     if not np.all(np.isfinite(ls)):
@@ -347,6 +353,11 @@ def fourier_grid(
 
     def integrals(n_panels: int) -> np.ndarray:
         """(1/pi) int Im(...)/k dk per threshold; columns plain, tilted."""
+        if ls.size * n_panels * _K_NODES > _FOURIER_BUDGET:
+            raise QuadratureError(
+                f"fourier backend needs {n_panels} panels (k_max {k_max:.3g}) for "
+                f"{ls.size} thresholds, past its budget of {_FOURIER_BUDGET} nodes"
+            )
         x, w = gauss_legendre(0.0, k_max / n_panels, _K_NODES)
         k = (np.arange(n_panels)[:, None] * (k_max / n_panels) + x).ravel()
         wk = np.tile(w, n_panels) / (math.pi * k)
@@ -424,6 +435,8 @@ def green_density(
     w = float(u)
     if math.isnan(w):
         raise ParameterError("displacement u must not be NaN")
+    if not math.isfinite(r):
+        raise ParameterError(f"rate r must be finite, got {r}")
     p = _series_parts(spec, quad)
     cont = p.sd > 0.0
     z = (w - p.mean[cont]) / p.sd[cont]
@@ -500,13 +513,15 @@ def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
     wp = p.plain_w[cont]
     wt = p.tilt_w[cont]
     nc = n[cont]
-    a = (l - p.mean[cont]) / s  # = (l + n nu)/s
-    b = a + s
-    # a * a overflows only for components narrower than about 1e-154,
-    # where the density is 0 anyway
+    # a = (l + n nu)/s overflows for a huge l or a narrow component, and
+    # phi(a) a would be 0 * inf. Clipping a to +-1e3 changes no finite output
+    # while s < 960: phi and Phi of a and of b = a + s are exactly 0 or 1 there.
     with np.errstate(over="ignore"):
-        phi_a = np.exp(-0.5 * a * a) / _SQRT_2PI
-        phi_b = np.exp(-0.5 * b * b) / _SQRT_2PI
+        a = (l - p.mean[cont]) / s
+    a = np.minimum(np.maximum(a, -1e3), 1e3)
+    b = a + s
+    phi_a = np.exp(-0.5 * a * a) / _SQRT_2PI
+    phi_b = np.exp(-0.5 * b * b) / _SQRT_2PI
     Phi_a = ndtr(a)
     Phi_b = ndtr(b)
 

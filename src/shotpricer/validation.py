@@ -1,9 +1,10 @@
 """Residual verification of the governing equations and limit reductions.
 
-The pricing formulas elsewhere in the package are solutions of
-integro-differential equations; this module re-derives those equations
-numerically (plain central differences in time/state, Gauss-Hermite for the
-jump expectation, both second-order) and reports normalized residuals. It
+The pricing formulas elsewhere in the package solve integro-differential
+equations; this module substitutes the prices into them and reports
+normalized residuals. Local derivatives are analytic (theta, delta, gamma;
+-B P and B^2 P in the rate). A bond's time derivative is a Richardson
+difference in the maturity. Jump expectations price at shifted states. It
 also runs the high-intensity scaling study that collapses the jump models
 onto their Gaussian limits, and the series-vs-Fourier cross-check of all
 eight cumulative transforms.
@@ -12,14 +13,13 @@ eight cumulative transforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._quad import gauss_hermite, gauss_legendre
-from .errors import ParameterError
-from .greeks import bs_greeks, common_greeks
+from .greeks import bs_greeks, common_greeks, fd_sensitivity
 from .jump_measure import GaussianJumpLaw
 from .options import AssetModel, OptionKind, OptionTerms, bs_price, l_parameter, price
 from .shortrate import (
@@ -28,10 +28,10 @@ from .shortrate import (
     RateModel,
     a_shot,
     a_vasicek,
+    b_factor,
     bond_price,
 )
 from .transform import (
-    _K_NODES,
     DEFAULT_QUAD,
     Backend,
     CharSpec,
@@ -55,35 +55,32 @@ __all__ = [
 
 _NORM_FLOOR = 1e-3
 
+# Gauss-Hermite nodes of the smooth jump expectations, and Gauss-Legendre
+# nodes per panel of the kink-split one.
+_GH_NODES = 64
+_KINK_NODES = 16
+
+# Maturity step of the bond time derivative: round-off and quadrature noise
+# grow as it shrinks, and at 1e-3 the Richardson error is below both.
+_MATURITY_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class ResidualReport:
     max_residual: float
     grid_points: int
-    fd_steps: tuple[float, float]
-    quad_nodes: int
     rejected_points: tuple = ()
 
 
-def _central(f, at: float, h: float) -> float:
-    return (f(at + h) - f(at - h)) / (2.0 * h)
-
-
-def _second(f, at: float, h: float) -> float:
-    return (f(at + h) - 2.0 * f(at) + f(at - h)) / (h * h)
-
-
-def _jump_expectation_smooth(value, x0, tau, law, c0, c_x, gh_nodes: int) -> float:
+def _jump_expectation_smooth(value, x0, law, c0, c_x) -> float:
     """E[C(x+eta) - C(x) - (e^eta - 1) C_x] by Gauss-Hermite (smooth C only)."""
-    u, w = gauss_hermite(gh_nodes)
+    u, w = gauss_hermite(_GH_NODES)
     eta = law.nu + law.delta * u
-    shifted = np.array([value(x0 + e, tau) for e in eta])
+    shifted = np.array([value(x0 + e) for e in eta])
     return float(np.dot(w, shifted - c0 - np.expm1(eta) * c_x))
 
 
-def _jump_expectation_kinked(
-    value, x0, tau, law, c0, c_x, l0: float, nodes: int = 16
-) -> float:
+def _jump_expectation_kinked(value, x0, law, c0, c_x, l0: float) -> float:
     """Same expectation when C has the sigma = 0 delta-kink inside the range.
 
     Gauss-Hermite converges poorly across the derivative kink at
@@ -92,7 +89,7 @@ def _jump_expectation_kinked(
     """
     if law.delta == 0.0:
         eta = law.nu
-        return value(x0 + eta, tau) - c0 - math.expm1(eta) * c_x
+        return value(x0 + eta) - c0 - math.expm1(eta) * c_x
     lo = law.nu - 10.0 * law.delta
     hi = law.nu + 10.0 * law.delta + law.delta**2
     cuts = [lo, hi]
@@ -104,11 +101,11 @@ def _jump_expectation_kinked(
         for i in range(n_panels):
             p_lo = a + (b - a) * i / n_panels
             p_hi = a + (b - a) * (i + 1) / n_panels
-            eta, w = gauss_legendre(p_lo, p_hi, nodes)
+            eta, w = gauss_legendre(p_lo, p_hi, _KINK_NODES)
             dens = np.exp(-0.5 * ((eta - law.nu) / law.delta) ** 2) / (
                 law.delta * math.sqrt(2.0 * math.pi)
             )
-            vals = np.array([value(x0 + e, tau) for e in eta])
+            vals = np.array([value(x0 + e) for e in eta])
             total += float(np.dot(w * dens, vals - c0 - np.expm1(eta) * c_x))
     return total
 
@@ -117,17 +114,16 @@ def option_pide_residual(
     terms_grid: Sequence[OptionTerms],
     model: AssetModel,
     quad: QuadratureSpec = DEFAULT_QUAD,
-    gh_nodes: int = 64,
-    fd_dt: float = 1e-4,
-    fd_dx: float = 5e-5,
 ) -> ResidualReport:
     """Max normalized residual of the option pricing equation on a grid.
 
     Evaluates -C_tau + (sigma^2/2) C_xx + (r - q - sigma^2/2) C_x
     + lam E[C(x+eta) - C(x) - (e^eta - 1) C_x] - r C at every grid point,
-    normalized by max(|r C|, 1e-3). Derivatives are second-order central
-    differences of analytic prices. Points too close to maturity or to the
-    sigma = 0 kink are rejected and listed instead of evaluated.
+    normalized by max(|r C|, 1e-3), with x = ln(S/K). The local derivatives
+    are the analytic Greeks: C_tau = -theta, C_x = S delta and
+    C_xx = S delta + S^2 gamma. The jump expectation prices the contract at
+    shifted spots. Points too close to maturity or to the sigma = 0 kink are
+    rejected and listed instead of evaluated.
     """
     worst = 0.0
     rejected = []
@@ -143,30 +139,23 @@ def option_pide_residual(
         used += 1
         x0 = math.log(terms.spot / terms.strike)
 
-        def value(x: float, tau: float) -> float:
-            t = OptionTerms(
-                spot=terms.strike * math.exp(x),
-                strike=terms.strike,
-                tau=tau,
-                rate=terms.rate,
-                dividend=terms.dividend,
-                kind=terms.kind,
-            )
-            return price(t, model, Backend.SERIES, quad).value
+        def value(x: float) -> float:
+            shifted = replace(terms, spot=terms.strike * math.exp(x))
+            return price(shifted, model, Backend.SERIES, quad).value
 
-        c0 = value(x0, terms.tau)
-        c_tau = _central(lambda s: value(x0, s), terms.tau, fd_dt)
-        c_x = _central(lambda x: value(x, terms.tau), x0, fd_dx)
-        c_xx = _second(lambda x: value(x, terms.tau), x0, fd_dx) if model.sigma > 0 else 0.0
+        spot = terms.spot
+        c0 = price(terms, model, Backend.SERIES, quad).value
+        greeks = common_greeks(terms, model, quad)
+        c_tau = -greeks.theta
+        c_x = spot * greeks.delta
+        c_xx = c_x + spot * spot * greeks.gamma
         if model.lam == 0.0:
             jump_term = 0.0
         elif model.sigma > 0.0:
-            jump_term = model.lam * _jump_expectation_smooth(
-                value, x0, terms.tau, model.law, c0, c_x, gh_nodes
-            )
+            jump_term = model.lam * _jump_expectation_smooth(value, x0, model.law, c0, c_x)
         else:
             jump_term = model.lam * _jump_expectation_kinked(
-                value, x0, terms.tau, model.law, c0, c_x, l0
+                value, x0, model.law, c0, c_x, l0
             )
         res = (
             -c_tau
@@ -177,11 +166,7 @@ def option_pide_residual(
         )
         worst = max(worst, abs(res) / max(abs(terms.rate * c0), _NORM_FLOOR))
     return ResidualReport(
-        max_residual=worst,
-        grid_points=used,
-        fd_steps=(fd_dt, fd_dx),
-        quad_nodes=gh_nodes,
-        rejected_points=tuple(rejected),
+        max_residual=worst, grid_points=used, rejected_points=tuple(rejected)
     )
 
 
@@ -190,17 +175,17 @@ def bond_pide_residual(
     grid: Sequence[BondTerms],
     variant: BondVariant = BondVariant.GENERAL,
     quad: QuadratureSpec = DEFAULT_QUAD,
-    gh_nodes: int = 64,
-    fd_dt: float = 1e-4,
-    fd_dr: float = 1e-4,
 ) -> ResidualReport:
     """Max normalized residual of the term-structure equation on a grid.
 
     The pure-jump variant checks P_t - a r P_r + lam E[P(r+eta) - P(r)] = r P;
     the generalized variant adds the a(b - r) drift and the P_rr term.
+    P_r = -B P and P_rr = B^2 P follow from P = exp(A - B r). P_t is -P_T,
+    a Richardson difference in the maturity, because A and B depend on
+    T - t only; so t = 0 needs no earlier time.
     """
     variant = BondVariant(variant)
-    u, w = gauss_hermite(gh_nodes)
+    u, w = gauss_hermite(_GH_NODES)
     eta = model.law.nu + model.law.delta * u
     worst = 0.0
     rejected = []
@@ -211,33 +196,28 @@ def bond_pide_residual(
             continue
         used += 1
 
-        def value(t: float, r: float) -> float:
-            return bond_price(model, BondTerms(t=t, T=terms.T, r_t=r), variant, quad)
+        def value(maturity: float, r: float) -> float:
+            return bond_price(model, BondTerms(t=terms.t, T=maturity, r_t=r), variant, quad)
 
-        p0 = value(terms.t, terms.r_t)
-        p_t = _central(lambda s: value(s, terms.r_t), terms.t, fd_dt)
-        p_r = _central(lambda r: value(terms.t, r), terms.r_t, fd_dr)
+        b_val = b_factor(model, terms.t, terms.T)
+        p0 = value(terms.T, terms.r_t)
+        p_t = -fd_sensitivity(lambda s: value(s, terms.r_t), terms.T, _MATURITY_STEP)
+        p_r = -b_val * p0
         if variant is BondVariant.VASICEK or model.lambda_r == 0.0:
             jump_term = 0.0
         else:
-            shifted = np.array([value(terms.t, terms.r_t + e) for e in eta])
+            shifted = np.array([value(terms.T, terms.r_t + e) for e in eta])
             jump_term = model.lambda_r * float(np.dot(w, shifted - p0))
         if variant is BondVariant.SHOT:
             drift = -model.a * terms.r_t * p_r
             diff = 0.0
         else:
             drift = model.a * (model.b - terms.r_t) * p_r
-            diff = 0.5 * model.sigma_r**2 * _second(
-                lambda r: value(terms.t, r), terms.r_t, fd_dr
-            )
+            diff = 0.5 * model.sigma_r**2 * b_val * b_val * p0
         res = p_t + drift + diff + jump_term - terms.r_t * p0
         worst = max(worst, abs(res) / max(abs(terms.r_t * p0), _NORM_FLOOR))
     return ResidualReport(
-        max_residual=worst,
-        grid_points=used,
-        fd_steps=(fd_dt, fd_dr),
-        quad_nodes=gh_nodes,
-        rejected_points=tuple(rejected),
+        max_residual=worst, grid_points=used, rejected_points=tuple(rejected)
     )
 
 
@@ -362,9 +342,5 @@ def backend_agreement(
             worst = max(worst, float(np.max(np.abs(sv - fv))))
         points += ls.size
     return ResidualReport(
-        max_residual=worst,
-        grid_points=points,
-        fd_steps=(0.0, 0.0),
-        quad_nodes=_K_NODES,
-        rejected_points=tuple(rejected),
+        max_residual=worst, grid_points=points, rejected_points=tuple(rejected)
     )

@@ -1,4 +1,6 @@
 import math
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -51,3 +53,19 @@ def rate_general_model():
 
 def make_terms(spot=100.0, strike=100.0, tau=1.0, rate=0.0, dividend=0.0, kind=OptionKind.CALL):
     return OptionTerms(spot=spot, strike=strike, tau=tau, rate=rate, dividend=dividend, kind=kind)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -91,10 +91,13 @@ def test_cdfs_monotone_and_complementary(nu, delta, lam, sigma, tau, l1, gap):
     delta=delta_st,
     l=st.floats(min_value=-20.0, max_value=20.0),
 )
-# once 1 ulp above 1; an overflowing n / lam; 0 * inf in the delta derivative
+# once 1 ulp above 1; an overflowing n / lam; 0 * inf in the delta derivative;
+# 0 * inf where the standardized threshold (l + n nu)/s overflows
 @example(lam_tau=2365.5036361581087, tau=1.0, sigma=0.0, nu=0.0, delta=0.2599791682814058, l=0.0)
 @example(lam_tau=2.2250738585e-313, tau=1.0, sigma=0.0, nu=0.0, delta=0.0, l=0.0)
 @example(lam_tau=1.0, tau=1.0, sigma=0.0, nu=0.5, delta=8.175987266377093e-157, l=0.0)
+@example(lam_tau=1.0, tau=1.0, sigma=0.2, nu=0.0, delta=0.1, l=1e308)
+@example(lam_tau=1.0, tau=1.0, sigma=0.2, nu=0.0, delta=0.1, l=math.inf)
 def test_series_transforms_are_probabilities_or_raise(lam_tau, tau, sigma, nu, delta, l):
     spec = CharSpec(tau=tau, lam=lam_tau / tau, sigma=sigma, law=GaussianJumpLaw(nu, delta))
     try:

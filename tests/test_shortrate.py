@@ -1,8 +1,6 @@
 """Affine bond pricing: factor loadings, intercept routes, moments, ODEs."""
 
 import math
-import signal
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -24,22 +22,7 @@ from shotpricer import (
 )
 from shotpricer.errors import ParameterError, ShotPricerError
 from shotpricer.shortrate import a_shot_substituted
-
-
-@contextmanager
-def time_limit(seconds):
-    """Fail with TimeoutError instead of hanging past ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+from conftest import time_limit
 
 
 class TestBFactor:

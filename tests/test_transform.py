@@ -8,6 +8,8 @@ from scipy.special import ndtr
 from scipy.stats import poisson
 
 from shotpricer import (
+    AssetModel,
+    Backend,
     CharSpec,
     GaussianJumpLaw,
     QuadratureSpec,
@@ -16,12 +18,14 @@ from shotpricer import (
     char_function,
     fd_sensitivity,
     green_density,
+    price,
     survival_plain,
     survival_tilted,
     varsigma,
 )
 from shotpricer.errors import ParameterError, QuadratureError, TruncationError
 from shotpricer.transform import DEFAULT_QUAD, _series_parts, fourier_grid, series_lset
+from conftest import make_terms, time_limit
 
 
 def spec_of(tau=1.0, lam=1.0, sigma=0.0, nu=0.0, delta=0.1):
@@ -169,9 +173,10 @@ class TestSeriesCdf:
             survival_tilted,
             lambda spec, l: series_lset(spec, l).l1,
             green_density,
+            lambda spec, r: green_density(spec, 0.1, r=r),
         ],
         ids=["cdf_plain", "cdf_tilted", "survival_plain", "survival_tilted", "series_lset",
-             "green_density"],
+             "green_density", "green_density_rate"],
     )
     def test_nan_threshold_raises(self, evaluate):
         # the Fourier backend rejects the same input with the same error
@@ -228,6 +233,19 @@ class TestFourierBackend:
             assert grid.tilted_surv[i] == pytest.approx(survival_tilted(spec, l), abs=1e-8)
         assert grid.est_error <= 1e-9
 
+    def test_tiny_diffusion_exceeds_the_budget(self):
+        # k_max 6.8e9 needs 2e8 panels; the arrays would take tens of GiB
+        spec = spec_of(lam=0.0, sigma=1e-9)
+        with time_limit(2.0), pytest.raises(QuadratureError, match="budget"):
+            fourier_grid(spec, [0.03])
+
+    def test_tiny_maturity_exceeds_the_budget(self):
+        # k_max 3.4e7 needs 1e6 panels, tens of seconds of work
+        model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.2)
+        terms = make_terms(tau=1e-12, rate=0.03)
+        with time_limit(2.0), pytest.raises(QuadratureError, match="budget"):
+            price(terms, model, Backend.FOURIER)
+
     def test_atom_jumps_across_zero(self):
         # sigma = 0: the peeled-off atom comes back on the right side of l = 0
         law = GaussianJumpLaw(0.05, 0.1)
@@ -271,6 +289,11 @@ class TestGreenDensity:
             vals = np.array([green_density(spec, u) for u in us])
             masses.append(np.trapezoid(vals, us))
         assert masses[0] < masses[1] < masses[2]
+
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf])
+    def test_infinite_rate_raises(self, rate):
+        with pytest.raises(ParameterError):
+            green_density(spec_of(lam=1.0, sigma=0.2, delta=0.1), 0.1, r=rate)
 
     def test_atomic_law_rejected(self):
         with pytest.raises(ParameterError):
