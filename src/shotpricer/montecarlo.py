@@ -29,14 +29,19 @@ from .shortrate import BondTerms, RateModel, b_factor
 __all__ = [
     "SimConfig",
     "McEstimate",
-    "RatePathSample",
     "mc_option_price",
     "mc_bond_price",
     "mc_rate_moments",
-    "sample_rate_path",
 ]
 
 _BATCH = 1 << 16
+
+# Most jumps one batch of paths may expect: the bond and rate samplers keep a
+# few float arrays with one entry per jump, 128 MB each at this size.
+_BATCH_JUMPS = 1 << 24
+
+# Most jumps one option path may expect; numpy's Poisson sampler stops at 9.2e18.
+_MAX_MEAN_COUNT = 1e18
 
 
 @dataclass(frozen=True)
@@ -61,15 +66,6 @@ class McEstimate:
     paths_used: int
 
 
-@dataclass(frozen=True)
-class RatePathSample:
-    """Jump skeleton of one short-rate path on [t, T]."""
-
-    jump_times: np.ndarray
-    jump_sizes: np.ndarray
-    count: int
-
-
 def _batch_rng(seed: int, index: int) -> np.random.Generator:
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -85,6 +81,14 @@ def _reduce(partials_sum, partials_sq, n: int) -> tuple[float, float]:
     else:
         se = 0.0
     return mean, se
+
+
+def _check_jump_count(mean_count: float, limit: float) -> None:
+    """ParameterError unless the expected jumps per path are at most ``limit`` (not NaN)."""
+    if not mean_count <= limit:
+        raise ParameterError(
+            f"expected jump count per path must be at most {limit:g}, got {mean_count:g}"
+        )
 
 
 def _draw_units(sim: SimConfig) -> tuple[int, int]:
@@ -106,6 +110,7 @@ def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> Mc
     tau = terms.tau
     law = model.law
     mean_count = model.lam * tau
+    _check_jump_count(mean_count, _MAX_MEAN_COUNT)
     drift = (
         terms.rate - terms.dividend - model.lam * varsigma(law) - 0.5 * model.sigma**2
     ) * tau
@@ -156,12 +161,13 @@ def mc_bond_price(model: RateModel, terms: BondTerms, sim: SimConfig) -> McEstim
     t, T = terms.t, terms.T
     law = model.law
     span = T - t
+    units, used = _draw_units(sim)
     mean_count = model.lambda_r * span
+    _check_jump_count(mean_count, _BATCH_JUMPS / min(units, _BATCH))
     b_val = b_factor(model, t, T)
     det = terms.r_t * b_val + model.b * (span - b_val)
     gauss_sd = model.sigma_r * math.sqrt(_int_b_squared(model, t, T))
 
-    units, used = _draw_units(sim)
     partial_sum: list[float] = []
     partial_sq: list[float] = []
     for start in range(0, units, _BATCH):
@@ -200,15 +206,18 @@ def mc_rate_moments(
     Gaussian part's stationary-increment integral, decayed jump kicks).
     The variance estimate's standard error uses the fourth central moment.
     """
-    if horizon <= 0.0:
-        raise ParameterError("mc_rate_moments needs horizon > 0")
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ParameterError(f"mc_rate_moments needs a finite horizon > 0, got {horizon}")
+    if not math.isfinite(r_t):
+        raise ParameterError(f"r_t must be finite, got {r_t}")
     law = model.law
+    units, used = _draw_units(sim)
     mean_count = model.lambda_r * horizon
+    _check_jump_count(mean_count, _BATCH_JUMPS / min(units, _BATCH))
     decay = math.exp(-model.a * horizon)
     det = decay * r_t + model.b * (1.0 - decay)
     ou_sd = model.sigma_r * math.sqrt(-math.expm1(-2.0 * model.a * horizon) / (2.0 * model.a))
 
-    units, used = _draw_units(sim)
     s1: list[float] = []
     s2: list[float] = []
     s3: list[float] = []
@@ -254,14 +263,3 @@ def mc_rate_moments(
         McEstimate(mean=det + mean_d, std_error=se_mean, paths_used=used),
         McEstimate(mean=var_sample, std_error=se_var, paths_used=used),
     )
-
-
-def sample_rate_path(
-    model: RateModel, terms: BondTerms, seed: int = 0
-) -> RatePathSample:
-    """Draw one jump skeleton (sorted arrival times and magnitudes) on [t, T]."""
-    rng = _batch_rng(seed, 0)
-    count = int(rng.poisson(model.lambda_r * (terms.T - terms.t)))
-    times = np.sort(rng.uniform(terms.t, terms.T, count))
-    sizes = model.law.nu + model.law.delta * rng.standard_normal(count)
-    return RatePathSample(jump_times=times, jump_sizes=sizes, count=count)

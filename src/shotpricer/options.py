@@ -178,8 +178,8 @@ def price(
 
 def bs_d1_d2(terms: OptionTerms, sigma: float) -> tuple[float, float]:
     """Black-Scholes d1 and d2 = d1 - sigma sqrt(tau)."""
-    if sigma <= 0.0:
-        raise ParameterError(f"sigma must be > 0, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ParameterError(f"sigma must be > 0 and finite, got {sigma}")
     if terms.tau <= 0.0:
         raise DegenerateMaturityError("d1/d2 need tau > 0")
     vol_sqrt_t = sigma * math.sqrt(terms.tau)

@@ -88,8 +88,8 @@ class BondTerms:
 
 def b_factor(model: RateModel, t: float, T: float) -> float:
     """Factor loading B(t,T) = (1 - e^{-a(T-t)})/a; B(T,T) = 0."""
-    if t > T:
-        raise ParameterError("need t <= T")
+    if not 0.0 <= T - t < math.inf:
+        raise ParameterError(f"need t <= T, both finite, got t={t}, T={T}")
     return -math.expm1(-model.a * (T - t)) / model.a
 
 
@@ -109,8 +109,8 @@ def a_shot(
     model: RateModel, t: float, T: float, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> float:
     """Jump contribution to the bond intercept, integrated over s in [t, T]."""
-    if t > T:
-        raise ParameterError("need t <= T")
+    if not 0.0 <= T - t < math.inf:
+        raise ParameterError(f"need t <= T, both finite, got t={t}, T={T}")
     if t == T or model.lambda_r == 0.0:
         return 0.0
     if model.law.nu == 0.0 and model.law.delta == 0.0:
@@ -131,9 +131,9 @@ def a_shot_substituted(
     Integrates lam * (exp{-nu y + delta^2 y^2/2} - 1) / (1 - a y) over
     y in [0, B(t,T)].
     """
+    b_here = b_factor(model, t, T)  # checks t <= T first
     if t == T or model.lambda_r == 0.0:
         return 0.0
-    b_here = b_factor(model, t, T)
 
     def integrand(y: np.ndarray) -> np.ndarray:
         return _jump_source(model, y) / (1.0 - model.a * y)
@@ -200,8 +200,10 @@ def conditional_moments(
     sigma_eff^2 = sigma_r^2 + lam (nu^2 + delta^2). These coincide with the
     Gaussian model's formulas despite the non-Gaussian law.
     """
-    if horizon < 0.0:
+    if not horizon >= 0.0:
         raise ParameterError(f"horizon must be >= 0, got {horizon}")
+    if not math.isfinite(r_t):
+        raise ParameterError(f"r_t must be finite, got {r_t}")
     b_eff = model.b + model.lambda_r * model.law.nu / model.a
     sigma_eff_sq = model.sigma_r**2 + model.lambda_r * model.law.second_moment
     decay = math.exp(-model.a * horizon)
@@ -258,8 +260,8 @@ def ode_residual(
 
 def zero_yield(price: float, tenor: float) -> float:
     """Continuously compounded zero rate -ln(P)/tenor."""
-    if price <= 0.0:
-        raise ParameterError(f"price must be > 0, got {price}")
-    if tenor <= 0.0:
-        raise ParameterError(f"tenor must be > 0, got {tenor}")
+    if not 0.0 < price < math.inf:
+        raise ParameterError(f"price must be > 0 and finite, got {price}")
+    if not 0.0 < tenor < math.inf:
+        raise ParameterError(f"tenor must be > 0 and finite, got {tenor}")
     return -math.log(price) / tenor

@@ -14,7 +14,8 @@ exp(-z) change of weight). Two independent evaluation routes are provided:
   transforms are finite mixtures of normal cdfs with explicit weights.
   Exact up to the Poisson tail cutoff; this is the reference backend and
   the only one that also ships analytic parameter derivatives (used by the
-  Greeks).
+  Greeks). One memoized pass per threshold yields all four transforms; the
+  Greek engine ``series_lset`` and ``green_density`` read it too.
 * fourier (``fourier_grid``): Gil-Pelaez inversion, one integral in k per
   cumulative, on Gauss-Legendre panels, for a batch of thresholds. It reads
   only psi, with no Poisson weights, so it is an independent cross-check of
@@ -234,32 +235,31 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
     return parts
 
 
-def _series_cdf(
-    spec: CharSpec, l: float, quad: QuadratureSpec, tilted: bool, complement: bool
-) -> float:
-    l = float(l)
+@functools.lru_cache(maxsize=_LSET_CACHE_SIZE)
+def _series_values(spec: CharSpec, l: float, quad: QuadratureSpec) -> tuple[float, ...]:
+    """(cdf_plain, cdf_tilted, survival_plain, survival_tilted) at l, one exact
+    sum each; survivals are summed directly, so deep-OTM puts keep their size."""
     if math.isnan(l):
         raise ParameterError("threshold l must not be NaN")
     p = _series_parts(spec, quad)
-    w = p.tilt_w if tilted else p.plain_w
     cont = p.sd > 0.0
-    terms = []
-    if np.any(cont):
-        z = (l - p.mean[cont]) / p.sd[cont]
-        if tilted:
-            z = z + p.sd[cont]
-        arg = -z if complement else z
-        terms.append(w[cont] * ndtr(arg))
-    if np.any(~cont):
-        gap = l - p.mean[~cont]
-        # open/closed bracket conventions; see module docstring
-        if tilted:
-            hit = gap <= 0.0 if complement else gap > 0.0
-        else:
-            hit = gap < 0.0 if complement else gap >= 0.0
-        terms.append(w[~cont] * hit)
+    s = p.sd[cont]
+    with np.errstate(over="ignore"):  # a huge l gives a = +-inf: ndtr is 0 or 1
+        a = (l - p.mean[cont]) / s
+    b = a + s
+    gap = l - p.mean[~cont]
+    # (weights, standardized threshold, atoms counted): the module's brackets
+    legs = (
+        (p.plain_w, a, gap >= 0.0),
+        (p.tilt_w, b, gap > 0.0),
+        (p.plain_w, -a, gap < 0.0),
+        (p.tilt_w, -b, gap <= 0.0),
+    )
     # the weights sum to one only to rounding; a probability stays at most 1
-    return min(1.0, math.fsum(np.concatenate(terms).tolist()))
+    return tuple(
+        min(1.0, math.fsum(np.concatenate((w[cont] * ndtr(z), w[~cont] * hit)).tolist()))
+        for w, z, hit in legs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -401,22 +401,22 @@ def fourier_grid(
 
 def cdf_plain(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Plain cumulative transform: mass of the displacement law below l."""
-    return _series_cdf(spec, l, quad, tilted=False, complement=False)
+    return _series_values(spec, float(l), quad)[0]
 
 
 def cdf_tilted(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Exponentially tilted cumulative transform; reaches 1 as l -> inf."""
-    return _series_cdf(spec, l, quad, tilted=True, complement=False)
+    return _series_values(spec, float(l), quad)[1]
 
 
 def survival_plain(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Mass above l under the plain transform; cdf_plain + survival_plain == 1."""
-    return _series_cdf(spec, l, quad, tilted=False, complement=True)
+    return _series_values(spec, float(l), quad)[2]
 
 
 def survival_tilted(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Tilted mass above l; cdf_tilted + survival_tilted == 1."""
-    return _series_cdf(spec, l, quad, tilted=True, complement=True)
+    return _series_values(spec, float(l), quad)[3]
 
 
 def green_density(
@@ -428,20 +428,14 @@ def green_density(
     (r - q - sigma^2/2 - lam varsigma) tau into u. Only the continuous part
     is returned; for sigma = 0 the kernel also carries a point mass
     exp(-lam tau) at zero displacement, which a density cannot represent.
-    Integrates to exp(-r tau) (minus the atom when sigma = 0).
+    Integrates to exp(-r tau) (minus the atom when sigma = 0). It is the
+    Greek engine's dL2/dl, the l-derivative of the plain law's cdf.
     """
     if spec.sigma == 0.0 and (spec.lam == 0.0 or spec.law.delta == 0.0):
         raise ParameterError("density undefined: displacement law is purely atomic")
-    w = float(u)
-    if math.isnan(w):
-        raise ParameterError("displacement u must not be NaN")
     if not math.isfinite(r):
         raise ParameterError(f"rate r must be finite, got {r}")
-    p = _series_parts(spec, quad)
-    cont = p.sd > 0.0
-    z = (w - p.mean[cont]) / p.sd[cont]
-    dens = p.plain_w[cont] / p.sd[cont] * np.exp(-0.5 * z * z) / _SQRT_2PI
-    return math.exp(-r * spec.tau) * float(math.fsum(dens.tolist()))
+    return math.exp(-r * spec.tau) * series_lset(spec, u, quad).dl2_dl
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +480,7 @@ def series_lset(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -
 
 @functools.lru_cache(maxsize=_LSET_CACHE_SIZE)
 def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
-    if math.isnan(l):
-        raise ParameterError("threshold l must not be NaN")
+    l2, l1 = _series_values(spec, l, quad)[:2]
     law = spec.law
     tau, lam, sigma = spec.tau, spec.lam, spec.sigma
     nu, delta = law.nu, law.delta
@@ -535,23 +528,15 @@ def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
     ds_ddelta = nc * delta / s
     ds_dsigma = sigma * tau / s
 
-    # the transforms and their derivatives in the Poisson mean
-    l2 = fsum(wp * Phi_a)
-    l1 = fsum(wt * Phi_b)
-    l2_dm = fsum(dwp[cont] * Phi_a)
-    l1_dm = fsum(dwt[cont] * Phi_b)
-    if np.any(~cont):
-        gap = l - p.mean[~cont]
-        step_p = (gap >= 0.0).astype(float)
-        step_t = (gap > 0.0).astype(float)
-        l2 += fsum(p.plain_w[~cont] * step_p)
-        l1 += fsum(p.tilt_w[~cont] * step_t)
-        l2_dm += fsum(dwp[~cont] * step_p)
-        l1_dm += fsum(dwt[~cont] * step_t)
+    # derivatives of the transforms in the Poisson mean; atoms count with
+    # the brackets of cdf_plain and cdf_tilted
+    gap = l - p.mean[~cont]
+    l2_dm = fsum(np.concatenate((dwp[cont] * Phi_a, dwp[~cont] * (gap >= 0.0))))
+    l1_dm = fsum(np.concatenate((dwt[cont] * Phi_b, dwt[~cont] * (gap > 0.0))))
 
     return LSet(
-        l1=min(1.0, l1),
-        l2=min(1.0, l2),
+        l1=l1,
+        l2=l2,
         dl1_dl=fsum(wt * phi_b / s),
         dl2_dl=fsum(wp * phi_a / s),
         dl1_dtau=lam * growth * l1_dm + fsum(wt * pb * ds_dtau),

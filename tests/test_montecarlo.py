@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from shotpricer import (
@@ -23,7 +22,6 @@ from shotpricer import (
     price,
 )
 from shotpricer.errors import ParameterError
-from shotpricer.montecarlo import sample_rate_path
 
 from conftest import make_terms
 
@@ -164,9 +162,18 @@ class TestRateMoments:
         )
 
 
-class TestRatePathSample:
-    def test_skeleton_shape(self, rate_jump_model):
-        sample = sample_rate_path(rate_jump_model, BondTerms(1.0, 6.0, 0.03), seed=2)
-        assert sample.count == len(sample.jump_times) == len(sample.jump_sizes)
-        assert np.all(np.diff(sample.jump_times) >= 0.0)
-        assert np.all(sample.jump_times >= 1.0) and np.all(sample.jump_times <= 6.0)
+
+class TestJumpBudget:
+    def test_batch_past_budget_raises_before_drawing(self, rate_jump_model):
+        # 2^16 paths expecting 300 jumps each would hold 2e7 jumps per batch
+        model = RateModel(0.5, 0.0, 0.0, 300.0, rate_jump_model.law)
+        sim = SimConfig(paths=1 << 16, seed=5)
+        with pytest.raises(ParameterError, match="expected jump count"):
+            mc_bond_price(model, BondTerms(0.0, 1.0, 0.03), sim)
+        with pytest.raises(ParameterError, match="expected jump count"):
+            mc_rate_moments(model, 0.03, 1.0, sim)
+
+    def test_few_paths_may_expect_many_jumps(self, rate_jump_model):
+        model = RateModel(0.5, 0.0, 0.0, 300.0, rate_jump_model.law)
+        est = mc_bond_price(model, BondTerms(0.0, 1.0, 0.03), SimConfig(paths=10, seed=5))
+        assert math.isfinite(est.mean) and est.paths_used == 10

@@ -15,9 +15,18 @@ from shotpricer import (
     OptionKind,
     OptionTerms,
     RateModel,
+    SimConfig,
+    a_vasicek,
+    b_factor,
+    bs_greeks,
+    bs_price,
     cdf_plain,
     cdf_tilted,
     char_function,
+    conditional_moments,
+    mc_bond_price,
+    mc_option_price,
+    mc_rate_moments,
     new_greeks,
     parity_residual,
     price,
@@ -25,9 +34,13 @@ from shotpricer import (
     survival_tilted,
     varsigma,
     xi,
+    zero_yield,
 )
 from shotpricer.errors import ParameterError, ShotPricerError, TruncationError
+from shotpricer.shortrate import a_shot_substituted
 from shotpricer.transform import DEFAULT_QUAD, fourier_grid, series_lset
+
+from conftest import time_limit
 
 nu_st = st.floats(min_value=-0.5, max_value=0.5)
 delta_st = st.floats(min_value=0.0, max_value=0.6)
@@ -193,3 +206,83 @@ def test_non_finite_field_raises_parameter_error(field, bad):
     cls, name = field
     with pytest.raises(ParameterError, match="finite"):
         cls(**{**_VALID_FIELDS[cls], name: bad})
+
+
+# Ten paths: a Monte Carlo call that gets past its checks allocates little.
+_SIM = SimConfig(paths=10, seed=7)
+
+
+def _rate_model(lambda_r):
+    return RateModel(a=0.5, b=0.03, sigma_r=0.01, lambda_r=lambda_r, law=GaussianJumpLaw(0.01, 0.02))
+
+
+def _call(tau):
+    return OptionTerms(100.0, 95.0, tau, 0.03, 0.01, OptionKind.CALL)
+
+
+# entry point -> call with (intensity lam or lambda_r, x, y)
+_SCALAR_ENTRY_POINTS = {
+    "conditional_moments": lambda lam, r_t, horizon: conditional_moments(
+        _rate_model(lam), r_t, horizon
+    ),
+    "mc_rate_moments": lambda lam, r_t, horizon: mc_rate_moments(
+        _rate_model(lam), r_t, horizon, _SIM
+    ),
+    "mc_bond_price": lambda lam, r_t, T: mc_bond_price(
+        _rate_model(lam), BondTerms(0.0, T, r_t), _SIM
+    ),
+    "mc_option_price": lambda lam, sigma, tau: mc_option_price(
+        _call(tau), AssetModel(lam, GaussianJumpLaw(-0.05, 0.15), sigma), _SIM
+    ),
+    "b_factor": lambda lam, t, T: b_factor(_rate_model(lam), t, T),
+    "a_vasicek": lambda lam, t, T: a_vasicek(_rate_model(lam), t, T),
+    "a_shot_substituted": lambda lam, t, T: a_shot_substituted(_rate_model(lam), t, T),
+    "zero_yield": lambda lam, price, tenor: zero_yield(price, tenor),
+    "bs_price": lambda lam, sigma, tau: bs_price(_call(tau), sigma),
+    "bs_greeks": lambda lam, sigma, tau: bs_greeks(_call(tau), sigma),
+}
+
+_scalar_st = st.one_of(
+    st.floats(min_value=0.01, max_value=5.0),
+    st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]),
+)
+
+
+def _floats_in(result):
+    items = result if isinstance(result, tuple) else (result,)
+    out = []
+    for item in items:
+        values = dataclasses.astuple(item) if dataclasses.is_dataclass(item) else (item,)
+        out += [v for v in values if isinstance(v, float)]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    entry=st.sampled_from(sorted(_SCALAR_ENTRY_POINTS)),
+    lam=st.floats(min_value=0.0, max_value=5.0),
+    x=_scalar_st,
+    y=_scalar_st,
+)
+@example(entry="conditional_moments", lam=1.0, x=math.nan, y=1.0)
+@example(entry="conditional_moments", lam=1.0, x=0.03, y=math.nan)
+@example(entry="mc_rate_moments", lam=1.0, x=0.03, y=math.nan)
+@example(entry="mc_rate_moments", lam=1.0, x=0.03, y=math.inf)
+@example(entry="mc_option_price", lam=1e300, x=0.2, y=1.0)
+@example(entry="mc_bond_price", lam=1e300, x=0.03, y=1.0)
+@example(entry="b_factor", lam=1.0, x=math.nan, y=1.0)
+@example(entry="a_vasicek", lam=1.0, x=math.nan, y=1.0)
+@example(entry="zero_yield", lam=1.0, x=math.nan, y=1.0)
+@example(entry="zero_yield", lam=1.0, x=0.9, y=math.nan)
+@example(entry="bs_price", lam=1.0, x=math.nan, y=1.0)
+@example(entry="bs_price", lam=1.0, x=math.inf, y=1.0)
+@example(entry="bs_greeks", lam=1.0, x=math.nan, y=1.0)
+@example(entry="bs_greeks", lam=1.0, x=math.inf, y=1.0)
+@example(entry="a_shot_substituted", lam=0.0, x=2.0, y=1.0)
+def test_scalar_entry_points_return_finite_or_raise(entry, lam, x, y):
+    with time_limit(2.0):
+        try:
+            result = _SCALAR_ENTRY_POINTS[entry](lam, x, y)
+        except ShotPricerError:
+            return
+    assert all(math.isfinite(v) for v in _floats_in(result)), result

@@ -19,12 +19,14 @@ from shotpricer.transform import (
     DEFAULT_QUAD,
     _series_lset,
     _series_parts,
+    _series_values,
     series_lset,
 )
 
 
 def _clear():
     _series_parts.cache_clear()
+    _series_values.cache_clear()
     _series_lset.cache_clear()
 
 
@@ -74,6 +76,22 @@ def test_cached_parts_are_read_only():
             arr[0] = 0.5
     assert _series_parts.cache_info().maxsize <= 8
     assert _series_lset.cache_info().maxsize <= 16
+    assert _series_values.cache_info().maxsize <= 16
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_one_strike_runs_one_series_pass(sigma):
+    # a call and a put price, and both Greek sets, all at one strike
+    _clear()
+    model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), sigma)
+    for kind in (OptionKind.CALL, OptionKind.PUT):
+        price(OptionTerms(100.0, 95.0, 1.0, 0.03, 0.01, kind), model)
+    call = OptionTerms(100.0, 95.0, 1.0, 0.03, 0.01, OptionKind.CALL)
+    common_greeks(call, model)
+    new_greeks(call, model)
+    assert _series_values.cache_info().misses == 1
+    assert _series_lset.cache_info().misses == 1
+    assert _series_parts.cache_info().misses == 1
 
 
 def test_quadrature_specs_never_share_an_entry():
@@ -98,5 +116,6 @@ def test_truncation_error_is_raised_again_and_not_cached():
         with pytest.raises(TruncationError):
             _series_parts(spec, DEFAULT_QUAD)
     assert _series_parts.cache_info().currsize == 0
+    assert _series_values.cache_info().currsize == 0
     assert _series_lset.cache_info().currsize == 0
     assert _series_parts.cache_info().misses == 4

@@ -1,6 +1,7 @@
 """Affine bond pricing: factor loadings, intercept routes, moments, ODEs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,9 @@ class TestAShot:
                 a_shot(rate_jump_model, 2.0, 1.0)
             with pytest.raises(ParameterError, match="need t <= T"):
                 a_shot_substituted(rate_jump_model, 2.0, 1.0)
+            # also where there are no jumps to integrate
+            with pytest.raises(ParameterError, match="need t <= T"):
+                a_shot_substituted(replace(rate_jump_model, lambda_r=0.0), 2.0, 1.0)
 
     def test_degenerate_law(self):
         model = RateModel(0.5, 0.0, 0.0, 2.0, GaussianJumpLaw(0.0, 0.0))
