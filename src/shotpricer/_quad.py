@@ -13,6 +13,9 @@ from .errors import ParameterError, QuadratureError
 _NODES = 16
 _MAX_DEPTH = 24
 
+# Most panels one adaptive integral may evaluate (tests and benchmark need 23).
+_MAX_PANELS = 4096
+
 
 @lru_cache(maxsize=64)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -40,10 +43,10 @@ def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10) -> fl
     """Adaptive panel Gauss-Legendre integration of a vectorized callable.
 
     Each panel is accepted when one bisection changes its estimate by less
-    than the panel's share of the tolerance; otherwise it is split. ``f``
-    must accept an ndarray of abscissae. Non-finite bounds raise
-    ParameterError and a non-finite panel estimate raises QuadratureError,
-    so neither can drive the bisection down to ``_MAX_DEPTH``.
+    than the panel's share of the tolerance; otherwise it is split, and past
+    ``_MAX_DEPTH`` or ``_MAX_PANELS`` panels QuadratureError is raised. ``f``
+    must accept an ndarray of abscissae. Non-finite bounds (ParameterError)
+    and a non-finite panel estimate (QuadratureError) raise at once.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ParameterError(f"integration bounds must be finite, got [{a}, {b}]")
@@ -61,19 +64,19 @@ def adaptive_gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-10) -> fl
     scale = max(abs(whole), 1e-30)
     stack = [(a, b, whole, 0)]
     total = 0.0
+    panels = 1
     while stack:
         lo, hi, est, depth = stack.pop()
         mid = 0.5 * (lo + hi)
         left = panel(lo, mid)
         right = panel(mid, hi)
+        panels += 2
         err = abs(left + right - est)
         tol_here = rel_tol * scale * (hi - lo) / abs(b - a)
-        if err <= tol_here or depth >= _MAX_DEPTH:
-            if depth >= _MAX_DEPTH and err > tol_here:
-                raise QuadratureError(
-                    f"adaptive quadrature stalled on [{lo}, {hi}]", achieved=err
-                )
+        if err <= tol_here:
             total += left + right
+        elif depth >= _MAX_DEPTH or panels >= _MAX_PANELS:
+            raise QuadratureError(f"adaptive quadrature stalled on [{lo}, {hi}]", achieved=err)
         else:
             stack.append((lo, mid, left, depth + 1))
             stack.append((mid, hi, right, depth + 1))

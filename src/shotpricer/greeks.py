@@ -301,15 +301,17 @@ def _xi_weighted_density(
     Conditioning on the jump count turns the integral into
     sum_{n>=1} (P_{n-1} - P_n) N'(l; -n nu, n delta^2); the n = 0 term is a
     point mass at l = 0 and is dropped (callers stay off the kink). The
-    weights are the series' own, so the identity compares like with like.
+    weights are the series' own (0 outside its window): like with like.
     """
     law = model.law
     if law.delta == 0.0:
         raise ParameterError("spectral term needs delta > 0")
-    p = np.concatenate([_series_parts(model.char_spec(tau), quad).plain_w, [0.0]])
-    n = np.arange(1, len(p))
+    parts = _series_parts(model.char_spec(tau), quad)
+    n = np.append(parts.n, parts.n[-1] + 1.0)  # n_lo..n_hi + 1
+    dp = -np.diff(np.concatenate([[0.0], parts.plain_w, [0.0]]))[n >= 1.0]
+    n = n[n >= 1.0]
     sd = np.sqrt(n) * law.delta
     z = (l + n * law.nu) / sd
     dens = np.exp(-0.5 * z * z) / (_SQRT_2PI * sd)
-    return float(math.fsum((p[:-1] - p[1:]) * dens))
+    return float(math.fsum(dp * dens))
 

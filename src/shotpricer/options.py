@@ -183,6 +183,8 @@ def bs_d1_d2(terms: OptionTerms, sigma: float) -> tuple[float, float]:
     if terms.tau <= 0.0:
         raise DegenerateMaturityError("d1/d2 need tau > 0")
     vol_sqrt_t = sigma * math.sqrt(terms.tau)
+    if vol_sqrt_t == 0.0:
+        raise ParameterError(f"sigma sqrt(tau) underflows to 0 (sigma {sigma}, tau {terms.tau})")
     d1 = (
         log_moneyness(terms)
         + (terms.rate - terms.dividend + 0.5 * sigma * sigma) * terms.tau

@@ -264,4 +264,7 @@ def zero_yield(price: float, tenor: float) -> float:
         raise ParameterError(f"price must be > 0 and finite, got {price}")
     if not 0.0 < tenor < math.inf:
         raise ParameterError(f"tenor must be > 0 and finite, got {tenor}")
-    return -math.log(price) / tenor
+    rate = -math.log(price) / tenor
+    if not math.isfinite(rate):
+        raise ParameterError(f"zero rate overflows (price {price}, tenor {tenor})")
+    return rate

@@ -11,11 +11,14 @@ exp(-z) change of weight). Two independent evaluation routes are provided:
 
 * series (``cdf_*``, ``survival_*``, ``series_lset``): condition on the
   Poisson jump count. Each count contributes a Gaussian component, so both
-  transforms are finite mixtures of normal cdfs with explicit weights.
-  Exact up to the Poisson tail cutoff; this is the reference backend and
-  the only one that also ships analytic parameter derivatives (used by the
-  Greeks). One memoized pass per threshold yields all four transforms; the
-  Greek engine ``series_lset`` and ``green_density`` read it too.
+  transforms are finite mixtures of normal cdfs with explicit weights. It
+  keeps the Poisson window, the counts where either weight exceeds the floor
+  ``series_tail * _WEIGHT_FLOOR`` plus one each side: both dropped tails stay
+  below ``series_tail``, and the weight below it, taken as 0 by the Greek
+  engine, is under the floor. Window sums are exact (``math.fsum``), cheap
+  over its ~30 orders of magnitude. It is the reference backend and alone
+  has analytic derivatives (for the Greeks); one memoized pass per threshold
+  gives all four transforms, also to ``series_lset`` and ``green_density``.
 * fourier (``fourier_grid``): Gil-Pelaez inversion, one integral in k per
   cumulative, on Gauss-Legendre panels, for a batch of thresholds. It reads
   only psi, with no Poisson weights, so it is an independent cross-check of
@@ -82,8 +85,11 @@ _K_MAX = 16.0
 # Gauss-Legendre nodes per Fourier panel.
 _K_NODES = 32
 
-# Most Poisson counts a series keeps (enough for lam tau up to about 3700).
+# Largest Poisson count a series may reach (enough for lam tau up to about 3700).
 _N_MAX = 4096
+
+# Window floor as a fraction of the series tail target (1e-30 by default).
+_WEIGHT_FLOOR = 1e-20
 
 
 class Backend(str, Enum):
@@ -101,7 +107,7 @@ class QuadratureSpec:
     exact up to the Poisson tail, which it keeps below ``series_tail``. The
     Fourier frequency range follows from ``rel_tol`` and the
     characteristic-function envelope, and its panel count doubles until two
-    passes agree; the series stops at 4096 terms (about lam tau 3700).
+    passes agree; the series stops at count 4096 (about lam tau 3700).
     """
 
     rel_tol: float = 1e-9
@@ -153,32 +159,34 @@ def _char_function_grid(spec: CharSpec, k: np.ndarray) -> np.ndarray:
 
 def _poisson_weights(
     mean: float, tail_target: float, theta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson(mean) weights P_0..P_N and their tilt P_n e^{n theta - mean
-    (e^theta - 1)}, which is Poisson(mean e^theta), N grown until both tails
-    beyond N are below ``tail_target``.
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """First count n_lo, Poisson(mean) weights P_{n_lo}..P_{n_hi} and their
+    tilt P_n e^{n theta - mean (e^theta - 1)}, which is Poisson(mean e^theta).
 
-    Each set is divided by its own sum, so it sums to one to rounding: the
-    gammaln rounding in the log pmf would otherwise leave a gap that grows
-    with the mean (6e-13 at 3000). Raises TruncationError if N would pass
-    ``_N_MAX`` first. Mean 0 keeps a zero-weight count 1, whose weight still
-    moves with the mean.
+    Candidates run from min(mean, mean e^theta) - 12 sqrt(peak) - 30 up to a
+    top grown until both tails outside are below ``tail_target``; the window
+    keeps those where either weight exceeds ``tail_target * _WEIGHT_FLOOR``,
+    plus one each side. Each set is divided by its own sum: gammaln rounding
+    would leave a gap growing with the mean (6e-13 at 3000). Raises
+    TruncationError if the top would pass ``_N_MAX`` first. Mean 0 keeps a
+    zero-weight count 1, whose weight still moves with the mean.
     """
     if mean == 0.0:
-        return np.array([1.0, 0.0]), np.array([1.0, 0.0])
+        return 0, np.array([1.0, 0.0]), np.array([1.0, 0.0])
     m_tilt = mean * math.exp(theta)
     peak = max(mean, m_tilt)
+    lo = max(0, math.floor(min(mean, m_tilt) - 12.0 * math.sqrt(peak) - 30.0))
     hi = min(int(math.ceil(peak + 12.0 * math.sqrt(peak) + 30.0)), _N_MAX)
     while True:
-        n = np.arange(hi + 1, dtype=float)
+        n = np.arange(lo, hi + 1, dtype=float)
         log_p = -mean + n * math.log(mean) - gammaln(n + 1.0)
         plain = np.exp(log_p)
         tilt = np.exp(log_p + n * theta - (m_tilt - mean))
-        plain_mass = math.fsum(plain.tolist())
-        tilt_mass = math.fsum(tilt.tolist())
-        tail = max(1.0 - plain_mass, 1.0 - tilt_mass)
+        tail = max(1.0 - math.fsum(plain.tolist()), 1.0 - math.fsum(tilt.tolist()))
         if tail < tail_target:
-            return plain / plain_mass, tilt / tilt_mass
+            live = np.flatnonzero(np.maximum(plain, tilt) > tail_target * _WEIGHT_FLOOR)
+            i, j = max(live[0] - 1, 0), live[-1] + 2
+            return lo + int(i), *(w[i:j] / math.fsum(w[i:j].tolist()) for w in (plain, tilt))
         if hi >= _N_MAX:
             raise TruncationError(
                 f"Poisson series capped at {_N_MAX} terms met tail "
@@ -197,9 +205,10 @@ def _poisson_weights(
 class _SeriesParts:
     """Per-count ingredients of the mixture representation.
 
-    ``plain_w`` are Poisson(lam tau) weights; ``tilt_w`` absorb the
-    exponential tilt and are the Poisson(lam tau (1 + varsigma)) weights
-    (lam tau varsigma == m_tilt - m). Each set sums to one to rounding.
+    ``n`` are the window's counts, n_lo..n_hi. ``plain_w`` are Poisson(lam tau)
+    weights; ``tilt_w`` absorb the exponential tilt and are the
+    Poisson(lam tau (1 + varsigma)) weights (lam tau varsigma == m_tilt - m).
+    Each set sums to one to rounding.
     ``sd`` is the component standard deviation sqrt(n delta^2 + sigma^2 tau);
     components with sd == 0 are point masses at ``mean`` = -n nu.
     """
@@ -219,10 +228,10 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
     A TruncationError propagates and is not cached.
     """
     law = spec.law
-    plain_w, tilt_w = _poisson_weights(
+    n_lo, plain_w, tilt_w = _poisson_weights(
         spec.mean_count, quad.series_tail, law.nu + 0.5 * law.delta**2
     )
-    n = np.arange(len(plain_w), dtype=float)
+    n = np.arange(n_lo, n_lo + len(plain_w), dtype=float)
     parts = _SeriesParts(
         n=n,
         plain_w=plain_w,
@@ -496,7 +505,8 @@ def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
     # times that difference. The plain mean is lam tau; the tilted one is
     # m_tilt = lam tau e^theta with theta = nu + delta^2/2, so dm_tilt/dnu is
     # m_tilt and dm_tilt/ddelta is delta m_tilt. No n / lam or n / tau is
-    # formed, so a tiny lam or tau cannot overflow.
+    # formed, so a tiny lam or tau cannot overflow. w_{n_lo-1} is taken as 0:
+    # it is below the window floor, so the edge errs by at most m_tilt times it.
     growth = math.exp(nu + 0.5 * delta**2)  # 1 + varsigma
     m_tilt = lam * tau * growth
     dwp = np.concatenate(([0.0], p.plain_w[:-1])) - p.plain_w

@@ -175,6 +175,14 @@ class TestIdentities:
         residual = dict(identity_report(terms, model))["epsilon_mu_gamma"]
         assert residual <= 1e-14
 
+    def test_epsilon_correction_at_high_intensity(self):
+        # lam tau 300: the series window starts at count 122, not 0, and the
+        # correction must sum the same counts as the Greeks
+        model = AssetModel(300.0, GaussianJumpLaw(-0.01, 0.03), 0.0)
+        terms = make_terms(100.0, 95.0, 1.0, 0.03, 0.0)
+        residual = dict(identity_report(terms, model))["epsilon_mu_gamma"]
+        assert residual <= 1e-14
+
     def test_needs_pure_jump_model(self, mixed_model, atm_call):
         with pytest.raises(ParameterError):
             identity_report(atm_call, mixed_model)

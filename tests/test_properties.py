@@ -274,10 +274,13 @@ def _floats_in(result):
 @example(entry="a_vasicek", lam=1.0, x=math.nan, y=1.0)
 @example(entry="zero_yield", lam=1.0, x=math.nan, y=1.0)
 @example(entry="zero_yield", lam=1.0, x=0.9, y=math.nan)
+@example(entry="zero_yield", lam=1.0, x=0.5, y=1e-310)
 @example(entry="bs_price", lam=1.0, x=math.nan, y=1.0)
 @example(entry="bs_price", lam=1.0, x=math.inf, y=1.0)
 @example(entry="bs_greeks", lam=1.0, x=math.nan, y=1.0)
 @example(entry="bs_greeks", lam=1.0, x=math.inf, y=1.0)
+@example(entry="bs_price", lam=1.0, x=1e-200, y=1e-300)
+@example(entry="bs_greeks", lam=1.0, x=1e-200, y=1e-300)
 @example(entry="a_shot_substituted", lam=0.0, x=2.0, y=1.0)
 def test_scalar_entry_points_return_finite_or_raise(entry, lam, x, y):
     with time_limit(2.0):

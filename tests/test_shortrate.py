@@ -21,7 +21,8 @@ from shotpricer import (
     ode_residual,
     zero_yield,
 )
-from shotpricer.errors import ParameterError, ShotPricerError
+from shotpricer._quad import adaptive_gauss_legendre
+from shotpricer.errors import ParameterError, QuadratureError, ShotPricerError
 from shotpricer.shortrate import a_shot_substituted
 from conftest import time_limit
 
@@ -86,6 +87,15 @@ class TestAShot:
         assert a_shot(rate_jump_model, 0.0, 5.0) == pytest.approx(
             rate_jump_model.lambda_r * ref, abs=1e-11
         )
+
+
+class TestAdaptiveQuadrature:
+    @pytest.mark.parametrize("freq", [1e6, 1e8])
+    def test_oscillatory_integrand_raises_in_bounded_time(self, freq):
+        # finite everywhere, but it needs on the order of freq panels to
+        # resolve: at 1e6 the panel budget stops it, at 1e8 the depth limit
+        with time_limit(2.0), pytest.raises(QuadratureError):
+            adaptive_gauss_legendre(lambda x: np.sin(freq * x), 0.0, 1.0)
 
 
 class TestAVasicek:

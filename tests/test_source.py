@@ -40,3 +40,27 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = _imported_names(tree) - used - _exported_names(tree)
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def _environment_reads(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            names |= {a.name for a in node.names if a.name in ("environ", "getenv")}
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ("environ", "getenv")
+        ):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=[p.name for p in _MODULES])
+def test_no_environment_switches(path):
+    # the library has no hidden settings: behaviour follows from arguments
+    # and config files, never from environment variables
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _environment_reads(tree)
+    assert not found, f"{path.name} reads os.{sorted(found)}"

@@ -1,5 +1,6 @@
 """Series/Fourier transform engine: weights, cdfs, atoms, density."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from shotpricer import (
     survival_tilted,
     varsigma,
 )
+from shotpricer import transform
 from shotpricer.errors import ParameterError, QuadratureError, TruncationError
 from shotpricer.transform import DEFAULT_QUAD, _series_parts, fourier_grid, series_lset
 from conftest import make_terms, time_limit
@@ -61,10 +63,24 @@ class TestPoissonWeights:
 
     @pytest.mark.parametrize("mean", [0.1, 1.0, 4.0, 40.0, 1000.0])
     def test_mass_captured(self, mean):
-        # the dropped tail is below target and the kept weights sum to one
-        w = series_weights(mean)
-        assert poisson.sf(len(w) - 1, mean) <= DEFAULT_QUAD.series_tail
-        assert math.fsum(w) == pytest.approx(1.0, abs=1e-15)
+        # for the plain and the tilted set, the two tails dropped outside the
+        # window n_lo..n_hi together are below target, and the kept weights
+        # sum to one
+        spec = spec_of(lam=mean, nu=0.3, delta=0.1)
+        parts = _series_parts(spec, DEFAULT_QUAD)
+        n_lo, n_hi = parts.n[0], parts.n[-1]
+        m_tilt = mean * math.exp(0.3 + 0.5 * 0.1**2)
+        for w, m in ((parts.plain_w, mean), (parts.tilt_w, m_tilt)):
+            assert poisson.cdf(n_lo - 1, m) + poisson.sf(n_hi, m) <= DEFAULT_QUAD.series_tail
+            assert math.fsum(w) == pytest.approx(1.0, abs=1e-15)
+
+    def test_window_is_short_at_high_intensity(self):
+        # lam tau 1000: the counts from 0 up to the upper cutoff number 1411,
+        # and more than half of their weights are below 1e-30; the window
+        # (tilted mean 956) is 626..1381
+        parts = _series_parts(spec_of(lam=1000.0, sigma=0.1, nu=-0.05), DEFAULT_QUAD)
+        assert parts.n[0] > 0
+        assert len(parts.n) <= 760
 
     def test_cap_raises(self):
         with pytest.raises(TruncationError):
@@ -73,6 +89,45 @@ class TestPoissonWeights:
     def test_negative_mean_rejected(self):
         with pytest.raises(ParameterError):
             series_weights(-1.0)
+
+
+def untrimmed_parts(spec):
+    """Mixture ingredients over every count 0..N, from scipy's Poisson pmf."""
+    law = spec.law
+    m = spec.mean_count
+    m_tilt = m * math.exp(law.nu + 0.5 * law.delta**2)
+    peak = max(m, m_tilt)
+    n = np.arange(math.ceil(peak + 12.0 * math.sqrt(peak) + 30.0) + 1, dtype=float)
+    plain, tilt = poisson.pmf(n, m), poisson.pmf(n, m_tilt)
+    return transform._SeriesParts(
+        n=n,
+        plain_w=plain / math.fsum(plain),
+        tilt_w=tilt / math.fsum(tilt),
+        mean=-n * law.nu,
+        sd=np.sqrt(n * law.delta**2 + spec.sigma**2 * spec.tau),
+    )
+
+
+class TestSeriesWindow:
+    @pytest.mark.parametrize("mean", [0.3, 20.0, 1000.0])
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    def test_matches_untrimmed_series(self, monkeypatch, mean, sigma):
+        # the reference runs the same engine over all counts 0..N
+        spec = spec_of(lam=mean, sigma=sigma, nu=-0.05, delta=0.1)
+        ls = (0.05 * mean - 0.37, 0.05 * mean + 0.13)
+        windowed = [
+            (transform._series_values(spec, l, DEFAULT_QUAD), series_lset(spec, l)) for l in ls
+        ]
+        ref = untrimmed_parts(spec)
+        monkeypatch.setattr(transform, "_series_parts", lambda spec, quad: ref)
+        monkeypatch.setattr(transform, "_series_values", transform._series_values.__wrapped__)
+        for l, (values, lset) in zip(ls, windowed):
+            ref_values = transform._series_values(spec, l, DEFAULT_QUAD)
+            assert values == pytest.approx(ref_values, rel=0.0, abs=1e-15)
+            ref_lset = transform._series_lset.__wrapped__(spec, l, DEFAULT_QUAD)
+            assert dataclasses.astuple(lset) == pytest.approx(
+                dataclasses.astuple(ref_lset), rel=1e-13, abs=0.0
+            )
 
 
 class TestSpecValidation:
