@@ -81,7 +81,6 @@ _COLUMNS: dict[str, tuple[str, ...]] = {
         "z",
         "paths",
         "seed",
-        "antithetic",
     ),
     "validate": ("check", "config", "value", "tolerance", "status"),
     "limits": ("scale", "price_error", "theta_error", "bond_a_error", "monotone"),
@@ -122,7 +121,7 @@ _DEFAULTS: dict[str, Any] = {
         "maturities": [1.0, 2.0, 5.0, 10.0],
         "variant": "general",
     },
-    "sim": {"paths": 100000, "seed": 20240701, "antithetic": False},
+    "sim": {"paths": 100000, "seed": 20240701},
     "quad": {"rel_tol": 1e-9},
     "backend": "series",
     "output": {"path": None, "format": "csv"},
@@ -203,11 +202,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             lambda_r=float(rate_cfg["lambda_r"]),
             law=GaussianJumpLaw(nu=float(rate_cfg["nu_r"]), delta=float(rate_cfg["delta_r"])),
         )
-        sim = SimConfig(
-            paths=int(merged["sim"]["paths"]),
-            seed=int(merged["sim"]["seed"]),
-            antithetic=bool(merged["sim"]["antithetic"]),
-        )
+        sim = SimConfig(paths=int(merged["sim"]["paths"]), seed=int(merged["sim"]["seed"]))
         quad = QuadratureSpec(rel_tol=float(merged["quad"]["rel_tol"]))
         backend = Backend(merged["backend"])
         BondVariant(merged["bond"]["variant"])
@@ -352,7 +347,6 @@ def _run_mc(cfg: RunConfig) -> tuple[list[dict], int]:
             "z": z,
             "paths": est.paths_used,
             "seed": sim.seed,
-            "antithetic": sim.antithetic,
         }
 
     rows = []

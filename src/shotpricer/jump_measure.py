@@ -93,7 +93,10 @@ def varsigma(law: GaussianJumpLaw) -> float:
 
     Closed form for the Gaussian law: exp(nu + delta^2/2) - 1.
     """
-    return math.expm1(law.nu + 0.5 * law.delta * law.delta)
+    try:
+        return math.expm1(law.nu + 0.5 * law.delta * law.delta)
+    except OverflowError:
+        raise ParameterError(f"E[e^eta] overflows for nu {law.nu}, delta {law.delta}") from None
 
 
 def xi(law: GaussianJumpLaw, k: complex | np.ndarray) -> complex | np.ndarray:

@@ -1,17 +1,19 @@
 """Exact-sampling Monte Carlo oracles for options, bonds, and rate moments.
 
-Nothing here is discretized in time. Terminal log-prices are drawn from the
-exact compound-Poisson-plus-Gaussian law; bond discount factors use the
+Nothing here is discretized in time. Each oracle reads the same
+compound-Poisson shot noise with Gaussian jumps through a weighted sum
+sum_k eta_k h(t_k): h = 1 for the log-price, h = B(t_k, T) for int r ds and
+h = e^{-a(horizon - t_k)} for the rate. Given the jump count and arrival
+times that sum is Gaussian with mean nu sum h and variance delta^2 sum h^2,
+so one sampler draws it for all three. Bond discount factors use the
 pathwise identity int r ds = r_t B(t,T) + b[(T-t) - B] + Gaussian + sum_k
 eta_k B(t_k, T), with the Gaussian part's variance in closed form. The
 estimators therefore carry statistical error only, which is what makes them
 usable as oracles for the analytic formulas.
 
 Randomness is counter-based (Philox) with one independent substream per
-fixed-size batch of paths, so estimates depend only on (seed, paths,
-antithetic) and batches could be evaluated in any order or in parallel.
-Antithetic pairing negates the Gaussian draws only; jump counts and arrival
-times are shared within a pair.
+fixed-size batch of paths, so estimates depend only on (seed, paths) and
+batches could be evaluated in any order or in parallel.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .jump_measure import varsigma
+from .jump_measure import GaussianJumpLaw, varsigma
 from .options import AssetModel, OptionKind, OptionTerms
 from .shortrate import BondTerms, RateModel, b_factor
 
@@ -50,7 +52,6 @@ class SimConfig:
 
     paths: int
     seed: int = 20240701
-    antithetic: bool = False
 
     def __post_init__(self) -> None:
         if self.paths < 1:
@@ -66,21 +67,26 @@ class McEstimate:
     paths_used: int
 
 
-def _batch_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _batches(sim: SimConfig):
+    """(generator, path count) per batch; batch i draws from Philox key (seed, i)."""
+    for index, start in enumerate(range(0, sim.paths, _BATCH)):
+        key = np.array([sim.seed, index], dtype=np.uint64)
+        yield np.random.Generator(np.random.Philox(key=key)), min(_BATCH, sim.paths - start)
 
 
-def _reduce(partials_sum, partials_sq, n: int) -> tuple[float, float]:
-    total = math.fsum(partials_sum)
-    total_sq = math.fsum(partials_sq)
-    mean = total / n
-    if n > 1:
-        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-        se = math.sqrt(var / n)
-    else:
-        se = 0.0
-    return mean, se
+def _estimate(values, paths: int) -> McEstimate:
+    """Sample mean and standard error of per-batch arrays of path values."""
+    sums: list[float] = []
+    squares: list[float] = []
+    for y in values:
+        sums.append(float(np.sum(y)))
+        squares.append(float(np.dot(y, y)))
+    mean = math.fsum(sums) / paths
+    se = 0.0
+    if paths > 1:
+        var = max(math.fsum(squares) - paths * mean * mean, 0.0) / (paths - 1)
+        se = math.sqrt(var / paths)
+    return McEstimate(mean=mean, std_error=se, paths_used=paths)
 
 
 def _check_jump_count(mean_count: float, limit: float) -> None:
@@ -91,12 +97,24 @@ def _check_jump_count(mean_count: float, limit: float) -> None:
         )
 
 
-def _draw_units(sim: SimConfig) -> tuple[int, int]:
-    """Number of independent draw units and paths represented by them."""
-    if sim.antithetic:
-        units = max(sim.paths // 2, 1)
-        return units, 2 * units
-    return sim.paths, sim.paths
+def _shot_noise(rng, count: int, mean_count: float, law: GaussianJumpLaw, window=None):
+    """Per path: drift nu s1 and noise delta sqrt(s2) Z of sum_k eta_k h(t_k), and a
+    further standard normal, with s1 = sum_k h(t_k) and s2 = sum_k h(t_k)^2.
+
+    ``window`` is (lo, hi, h) with arrivals uniform on [lo, hi]; without one
+    h = 1 and s1 = s2 = the jump count. Callers add drift and noise in their
+    own order, which keeps their floats as they were.
+    """
+    n_jumps = rng.poisson(mean_count, count)
+    s1 = s2 = n_jumps
+    if window is not None:
+        lo, hi, h = window
+        loads = h(rng.uniform(lo, hi, int(n_jumps.sum())))
+        owner = np.repeat(np.arange(count), n_jumps)
+        s1 = np.bincount(owner, weights=loads, minlength=count)
+        s2 = np.bincount(owner, weights=loads * loads, minlength=count)
+    noise = law.delta * np.sqrt(s2) * rng.standard_normal(count)
+    return law.nu * s1, noise, rng.standard_normal(count)
 
 
 def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> McEstimate:
@@ -108,42 +126,23 @@ def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> Mc
     if terms.tau <= 0.0:
         raise ParameterError("mc_option_price needs tau > 0")
     tau = terms.tau
-    law = model.law
     mean_count = model.lam * tau
     _check_jump_count(mean_count, _MAX_MEAN_COUNT)
     drift = (
-        terms.rate - terms.dividend - model.lam * varsigma(law) - 0.5 * model.sigma**2
+        terms.rate - terms.dividend - model.lam * varsigma(model.law) - 0.5 * model.sigma**2
     ) * tau
     base = math.log(terms.spot) + drift
     vol = model.sigma * math.sqrt(tau)
     disc = math.exp(-terms.rate * tau)
     is_call = terms.kind is OptionKind.CALL
 
-    units, used = _draw_units(sim)
-    partial_sum: list[float] = []
-    partial_sq: list[float] = []
-    for start in range(0, units, _BATCH):
-        count = min(_BATCH, units - start)
-        rng = _batch_rng(sim.seed, start // _BATCH)
-        n_jumps = rng.poisson(mean_count, count)
-        z_jump = rng.standard_normal(count)
-        z_diff = rng.standard_normal(count)
+    def discounted(rng, count: int) -> np.ndarray:
+        jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law)
+        s_t = np.exp(base + vol * z + (jump_drift + jump_noise))
+        pay = s_t - terms.strike if is_call else terms.strike - s_t
+        return disc * np.maximum(pay, 0.0)
 
-        def discounted(sign: float) -> np.ndarray:
-            jumps = n_jumps * law.nu + np.sqrt(n_jumps) * law.delta * (sign * z_jump)
-            s_t = np.exp(base + vol * (sign * z_diff) + jumps)
-            pay = np.maximum(s_t - terms.strike, 0.0) if is_call else np.maximum(
-                terms.strike - s_t, 0.0
-            )
-            return disc * pay
-
-        y = discounted(1.0)
-        if sim.antithetic:
-            y = 0.5 * (y + discounted(-1.0))
-        partial_sum.append(float(np.sum(y)))
-        partial_sq.append(float(np.dot(y, y)))
-    mean, se = _reduce(partial_sum, partial_sq, units)
-    return McEstimate(mean=mean, std_error=se, paths_used=used)
+    return _estimate((discounted(*batch) for batch in _batches(sim)), sim.paths)
 
 
 def _int_b_squared(model: RateModel, t: float, T: float) -> float:
@@ -159,42 +158,19 @@ def mc_bond_price(model: RateModel, terms: BondTerms, sim: SimConfig) -> McEstim
     if not terms.t < terms.T:
         raise ParameterError("mc_bond_price needs t < T")
     t, T = terms.t, terms.T
-    law = model.law
     span = T - t
-    units, used = _draw_units(sim)
     mean_count = model.lambda_r * span
-    _check_jump_count(mean_count, _BATCH_JUMPS / min(units, _BATCH))
+    _check_jump_count(mean_count, _BATCH_JUMPS / min(sim.paths, _BATCH))
     b_val = b_factor(model, t, T)
     det = terms.r_t * b_val + model.b * (span - b_val)
     gauss_sd = model.sigma_r * math.sqrt(_int_b_squared(model, t, T))
+    window = (t, T, lambda s: -np.expm1(-model.a * (T - s)) / model.a)
 
-    partial_sum: list[float] = []
-    partial_sq: list[float] = []
-    for start in range(0, units, _BATCH):
-        count = min(_BATCH, units - start)
-        rng = _batch_rng(sim.seed, start // _BATCH)
-        n_jumps = rng.poisson(mean_count, count)
-        total = int(n_jumps.sum())
-        arrivals = rng.uniform(t, T, total)
-        owner = np.repeat(np.arange(count), n_jumps)
-        loads = -np.expm1(-model.a * (T - arrivals)) / model.a
-        s1 = np.bincount(owner, weights=loads, minlength=count)
-        s2 = np.bincount(owner, weights=loads * loads, minlength=count)
-        z_jump = rng.standard_normal(count)
-        z_gauss = rng.standard_normal(count)
+    def discounted(rng, count: int) -> np.ndarray:
+        jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law, window)
+        return np.exp(-(det + gauss_sd * z + (jump_drift + jump_noise)))
 
-        def discounted(sign: float) -> np.ndarray:
-            jump_part = law.nu * s1 + law.delta * np.sqrt(s2) * (sign * z_jump)
-            integral = det + gauss_sd * (sign * z_gauss) + jump_part
-            return np.exp(-integral)
-
-        y = discounted(1.0)
-        if sim.antithetic:
-            y = 0.5 * (y + discounted(-1.0))
-        partial_sum.append(float(np.sum(y)))
-        partial_sq.append(float(np.dot(y, y)))
-    mean, se = _reduce(partial_sum, partial_sq, units)
-    return McEstimate(mean=mean, std_error=se, paths_used=used)
+    return _estimate((discounted(*batch) for batch in _batches(sim)), sim.paths)
 
 
 def mc_rate_moments(
@@ -210,46 +186,27 @@ def mc_rate_moments(
         raise ParameterError(f"mc_rate_moments needs a finite horizon > 0, got {horizon}")
     if not math.isfinite(r_t):
         raise ParameterError(f"r_t must be finite, got {r_t}")
-    law = model.law
-    units, used = _draw_units(sim)
     mean_count = model.lambda_r * horizon
-    _check_jump_count(mean_count, _BATCH_JUMPS / min(units, _BATCH))
+    _check_jump_count(mean_count, _BATCH_JUMPS / min(sim.paths, _BATCH))
     decay = math.exp(-model.a * horizon)
     det = decay * r_t + model.b * (1.0 - decay)
     ou_sd = model.sigma_r * math.sqrt(-math.expm1(-2.0 * model.a * horizon) / (2.0 * model.a))
+    window = (0.0, horizon, lambda s: np.exp(-model.a * (horizon - s)))
 
     s1: list[float] = []
     s2: list[float] = []
     s3: list[float] = []
     s4: list[float] = []
-    for start in range(0, units, _BATCH):
-        count = min(_BATCH, units - start)
-        rng = _batch_rng(sim.seed, start // _BATCH)
-        n_jumps = rng.poisson(mean_count, count)
-        total = int(n_jumps.sum())
-        arrivals = rng.uniform(0.0, horizon, total)
-        owner = np.repeat(np.arange(count), n_jumps)
-        kick = np.exp(-model.a * (horizon - arrivals))
-        m1 = np.bincount(owner, weights=kick, minlength=count)
-        m2 = np.bincount(owner, weights=kick * kick, minlength=count)
-        z_jump = rng.standard_normal(count)
-        z_gauss = rng.standard_normal(count)
-
-        def deviation(sign: float) -> np.ndarray:
-            # r - det, kept small so the power sums stay well conditioned
-            return ou_sd * (sign * z_gauss) + law.nu * m1 + law.delta * np.sqrt(m2) * (
-                sign * z_jump
-            )
-
-        d = deviation(1.0)
-        if sim.antithetic:
-            d = np.concatenate([d, deviation(-1.0)])
+    for rng, count in _batches(sim):
+        jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law, window)
+        # r - det, kept small so the power sums stay well conditioned
+        d = ou_sd * z + jump_drift + jump_noise
         s1.append(float(np.sum(d)))
         s2.append(float(np.dot(d, d)))
         s3.append(float(np.sum(d**3)))
         s4.append(float(np.sum(d**4)))
 
-    n = used
+    n = sim.paths
     mean_d = math.fsum(s1) / n
     raw2 = math.fsum(s2) / n
     raw3 = math.fsum(s3) / n
@@ -260,6 +217,6 @@ def mc_rate_moments(
     se_mean = math.sqrt(m2c / n)
     se_var = math.sqrt(max(m4c - m2c * m2c * (n - 3) / (n - 1), 0.0) / n) if n > 1 else 0.0
     return (
-        McEstimate(mean=det + mean_d, std_error=se_mean, paths_used=used),
-        McEstimate(mean=var_sample, std_error=se_var, paths_used=used),
+        McEstimate(mean=det + mean_d, std_error=se_mean, paths_used=n),
+        McEstimate(mean=var_sample, std_error=se_var, paths_used=n),
     )

@@ -71,6 +71,10 @@ class OptionTerms:
             raise ParameterError(f"strike must be > 0, got {self.strike}")
         if self.tau < 0.0:
             raise ParameterError(f"tau must be >= 0, got {self.tau}")
+        # e^{-q tau}, e^{-r tau}, S e^{-q tau} and K e^{-r tau} stay below e^700 ~ 1e304
+        for size, carry in ((self.spot, self.dividend), (self.strike, self.rate)):
+            if max(math.log(size), 0.0) - carry * self.tau > 700.0:
+                raise ParameterError("discounted spot or strike overflows")
         object.__setattr__(self, "kind", OptionKind(self.kind))
 
 

@@ -163,30 +163,31 @@ def _poisson_weights(
     """First count n_lo, Poisson(mean) weights P_{n_lo}..P_{n_hi} and their
     tilt P_n e^{n theta - mean (e^theta - 1)}, which is Poisson(mean e^theta).
 
-    Candidates run from min(mean, mean e^theta) - 12 sqrt(peak) - 30 up to a
-    top grown until both tails outside are below ``tail_target``; the window
-    keeps those where either weight exceeds ``tail_target * _WEIGHT_FLOOR``,
-    plus one each side. Each set is divided by its own sum: gammaln rounding
-    would leave a gap growing with the mean (6e-13 at 3000). Raises
-    TruncationError if the top would pass ``_N_MAX`` first. Mean 0 keeps a
-    zero-weight count 1, whose weight still moves with the mean.
+    Candidates run from min(mean, mean e^theta) - 12 sqrt(peak) - 30 to a top;
+    the window keeps those where either weight exceeds ``tail_target *
+    _WEIGHT_FLOOR``, plus one each side. The top grows until 1 minus the
+    smaller window sum is below ``tail_target`` (an empty window has tail 1);
+    past ``_N_MAX`` it raises TruncationError. Each set is divided by its own
+    sum: gammaln rounding would leave a gap growing with the mean (6e-13 at
+    3000). Mean 0 keeps a zero-weight count 1, whose weight moves with the mean.
     """
     if mean == 0.0:
         return 0, np.array([1.0, 0.0]), np.array([1.0, 0.0])
     m_tilt = mean * math.exp(theta)
     peak = max(mean, m_tilt)
-    lo = max(0, math.floor(min(mean, m_tilt) - 12.0 * math.sqrt(peak) - 30.0))
-    hi = min(int(math.ceil(peak + 12.0 * math.sqrt(peak) + 30.0)), _N_MAX)
+    hi = math.ceil(min(peak + 12.0 * math.sqrt(peak) + 30.0, _N_MAX))
+    lo = math.floor(min(max(0.0, min(mean, m_tilt) - 12.0 * math.sqrt(peak) - 30.0), hi))
     while True:
         n = np.arange(lo, hi + 1, dtype=float)
         log_p = -mean + n * math.log(mean) - gammaln(n + 1.0)
         plain = np.exp(log_p)
         tilt = np.exp(log_p + n * theta - (m_tilt - mean))
-        tail = max(1.0 - math.fsum(plain.tolist()), 1.0 - math.fsum(tilt.tolist()))
+        live = np.flatnonzero(np.maximum(plain, tilt) > tail_target * _WEIGHT_FLOOR)
+        i, j = (max(live[0] - 1, 0), live[-1] + 2) if live.size else (0, 0)
+        sums = [math.fsum(w[i:j].tolist()) for w in (plain, tilt)]
+        tail = 1.0 - min(sums)
         if tail < tail_target:
-            live = np.flatnonzero(np.maximum(plain, tilt) > tail_target * _WEIGHT_FLOOR)
-            i, j = max(live[0] - 1, 0), live[-1] + 2
-            return lo + int(i), *(w[i:j] / math.fsum(w[i:j].tolist()) for w in (plain, tilt))
+            return lo + int(i), plain[i:j] / sums[0], tilt[i:j] / sums[1]
         if hi >= _N_MAX:
             raise TruncationError(
                 f"Poisson series capped at {_N_MAX} terms met tail "

@@ -15,7 +15,7 @@ REPORT_COLUMNS = {
     ",greek_kappa,greek_mu,greek_epsilon",
     "bond": BOND + ",A,B,price",
     "curve": BOND + ",tenor,price,zero_yield",
-    "mc": "target," + OPTION + ",T,horizon,analytic,mc_mean,mc_std_error,z,paths,seed,antithetic",
+    "mc": "target," + OPTION + ",T,horizon,analytic,mc_mean,mc_std_error,z,paths,seed",
     "validate": "check,config,value,tolerance,status",
     "limits": "scale,price_error,theta_error,bond_a_error,monotone",
 }
@@ -131,14 +131,20 @@ class TestConfigHandling:
         assert code == 2
         assert "zzz" in err
 
-    @pytest.mark.parametrize("key", ["k_max", "k_nodes", "n_max"])
-    def test_fixed_quadrature_settings_rejected(self, tmp_path, capsys, key):
-        # only the tolerance is settable; the rest are library constants
+    @pytest.mark.parametrize(
+        "path",
+        ["quad.k_max", "quad.k_nodes", "quad.n_max", "sim.antithetic"],
+        ids=lambda path: path.split(".")[1],
+    )
+    def test_fixed_quadrature_settings_rejected(self, tmp_path, capsys, path):
+        # quad sets only the tolerance and sim only paths and seed; the
+        # other quadrature settings are library constants, antithetic is gone
+        section, key = path.split(".")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"quad": {key: 1}}))
+        cfg.write_text(json.dumps({section: {key: 1}}))
         code, _, err = run(["price", "--config", str(cfg)], capsys)
         assert code == 2
-        assert f"unknown config key 'quad.{key}'" in err
+        assert f"unknown config key '{path}'" in err
 
     def test_invalid_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -34,7 +34,7 @@ class TestDeterminism:
         assert one == two
 
     def test_bond_repeatable(self, rate_general_model):
-        sim = SimConfig(paths=50_000, seed=99, antithetic=True)
+        sim = SimConfig(paths=50_000, seed=99)
         terms = BondTerms(0.0, 5.0, 0.03)
         assert mc_bond_price(rate_general_model, terms, sim) == mc_bond_price(
             rate_general_model, terms, sim
@@ -44,6 +44,20 @@ class TestDeterminism:
         one = mc_option_price(atm_call, jump_model, SimConfig(paths=50_000, seed=1))
         two = mc_option_price(atm_call, jump_model, SimConfig(paths=50_000, seed=2))
         assert one.mean != two.mean
+
+    def test_estimates_pinned(self, rate_general_model):
+        # 70 000 paths span two Philox batches; the values are those of the
+        # three separate samplers that the shared one replaced
+        sim = SimConfig(paths=70_000, seed=2024)
+        model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.2)
+        option = mc_option_price(make_terms(100, 100, 1.0, 0.02), model, sim)
+        assert (option.mean, option.std_error) == (10.725468444731089, 0.06469125867513896)
+        bond = mc_bond_price(rate_general_model, BondTerms(0.0, 5.0, 0.03), sim)
+        assert (bond.mean, bond.std_error) == (0.8090843844201067, 0.00017216807266838883)
+        mean, var = mc_rate_moments(rate_general_model, 0.03, 1.0, sim)
+        assert (mean.mean, mean.std_error) == (0.037816542963490574, 5.618805059390164e-05)
+        assert (var.mean, var.std_error) == (0.00022099994921013106, 1.399844150751068e-06)
+        assert option.paths_used == bond.paths_used == mean.paths_used == 70_000
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -73,14 +87,6 @@ class TestErrorScaling:
         big = mc_option_price(atm_call, jump_model, SimConfig(paths=200_000, seed=3))
         ratio = small.std_error / big.std_error
         assert ratio == pytest.approx(2.0, rel=0.2)
-
-    def test_antithetic_reduces_variance_for_diffusion(self):
-        model = AssetModel(0.0, GaussianJumpLaw(0.0, 0.1), 0.2)
-        terms = make_terms(100, 100, 1.0, 0.02)
-        plain = mc_option_price(terms, model, SimConfig(paths=100_000, seed=7))
-        anti = mc_option_price(terms, model, SimConfig(paths=100_000, seed=7, antithetic=True))
-        assert anti.std_error < plain.std_error
-        assert anti.paths_used == 100_000
 
 
 class TestUnbiasedness:

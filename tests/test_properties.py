@@ -23,6 +23,7 @@ from shotpricer import (
     cdf_plain,
     cdf_tilted,
     char_function,
+    common_greeks,
     conditional_moments,
     mc_bond_price,
     mc_option_price,
@@ -220,6 +221,10 @@ def _call(tau):
     return OptionTerms(100.0, 95.0, tau, 0.03, 0.01, OptionKind.CALL)
 
 
+def _asset(lam, sigma):
+    return AssetModel(lam, GaussianJumpLaw(-0.05, 0.15), sigma)
+
+
 # entry point -> call with (intensity lam or lambda_r, x, y)
 _SCALAR_ENTRY_POINTS = {
     "conditional_moments": lambda lam, r_t, horizon: conditional_moments(
@@ -232,8 +237,15 @@ _SCALAR_ENTRY_POINTS = {
         _rate_model(lam), BondTerms(0.0, T, r_t), _SIM
     ),
     "mc_option_price": lambda lam, sigma, tau: mc_option_price(
-        _call(tau), AssetModel(lam, GaussianJumpLaw(-0.05, 0.15), sigma), _SIM
+        _call(tau), _asset(lam, sigma), _SIM
     ),
+    # l_used is NaN by design at tau = 0, where the price is the payoff
+    "price": lambda lam, sigma, tau: price(_call(tau), _asset(lam, sigma)).value,
+    "price_fourier": lambda lam, sigma, tau: price(
+        _call(tau), _asset(lam, sigma), "fourier"
+    ).value,
+    "common_greeks": lambda lam, sigma, tau: common_greeks(_call(tau), _asset(lam, sigma)),
+    "new_greeks": lambda lam, sigma, tau: new_greeks(_call(tau), _asset(lam, sigma)),
     "b_factor": lambda lam, t, T: b_factor(_rate_model(lam), t, T),
     "a_vasicek": lambda lam, t, T: a_vasicek(_rate_model(lam), t, T),
     "a_shot_substituted": lambda lam, t, T: a_shot_substituted(_rate_model(lam), t, T),
@@ -282,6 +294,9 @@ def _floats_in(result):
 @example(entry="bs_price", lam=1.0, x=1e-200, y=1e-300)
 @example(entry="bs_greeks", lam=1.0, x=1e-200, y=1e-300)
 @example(entry="a_shot_substituted", lam=0.0, x=2.0, y=1.0)
+@example(entry="price", lam=1e300, x=0.2, y=1.0)
+@example(entry="common_greeks", lam=1e19, x=0.2, y=1.0)
+@example(entry="new_greeks", lam=1e19, x=0.0, y=1.0)
 def test_scalar_entry_points_return_finite_or_raise(entry, lam, x, y):
     with time_limit(2.0):
         try:
@@ -289,3 +304,26 @@ def test_scalar_entry_points_return_finite_or_raise(entry, lam, x, y):
         except ShotPricerError:
             return
     assert all(math.isfinite(v) for v in _floats_in(result)), result
+
+
+_OPTION_ENTRY_POINTS = {
+    "price": price,
+    "common_greeks": common_greeks,
+    "new_greeks": new_greeks,
+    "mc_option_price": lambda terms, model: mc_option_price(terms, model, _SIM),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_OPTION_ENTRY_POINTS))
+def test_overflowing_jump_compensator_raises_parameter_error(entry):
+    # varsigma = e^{nu + delta^2/2} - 1 overflows a float at nu = 710
+    with pytest.raises(ParameterError):
+        _OPTION_ENTRY_POINTS[entry](_call(1.0), AssetModel(1.0, GaussianJumpLaw(710.0, 0.0)))
+
+
+def test_overflowing_discount_rejected_with_the_terms():
+    # K e^{-r tau} = 1e300 e^800 is no float; price, Greeks and bs_price all scale by it
+    with pytest.raises(ParameterError, match="overflows"):
+        OptionTerms(100.0, 1e300, 100.0, -8.0, 0.0, OptionKind.PUT)
+    with pytest.raises(ParameterError, match="overflows"):
+        OptionTerms(1e-300, 1.0, 100.0, 0.0, -8.0, OptionKind.CALL)

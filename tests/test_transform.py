@@ -86,6 +86,12 @@ class TestPoissonWeights:
         with pytest.raises(TruncationError):
             series_weights(5000.0)
 
+    @pytest.mark.parametrize("mean", [1e5, 1e19, 1e300])
+    def test_far_past_the_cap_raises(self, mean):
+        # the candidate counts start beyond the cap: an empty window, tail 1
+        with pytest.raises(TruncationError):
+            series_weights(mean)
+
     def test_negative_mean_rejected(self):
         with pytest.raises(ParameterError):
             series_weights(-1.0)
