@@ -11,14 +11,18 @@ eta_k B(t_k, T), with the Gaussian part's variance in closed form. The
 estimators therefore carry statistical error only, which is what makes them
 usable as oracles for the analytic formulas.
 
-Randomness is counter-based (Philox) with one independent substream per
-fixed-size batch of paths, so estimates depend only on (seed, paths) and
-batches could be evaluated in any order or in parallel.
+Randomness is counter-based (Philox) with one substream per fixed-size batch
+of paths. Batches run on one thread per usable CPU, draw jump arrivals in
+chunks of paths and reduce to a few floats that are added in batch order, so
+estimates depend only on (seed, paths), not on the worker or BLAS thread
+count. Threads run only private numpy code; checks and library calls come first.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +42,18 @@ __all__ = [
 
 _BATCH = 1 << 16
 
-# Most jumps one batch of paths may expect: the bond and rate samplers keep a
-# few float arrays with one entry per jump, 128 MB each at this size.
+# Paths per chunk of jump arrivals in the bond and rate samplers.
+_CHUNK = 1 << 12
+
+# Most jumps one batch of paths may expect. It bounds the work per batch; the
+# per-jump arrays (arrivals, loads, owners) live for one chunk of paths, a
+# sixteenth of the batch, so at most 8 MB each.
 _BATCH_JUMPS = 1 << 24
+
+# Threads that run batches: one per CPU this process may run on.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 # Most jumps one option path may expect; numpy's Poisson sampler stops at 9.2e18.
 _MAX_MEAN_COUNT = 1e18
@@ -67,24 +80,38 @@ class McEstimate:
     paths_used: int
 
 
-def _batches(sim: SimConfig):
-    """(generator, path count) per batch; batch i draws from Philox key (seed, i)."""
-    for index, start in enumerate(range(0, sim.paths, _BATCH)):
+def _map_batches(work, sim: SimConfig) -> list:
+    """work(rng, count) for each batch of up to _BATCH paths, in batch order.
+
+    Batch i draws from Philox key (seed, i). Several batches run on up to
+    _WORKERS threads; ``work`` must reduce its paths to a few floats.
+    """
+    counts = [min(_BATCH, sim.paths - start) for start in range(0, sim.paths, _BATCH)]
+
+    def run(index: int):
         key = np.array([sim.seed, index], dtype=np.uint64)
-        yield np.random.Generator(np.random.Philox(key=key)), min(_BATCH, sim.paths - start)
+        return work(np.random.Generator(np.random.Philox(key=key)), counts[index])
+
+    workers = min(_WORKERS, len(counts))
+    if workers == 1:
+        return [run(i) for i in range(len(counts))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(len(counts))))
 
 
-def _estimate(values, paths: int) -> McEstimate:
-    """Sample mean and standard error of per-batch arrays of path values."""
-    sums: list[float] = []
-    squares: list[float] = []
-    for y in values:
-        sums.append(float(np.sum(y)))
-        squares.append(float(np.dot(y, y)))
-    mean = math.fsum(sums) / paths
+def _estimate(path_values, sim: SimConfig) -> McEstimate:
+    """Sample mean and standard error of path_values(rng, count) over all batches."""
+
+    def sums(rng, count: int) -> tuple[float, float]:
+        y = path_values(rng, count)
+        return float(np.sum(y)), float(np.sum(y * y))
+
+    totals = _map_batches(sums, sim)
+    paths = sim.paths
+    mean = math.fsum(s for s, _ in totals) / paths
     se = 0.0
     if paths > 1:
-        var = max(math.fsum(squares) - paths * mean * mean, 0.0) / (paths - 1)
+        var = max(math.fsum(q for _, q in totals) - paths * mean * mean, 0.0) / (paths - 1)
         se = math.sqrt(var / paths)
     return McEstimate(mean=mean, std_error=se, paths_used=paths)
 
@@ -102,17 +129,22 @@ def _shot_noise(rng, count: int, mean_count: float, law: GaussianJumpLaw, window
     further standard normal, with s1 = sum_k h(t_k) and s2 = sum_k h(t_k)^2.
 
     ``window`` is (lo, hi, h) with arrivals uniform on [lo, hi]; without one
-    h = 1 and s1 = s2 = the jump count. Callers add drift and noise in their
-    own order, which keeps their floats as they were.
+    h = 1 and s1 = s2 = the jump count. Arrivals are drawn _CHUNK paths at a
+    time, which draws the same stream and sums each path's loads in the same
+    order as one draw would. Callers add drift and noise in their own order,
+    which keeps their floats as they were.
     """
     n_jumps = rng.poisson(mean_count, count)
     s1 = s2 = n_jumps
     if window is not None:
         lo, hi, h = window
-        loads = h(rng.uniform(lo, hi, int(n_jumps.sum())))
-        owner = np.repeat(np.arange(count), n_jumps)
-        s1 = np.bincount(owner, weights=loads, minlength=count)
-        s2 = np.bincount(owner, weights=loads * loads, minlength=count)
+        s1, s2 = np.empty(count), np.empty(count)
+        for start in range(0, count, _CHUNK):
+            part = n_jumps[start : start + _CHUNK]
+            loads = h(rng.uniform(lo, hi, int(part.sum())))
+            owner = np.repeat(np.arange(part.size), part)
+            s1[start : start + part.size] = np.bincount(owner, loads, part.size)
+            s2[start : start + part.size] = np.bincount(owner, loads * loads, part.size)
     noise = law.delta * np.sqrt(s2) * rng.standard_normal(count)
     return law.nu * s1, noise, rng.standard_normal(count)
 
@@ -142,7 +174,7 @@ def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> Mc
         pay = s_t - terms.strike if is_call else terms.strike - s_t
         return disc * np.maximum(pay, 0.0)
 
-    return _estimate((discounted(*batch) for batch in _batches(sim)), sim.paths)
+    return _estimate(discounted, sim)
 
 
 def _int_b_squared(model: RateModel, t: float, T: float) -> float:
@@ -170,7 +202,7 @@ def mc_bond_price(model: RateModel, terms: BondTerms, sim: SimConfig) -> McEstim
         jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law, window)
         return np.exp(-(det + gauss_sd * z + (jump_drift + jump_noise)))
 
-    return _estimate((discounted(*batch) for batch in _batches(sim)), sim.paths)
+    return _estimate(discounted, sim)
 
 
 def mc_rate_moments(
@@ -193,24 +225,14 @@ def mc_rate_moments(
     ou_sd = model.sigma_r * math.sqrt(-math.expm1(-2.0 * model.a * horizon) / (2.0 * model.a))
     window = (0.0, horizon, lambda s: np.exp(-model.a * (horizon - s)))
 
-    s1: list[float] = []
-    s2: list[float] = []
-    s3: list[float] = []
-    s4: list[float] = []
-    for rng, count in _batches(sim):
+    def power_sums(rng, count: int) -> tuple[float, ...]:
         jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law, window)
         # r - det, kept small so the power sums stay well conditioned
         d = ou_sd * z + jump_drift + jump_noise
-        s1.append(float(np.sum(d)))
-        s2.append(float(np.dot(d, d)))
-        s3.append(float(np.sum(d**3)))
-        s4.append(float(np.sum(d**4)))
+        return float(np.sum(d)), float(np.sum(d * d)), float(np.sum(d**3)), float(np.sum(d**4))
 
     n = sim.paths
-    mean_d = math.fsum(s1) / n
-    raw2 = math.fsum(s2) / n
-    raw3 = math.fsum(s3) / n
-    raw4 = math.fsum(s4) / n
+    mean_d, raw2, raw3, raw4 = (math.fsum(col) / n for col in zip(*_map_batches(power_sums, sim)))
     m2c = max(raw2 - mean_d**2, 0.0)
     m4c = raw4 - 4.0 * mean_d * raw3 + 6.0 * mean_d**2 * raw2 - 3.0 * mean_d**4
     var_sample = m2c * n / (n - 1) if n > 1 else 0.0

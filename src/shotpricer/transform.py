@@ -229,6 +229,7 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
     A TruncationError propagates and is not cached.
     """
     law = spec.law
+    varsigma(law)  # ParameterError where the tilt e^{nu + delta^2/2} overflows
     n_lo, plain_w, tilt_w = _poisson_weights(
         spec.mean_count, quad.series_tail, law.nu + 0.5 * law.delta**2
     )
@@ -365,7 +366,7 @@ def fourier_grid(
         """(1/pi) int Im(...)/k dk per threshold; columns plain, tilted."""
         if ls.size * n_panels * _K_NODES > _FOURIER_BUDGET:
             raise QuadratureError(
-                f"fourier backend needs {n_panels} panels (k_max {k_max:.3g}) for "
+                f"fourier backend needs at least {n_panels} panels (k_max {k_max:.3g}) for "
                 f"{ls.size} thresholds, past its budget of {_FOURIER_BUDGET} nodes"
             )
         x, w = gauss_legendre(0.0, k_max / n_panels, _K_NODES)
@@ -380,8 +381,10 @@ def fourier_grid(
         )
         return (np.exp(-1j * np.outer(ls, k)) @ g).imag
 
-    # e^{-ikl} turns |l| radians per unit k; start near _K_NODES radians a panel
-    n_panels = max(4, math.ceil(k_max * float(np.max(np.abs(ls), initial=1.0)) / _K_NODES))
+    # e^{-ikl} turns |l| radians per unit k; start near _K_NODES radians a panel.
+    # The cap keeps an overflowing k_max |l| for the budget check to reject.
+    start = k_max * float(np.max(np.abs(ls), initial=1.0)) / _K_NODES
+    n_panels = max(4, math.ceil(min(start, _FOURIER_BUDGET)))
     prev = integrals(n_panels)
     for _ in range(_FOURIER_DOUBLINGS):
         n_panels *= 2

@@ -1,6 +1,7 @@
 """Monte Carlo oracles: determinism, unbiasedness, exactness properties."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -21,6 +22,7 @@ from shotpricer import (
     mc_rate_moments,
     price,
 )
+from shotpricer import montecarlo
 from shotpricer.errors import ParameterError
 
 from conftest import make_terms
@@ -46,18 +48,33 @@ class TestDeterminism:
         assert one.mean != two.mean
 
     def test_estimates_pinned(self, rate_general_model):
-        # 70 000 paths span two Philox batches; the values are those of the
-        # three separate samplers that the shared one replaced
+        # 70 000 paths span two Philox batches, and the second batch (4464
+        # paths) ends in a partial arrival chunk. The sums of squares are
+        # np.sum(y * y), not np.dot, whose last bits follow the BLAS threads.
         sim = SimConfig(paths=70_000, seed=2024)
         model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.2)
         option = mc_option_price(make_terms(100, 100, 1.0, 0.02), model, sim)
         assert (option.mean, option.std_error) == (10.725468444731089, 0.06469125867513896)
         bond = mc_bond_price(rate_general_model, BondTerms(0.0, 5.0, 0.03), sim)
-        assert (bond.mean, bond.std_error) == (0.8090843844201067, 0.00017216807266838883)
+        assert (bond.mean, bond.std_error) == (0.8090843844201067, 0.00017216807266839745)
         mean, var = mc_rate_moments(rate_general_model, 0.03, 1.0, sim)
-        assert (mean.mean, mean.std_error) == (0.037816542963490574, 5.618805059390164e-05)
-        assert (var.mean, var.std_error) == (0.00022099994921013106, 1.399844150751068e-06)
+        assert (mean.mean, mean.std_error) == (0.037816542963490574, 5.6188050593901625e-05)
+        assert (var.mean, var.std_error) == (0.000220999949210131, 1.3998441507510681e-06)
         assert option.paths_used == bond.paths_used == mean.paths_used == 70_000
+
+    def test_worker_count_does_not_move_estimates(self, monkeypatch, rate_general_model):
+        # five batches, the last of one path, so every worker count splits them unevenly
+        sim = SimConfig(paths=4 * (1 << 16) + 1, seed=8)
+        model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.2)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+            results.append((
+                mc_option_price(make_terms(100, 95, 1.0, 0.02), model, sim),
+                mc_bond_price(rate_general_model, BondTerms(0.0, 5.0, 0.03), sim),
+                mc_rate_moments(rate_general_model, 0.03, 1.0, sim),
+            ))
+        assert results[0] == results[1] == results[2]
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -168,8 +185,19 @@ class TestRateMoments:
         )
 
 
-
 class TestJumpBudget:
+    def test_parallel_batches_keep_memory_bounded(self, monkeypatch):
+        # 30 jumps per path: drawing a whole batch's arrivals at once peaked near 49 MB
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        model = RateModel(0.5, 0.03, 0.01, 3.0, GaussianJumpLaw(0.005, 0.01))
+        tracemalloc.start()
+        try:
+            mc_bond_price(model, BondTerms(0.0, 10.0, 0.03), SimConfig(paths=1 << 18, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
     def test_batch_past_budget_raises_before_drawing(self, rate_jump_model):
         # 2^16 paths expecting 300 jumps each would hold 2e7 jumps per batch
         model = RateModel(0.5, 0.0, 0.0, 300.0, rate_jump_model.law)

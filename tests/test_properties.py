@@ -225,6 +225,16 @@ def _asset(lam, sigma):
     return AssetModel(lam, GaussianJumpLaw(-0.05, 0.15), sigma)
 
 
+def _jump_spec(lam, nu):
+    return CharSpec(1.0, lam, 0.2, GaussianJumpLaw(nu, 0.1))
+
+
+def _grid_at(lam, nu, l):
+    grid = fourier_grid(_jump_spec(lam, nu), [l])
+    legs = (grid.plain, grid.tilted, grid.plain_surv, grid.tilted_surv)
+    return tuple(float(leg[0]) for leg in legs)
+
+
 # entry point -> call with (intensity lam or lambda_r, x, y)
 _SCALAR_ENTRY_POINTS = {
     "conditional_moments": lambda lam, r_t, horizon: conditional_moments(
@@ -246,6 +256,11 @@ _SCALAR_ENTRY_POINTS = {
     ).value,
     "common_greeks": lambda lam, sigma, tau: common_greeks(_call(tau), _asset(lam, sigma)),
     "new_greeks": lambda lam, sigma, tau: new_greeks(_call(tau), _asset(lam, sigma)),
+    "cdf_plain": lambda lam, nu, l: cdf_plain(_jump_spec(lam, nu), l),
+    "cdf_tilted": lambda lam, nu, l: cdf_tilted(_jump_spec(lam, nu), l),
+    "survival_plain": lambda lam, nu, l: survival_plain(_jump_spec(lam, nu), l),
+    "survival_tilted": lambda lam, nu, l: survival_tilted(_jump_spec(lam, nu), l),
+    "fourier_grid": _grid_at,
     "b_factor": lambda lam, t, T: b_factor(_rate_model(lam), t, T),
     "a_vasicek": lambda lam, t, T: a_vasicek(_rate_model(lam), t, T),
     "a_shot_substituted": lambda lam, t, T: a_shot_substituted(_rate_model(lam), t, T),
@@ -297,6 +312,11 @@ def _floats_in(result):
 @example(entry="price", lam=1e300, x=0.2, y=1.0)
 @example(entry="common_greeks", lam=1e19, x=0.2, y=1.0)
 @example(entry="new_greeks", lam=1e19, x=0.0, y=1.0)
+@example(entry="cdf_plain", lam=1.0, x=710.0, y=0.0)
+@example(entry="cdf_tilted", lam=1.0, x=710.0, y=0.0)
+@example(entry="survival_plain", lam=1.0, x=710.0, y=0.0)
+@example(entry="survival_tilted", lam=1.0, x=710.0, y=0.0)
+@example(entry="fourier_grid", lam=1.0, x=0.1, y=1e308)
 def test_scalar_entry_points_return_finite_or_raise(entry, lam, x, y):
     with time_limit(2.0):
         try:
@@ -319,6 +339,13 @@ def test_overflowing_jump_compensator_raises_parameter_error(entry):
     # varsigma = e^{nu + delta^2/2} - 1 overflows a float at nu = 710
     with pytest.raises(ParameterError):
         _OPTION_ENTRY_POINTS[entry](_call(1.0), AssetModel(1.0, GaussianJumpLaw(710.0, 0.0)))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_huge_jump_mean_fourier_price_raises_typed_error(delta):
+    # varsigma = e^709 is a float, but k_max |l| for the threshold past it is not
+    with pytest.raises(ShotPricerError):
+        price(_call(1.0), AssetModel(1.0, GaussianJumpLaw(709.0, delta), 0.2), "fourier")
 
 
 def test_overflowing_discount_rejected_with_the_terms():
