@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -23,10 +22,10 @@ from typing import Any, Iterator, Optional
 
 from . import __version__
 from .errors import ConfigError, ShotPricerError
-from .greeks import common_greeks, identity_report, new_greeks
+from .greeks import common_greeks, new_greeks
 from .jump_measure import GaussianJumpLaw
 from .montecarlo import SimConfig, mc_bond_price, mc_option_price, mc_rate_moments
-from .options import AssetModel, OptionKind, OptionTerms, parity_residual, price
+from .options import AssetModel, OptionKind, OptionTerms, price
 from .shortrate import (
     BondTerms,
     BondVariant,
@@ -35,16 +34,10 @@ from .shortrate import (
     _affine_price,
     b_factor,
     conditional_moments,
-    ode_residual,
     zero_yield,
 )
 from .transform import Backend, QuadratureSpec
-from .validation import (
-    backend_agreement,
-    bond_pide_residual,
-    diffusion_convergence,
-    option_pide_residual,
-)
+from .validation import contract_checks, diffusion_convergence
 
 __all__ = ["RunConfig", "execute", "main"]
 
@@ -222,7 +215,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         backend=backend,
         out_path=merged["output"]["path"],
         out_format=merged["output"]["format"],
-        resolved={**merged, "command": args.command},
+        # no output path: a header must not depend on where the report goes
+        resolved={
+            **merged, "command": args.command, "output": {"format": merged["output"]["format"]}
+        },
     )
 
 
@@ -375,97 +371,18 @@ def _run_mc(cfg: RunConfig) -> tuple[list[dict], int]:
     return rows, 0
 
 
-_VALIDATE_CHECKS = {
-    "parity": 1e-8,  # relative to max(S, K)
-    "backend_agreement": 1e-7,
-    "option_pide": 1e-4,
-    "bond_pide": 1e-4,
-    "ode_residual_A": 1e-4,
-    "ode_residual_B": 1e-6,
-    "greek_identity": 1e-4,
-}
-
-
 def _run_validate(cfg: RunConfig) -> tuple[list[dict], int]:
-    rows = []
-
-    def record(check: str, config: str, value: float, tol: float) -> None:
-        rows.append(
-            {
-                "check": check,
-                "config": config,
-                "value": value,
-                "tolerance": tol,
-                "status": "pass" if value <= tol else "FAIL",
-            }
-        )
-
     c = cfg.contracts
-    spot, rate, div = float(c["spot"]), float(c["rate"]), float(c["dividend"])
-
-    worst_parity = 0.0
-    for lam_tau in (0.25, 1.0, 4.0):
-        for nu in (-0.1, 0.0, 0.1):
-            for delta in (0.05, 0.1, 0.2):
-                for sigma in (0.0, 0.1, 0.2):
-                    model = AssetModel(
-                        lam=lam_tau, law=GaussianJumpLaw(nu, delta), sigma=sigma
-                    )
-                    terms = OptionTerms(
-                        spot=spot,
-                        strike=0.95 * spot,
-                        tau=1.0,
-                        rate=rate,
-                        dividend=div,
-                        kind=OptionKind.CALL,
-                    )
-                    res = abs(parity_residual(terms, model, cfg.backend, cfg.quad))
-                    worst_parity = max(worst_parity, res / max(terms.spot, terms.strike))
-    record("parity", "81-point grid", worst_parity, _VALIDATE_CHECKS["parity"])
-
-    agreement = backend_agreement(quad=cfg.quad)
-    record(
-        "backend_agreement",
-        f"{agreement.grid_points} points",
-        agreement.max_residual,
-        _VALIDATE_CHECKS["backend_agreement"],
+    checks = contract_checks(
+        cfg.asset, cfg.rate_model, float(c["spot"]), float(c["rate"]), float(c["dividend"]),
+        cfg.backend, cfg.quad,
     )
-
-    pide_grid = [
-        OptionTerms(
-            spot=spot * math.exp(x), strike=spot, tau=tau, rate=rate, dividend=div,
-            kind=OptionKind.CALL,
-        )
-        for x in (-0.25, 0.12, 0.3)
-        for tau in (0.5, 1.0)
+    rows = [
+        {"check": check, "config": config, "value": value, "tolerance": tol,
+         "status": "pass" if value <= tol else "FAIL"}
+        for check, config, value, tol in checks
     ]
-    for label, model in (
-        ("black_scholes", AssetModel(0.0, GaussianJumpLaw(0.0, 0.1), 0.2)),
-        ("pure_jump", AssetModel(1.0, GaussianJumpLaw(0.05, 0.1), 0.0)),
-        ("jump_diffusion", cfg.asset if cfg.asset.sigma > 0 else AssetModel(0.5, GaussianJumpLaw(0.05, 0.1), 0.15)),
-    ):
-        rep = option_pide_residual(pide_grid, model, cfg.quad)
-        record("option_pide", label, rep.max_residual, _VALIDATE_CHECKS["option_pide"])
-
-    bond_grid = [
-        BondTerms(t=t, T=5.0, r_t=r) for t in (0.5, 2.0, 4.0) for r in (0.01, 0.03, 0.06)
-    ]
-    for variant in BondVariant:
-        rep = bond_pide_residual(cfg.rate_model, bond_grid, variant, cfg.quad)
-        record("bond_pide", variant.value, rep.max_residual, _VALIDATE_CHECKS["bond_pide"])
-        res_a, res_b = ode_residual(cfg.rate_model, 0.0, 5.0, variant, cfg.quad)
-        record("ode_residual_A", variant.value, res_a, _VALIDATE_CHECKS["ode_residual_A"])
-        record("ode_residual_B", variant.value, res_b, _VALIDATE_CHECKS["ode_residual_B"])
-
-    ident_model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.0)
-    ident_terms = OptionTerms(
-        spot=spot, strike=0.95 * spot, tau=1.0, rate=rate, dividend=div, kind=OptionKind.CALL
-    )
-    for name, residual in identity_report(ident_terms, ident_model, cfg.quad):
-        record("greek_identity", name, residual, _VALIDATE_CHECKS["greek_identity"])
-
-    failures = sum(1 for row in rows if row["status"] == "FAIL")
-    return rows, (1 if failures else 0)
+    return rows, int(any(row["status"] == "FAIL" for row in rows))
 
 
 def _run_limits(cfg: RunConfig) -> tuple[list[dict], int]:

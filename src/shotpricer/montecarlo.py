@@ -160,6 +160,10 @@ def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> Mc
     tau = terms.tau
     mean_count = model.lam * tau
     _check_jump_count(mean_count, _MAX_MEAN_COUNT)
+    compensator = model.lam * varsigma(model.law) * tau
+    # e^{-lam varsigma tau} = 0 sends every drawn S_T to 0: a 0 +- 0 that saw nothing
+    if compensator > 0.0 and math.exp(-compensator) == 0.0:
+        raise ParameterError(f"e^(-lam varsigma tau) underflows, lam varsigma tau {compensator:g}")
     drift = (
         terms.rate - terms.dividend - model.lam * varsigma(model.law) - 0.5 * model.sigma**2
     ) * tau

@@ -149,12 +149,12 @@ class CharSpec:
 
 def char_function(spec: CharSpec, k: complex) -> complex:
     """psi(k), the undiscounted characteristic function at time scale tau."""
-    return complex(_char_function_grid(spec, np.complex128(k)))
+    return complex(np.exp(_char_exponent_grid(spec, np.complex128(k))))
 
 
-def _char_function_grid(spec: CharSpec, k: np.ndarray) -> np.ndarray:
-    """psi over an array of (possibly complex) frequencies."""
-    return np.exp((-0.5 * spec.sigma**2 * k * k + spec.lam * xi(spec.law, k)) * spec.tau)
+def _char_exponent_grid(spec: CharSpec, k: np.ndarray) -> np.ndarray:
+    """log psi over an array of (possibly complex) frequencies."""
+    return (-0.5 * spec.sigma**2 * k * k + spec.lam * xi(spec.law, k)) * spec.tau
 
 
 def _poisson_weights(
@@ -343,9 +343,10 @@ def fourier_grid(
 
     and the survival is (1 - a)/2 plus the same integral; the atom is added
     back with the bracket conventions of the module docstring. The plain law
-    has phi(k) = psi(-k), the tilted one pref * psi(-k - i). The integral
-    runs on Gauss-Legendre panels whose count doubles until two passes agree
-    to ``rel_tol``; their spread is the reported error estimate. After
+    has phi(k) = psi(-k), the tilted one e^{-(sigma^2/2 + lam varsigma) tau}
+    psi(-k - i), formed as one exponential. The integral runs on
+    Gauss-Legendre panels whose count doubles until two passes agree to
+    ``rel_tol``; their spread is the reported error estimate. After
     ``_FOURIER_DOUBLINGS`` misses QuadratureError carries out the estimate.
     A pass that would evaluate more than ``_FOURIER_BUDGET`` thresholds x
     nodes raises QuadratureError before building its arrays.
@@ -357,9 +358,12 @@ def fourier_grid(
         raise QuadratureError(
             "fourier backend needs a diffusive or jump-width component (sigma or delta > 0)"
         )
-    pref = math.exp(-(0.5 * spec.sigma**2 + spec.lam * varsigma(spec.law)) * spec.tau)
+    log_pref = -(0.5 * spec.sigma**2 + spec.lam * varsigma(spec.law)) * spec.tau
+    if not math.isfinite(log_pref):
+        raise ParameterError(f"lam varsigma tau overflows for lam {spec.lam}, law {spec.law}")
     atom = math.exp(-spec.mean_count) if spec.sigma == 0.0 else 0.0
-    atom_t = pref * atom
+    # no atom, no e^{-lam varsigma tau}: that factor alone may overflow
+    atom_t = math.exp(log_pref) * atom if atom else 0.0
     k_max = _fourier_kmax(spec, quad.rel_tol / 10.0)
 
     def integrals(n_panels: int) -> np.ndarray:
@@ -374,8 +378,9 @@ def fourier_grid(
         wk = np.tile(w, n_panels) / (math.pi * k)
         g = np.stack(
             [
-                wk * (_char_function_grid(spec, -k) - atom),
-                wk * (pref * _char_function_grid(spec, -k - 1j) - atom_t),
+                wk * (np.exp(_char_exponent_grid(spec, -k)) - atom),
+                # modulus <= 1, where psi(-k - i) alone overflows past lam tau e^{nu} ~ 709
+                wk * (np.exp(log_pref + _char_exponent_grid(spec, -k - 1j)) - atom_t),
             ],
             axis=1,
         )

@@ -7,21 +7,30 @@ normalized residuals. Local derivatives are analytic (theta, delta, gamma;
 difference in the maturity. Jump expectations price at shifted states. It
 also runs the high-intensity scaling study that collapses the jump models
 onto their Gaussian limits, and the series-vs-Fourier cross-check of all
-eight cumulative transforms.
+eight cumulative transforms. ``contract_checks`` holds the numerical
+contract, every check of CLI ``validate`` with its grid and tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from ._quad import gauss_hermite, gauss_legendre
-from .greeks import bs_greeks, common_greeks, fd_sensitivity
+from .greeks import bs_greeks, common_greeks, fd_sensitivity, identity_report
 from .jump_measure import GaussianJumpLaw
-from .options import AssetModel, OptionKind, OptionTerms, bs_price, l_parameter, price
+from .options import (
+    AssetModel,
+    OptionKind,
+    OptionTerms,
+    bs_price,
+    l_parameter,
+    parity_residual,
+    price,
+)
 from .shortrate import (
     BondTerms,
     BondVariant,
@@ -30,6 +39,7 @@ from .shortrate import (
     a_vasicek,
     b_factor,
     bond_price,
+    ode_residual,
 )
 from .transform import (
     DEFAULT_QUAD,
@@ -51,6 +61,7 @@ __all__ = [
     "diffusion_convergence",
     "backend_agreement",
     "default_agreement_grid",
+    "contract_checks",
 ]
 
 _NORM_FLOOR = 1e-3
@@ -344,3 +355,59 @@ def backend_agreement(
     return ResidualReport(
         max_residual=worst, grid_points=points, rejected_points=tuple(rejected)
     )
+
+
+def contract_checks(
+    asset: AssetModel,
+    rate_model: RateModel,
+    spot: float,
+    rate: float,
+    dividend: float,
+    backend: Backend = Backend.SERIES,
+    quad: QuadratureSpec = DEFAULT_QUAD,
+) -> Iterator[tuple[str, str, float, float]]:
+    """The numerical contract as (check, config, value, tolerance) rows.
+
+    A row holds when value <= tolerance. In order: parity over 81 models
+    (relative to max(S, K)), backend agreement, the option PIDE of three
+    models (the jump-diffusion one is ``asset`` when its sigma > 0), per bond
+    variant the bond PIDE and both ODE residuals, and the Greek identities.
+    """
+    call = OptionTerms(spot, 0.95 * spot, 1.0, rate, dividend, OptionKind.CALL)
+    parity = max(
+        abs(parity_residual(call, AssetModel(lam_tau, GaussianJumpLaw(nu, delta), sigma),
+                            backend, quad))
+        for lam_tau in (0.25, 1.0, 4.0)
+        for nu in (-0.1, 0.0, 0.1)
+        for delta in (0.05, 0.1, 0.2)
+        for sigma in (0.0, 0.1, 0.2)
+    )
+    yield "parity", "81-point grid", parity / max(call.spot, call.strike), 1e-8
+
+    agreement = backend_agreement(quad=quad)
+    yield "backend_agreement", f"{agreement.grid_points} points", agreement.max_residual, 1e-7
+
+    pide_grid = [
+        OptionTerms(spot * math.exp(x), spot, tau, rate, dividend, OptionKind.CALL)
+        for x in (-0.25, 0.12, 0.3)
+        for tau in (0.5, 1.0)
+    ]
+    jump_diffusion = AssetModel(0.5, GaussianJumpLaw(0.05, 0.1), 0.15)
+    for label, model in (
+        ("black_scholes", AssetModel(0.0, GaussianJumpLaw(0.0, 0.1), 0.2)),
+        ("pure_jump", AssetModel(1.0, GaussianJumpLaw(0.05, 0.1), 0.0)),
+        ("jump_diffusion", asset if asset.sigma > 0 else jump_diffusion),
+    ):
+        yield "option_pide", label, option_pide_residual(pide_grid, model, quad).max_residual, 1e-4
+
+    bond_grid = [BondTerms(t, 5.0, r) for t in (0.5, 2.0, 4.0) for r in (0.01, 0.03, 0.06)]
+    for variant in BondVariant:
+        rep = bond_pide_residual(rate_model, bond_grid, variant, quad)
+        yield "bond_pide", variant.value, rep.max_residual, 1e-4
+        res_a, res_b = ode_residual(rate_model, 0.0, 5.0, variant, quad)
+        yield "ode_residual_A", variant.value, res_a, 1e-4
+        yield "ode_residual_B", variant.value, res_b, 1e-6
+
+    ident_model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.0)
+    for name, residual in identity_report(call, ident_model, quad):
+        yield "greek_identity", name, residual, 1e-4

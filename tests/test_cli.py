@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from shotpricer import cli
 from shotpricer.cli import main
 
 PRICE_COLUMNS = "S,K,tau,r,q,lambda,nu,delta,sigma,kind,price,est_error,backend"
@@ -72,6 +73,17 @@ class TestPrice:
         code, out, _ = run(["price", "--out", str(target)], capsys)
         assert code == 0 and out == ""
         assert PRICE_COLUMNS in target.read_text()
+
+    def test_header_does_not_depend_on_the_path(self, tmp_path, capsys):
+        short, long = tmp_path / "a.csv", tmp_path / ("a" * 40) / "report.csv"
+        long.parent.mkdir()
+        headers = []
+        for target in (short, long):
+            assert run(["price", "--out", str(target)], capsys)[0] == 0
+            lines = target.read_text().splitlines()
+            headers.append([l for l in lines if l.startswith("#") and "generated" not in l])
+        assert headers[0] == headers[1]
+        assert '"output": {"format": "csv"}' in headers[0][-1]
 
     def test_json_format(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -252,6 +264,17 @@ class TestOtherCommands:
         assert code == 0
         body = body_lines(out)
         assert all(line.endswith("pass") for line in body[1:])
+
+    def test_validate_failure_exits_1(self, monkeypatch, capsys):
+        rows = [("parity", "grid", 1e-9, 1e-8), ("greek_identity", "kappa_mu", 2e-4, 1e-4)]
+        monkeypatch.setattr(cli, "contract_checks", lambda *args: iter(rows))
+        code, out, err = run(["validate"], capsys)
+        assert code == 1
+        assert body_lines(out)[1:] == [
+            "parity,grid,1.0000000000000001e-09,1e-08,pass",
+            "greek_identity,kappa_mu,0.00020000000000000001,0.0001,FAIL",
+        ]
+        assert err.count("contract failure:") == 1 and "kappa_mu" in err
 
     def test_limits_passes(self, capsys):
         code, out, _ = run(["limits"], capsys)

@@ -1,6 +1,7 @@
 """Analytic Greeks against the finite-difference oracle and the identities."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from scipy.special import ndtr
@@ -21,7 +22,7 @@ from shotpricer import (
     varsigma,
 )
 from shotpricer.errors import KinkError, ParameterError
-from shotpricer.greeks import fd_sensitivity_with_error
+from shotpricer.greeks import _lam_derivatives, fd_sensitivity_with_error
 
 from conftest import make_terms
 
@@ -186,6 +187,27 @@ class TestIdentities:
     def test_needs_pure_jump_model(self, mixed_model, atm_call):
         with pytest.raises(ParameterError):
             identity_report(atm_call, mixed_model)
+
+    @pytest.mark.parametrize("strike", [95.0, 120.0])
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    def test_rows_carry_rounding_only(self, strike, tau):
+        # the CLI validate model: every derivative is analytic, so only rounding is left
+        model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.0)
+        for name, residual in identity_report(make_terms(100.0, strike, tau, 0.03), model):
+            assert residual <= 1e-12, f"{name} residual {residual}"
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    @pytest.mark.parametrize("strike", [80.0, 95.0, 120.0])
+    def test_lam_derivatives_match_finite_differences(self, sigma, strike):
+        model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), sigma)
+        terms = make_terms(100.0, strike, 1.0, 0.03, 0.01)
+
+        def greek(name):
+            return lambda lam: getattr(common_greeks(terms, replace(model, lam=lam)), name)
+
+        d_delta, d_rho = _lam_derivatives(terms, model)
+        assert d_delta == pytest.approx(fd_sensitivity(greek("delta"), 1.0, 1e-4), rel=1e-4)
+        assert d_rho == pytest.approx(fd_sensitivity(greek("rho"), 1.0, 1e-4), rel=1e-4)
 
 
 class TestHighIntensityAccuracy:

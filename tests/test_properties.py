@@ -113,16 +113,17 @@ def test_cdfs_monotone_and_complementary(nu, delta, lam, sigma, tau, l1, gap):
 @example(lam_tau=1.0, tau=1.0, sigma=0.2, nu=0.0, delta=0.1, l=1e308)
 @example(lam_tau=1.0, tau=1.0, sigma=0.2, nu=0.0, delta=0.1, l=math.inf)
 def test_series_transforms_are_probabilities_or_raise(lam_tau, tau, sigma, nu, delta, l):
-    spec = CharSpec(tau=tau, lam=lam_tau / tau, sigma=sigma, law=GaussianJumpLaw(nu, delta))
-    try:
-        plain, plain_surv = cdf_plain(spec, l), survival_plain(spec, l)
-        tilted, tilted_surv = cdf_tilted(spec, l), survival_tilted(spec, l)
-        lset = series_lset(spec, l)
-    except ShotPricerError as exc:
-        # only a series longer than the term cap may fail
-        assert isinstance(exc, TruncationError)
-        assert spec.mean_count * max(1.0, math.exp(nu + 0.5 * delta**2)) > 3000.0
-        return
+    with time_limit(2.0):
+        spec = CharSpec(tau=tau, lam=lam_tau / tau, sigma=sigma, law=GaussianJumpLaw(nu, delta))
+        try:
+            plain, plain_surv = cdf_plain(spec, l), survival_plain(spec, l)
+            tilted, tilted_surv = cdf_tilted(spec, l), survival_tilted(spec, l)
+            lset = series_lset(spec, l)
+        except ShotPricerError as exc:
+            # only a series longer than the term cap may fail
+            assert isinstance(exc, TruncationError)
+            assert spec.mean_count * max(1.0, math.exp(nu + 0.5 * delta**2)) > 3000.0
+            return
     for value in (plain, plain_surv, tilted, tilted_surv, lset.l1, lset.l2):
         assert 0.0 <= value <= 1.0
     assert abs(plain + plain_surv - 1.0) <= 1e-15
@@ -317,6 +318,9 @@ def _floats_in(result):
 @example(entry="survival_plain", lam=1.0, x=710.0, y=0.0)
 @example(entry="survival_tilted", lam=1.0, x=710.0, y=0.0)
 @example(entry="fourier_grid", lam=1.0, x=0.1, y=1e308)
+# the tilted psi overflows once lam tau e^{nu + delta^2/2} passes ~709
+@example(entry="fourier_grid", lam=5.0, x=5.0, y=1.0)
+@example(entry="fourier_grid", lam=1.0, x=709.0, y=0.0)
 def test_scalar_entry_points_return_finite_or_raise(entry, lam, x, y):
     with time_limit(2.0):
         try:
@@ -339,6 +343,13 @@ def test_overflowing_jump_compensator_raises_parameter_error(entry):
     # varsigma = e^{nu + delta^2/2} - 1 overflows a float at nu = 710
     with pytest.raises(ParameterError):
         _OPTION_ENTRY_POINTS[entry](_call(1.0), AssetModel(1.0, GaussianJumpLaw(710.0, 0.0)))
+
+
+@pytest.mark.parametrize("nu", [50.0, 300.0, 709.0])
+def test_underflowing_jump_compensator_raises_parameter_error(nu):
+    # e^{-lam varsigma tau} is 0: every drawn S_T is 0, which would read 0 +- 0
+    with pytest.raises(ParameterError, match="underflows"):
+        mc_option_price(_call(1.0), AssetModel(1.0, GaussianJumpLaw(nu, 0.0), 0.2), _SIM)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.1])
