@@ -178,7 +178,17 @@ def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> Mc
         pay = s_t - terms.strike if is_call else terms.strike - s_t
         return disc * np.maximum(pay, 0.0)
 
-    return _estimate(discounted, sim)
+    est = _estimate(discounted, sim)
+    law = model.law
+    random_st = vol > 0.0 or (mean_count > 0.0 and (law.nu != 0.0 or law.delta > 0.0))
+    # a random S_T whose paths all paid the same: the payoff's spread sits on
+    # paths too rare to draw (or there is one path), and 0 +- 0 would look exact
+    if random_st and est.std_error == 0.0:
+        raise ParameterError(
+            f"all {sim.paths} paths paid {est.mean:g}: a random S_T gave no spread "
+            "to estimate a standard error from"
+        )
+    return est
 
 
 def _int_b_squared(model: RateModel, t: float, T: float) -> float:

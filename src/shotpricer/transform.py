@@ -17,8 +17,13 @@ exp(-z) change of weight). Two independent evaluation routes are provided:
   below ``series_tail``, and the weight below it, taken as 0 by the Greek
   engine, is under the floor. Window sums are exact (``math.fsum``), cheap
   over its ~30 orders of magnitude. It is the reference backend and alone
-  has analytic derivatives (for the Greeks); one memoized pass per threshold
-  gives all four transforms, also to ``series_lset`` and ``green_density``.
+  has analytic derivatives (for the Greeks). Everything that depends only on
+  the model and tau (the continuous/atom split, the stacked weight rows, their
+  derivatives and ds/dparam) is built once per (spec, quad) and cached. Each
+  threshold then runs one stacked array pass per tier: one memoized values
+  pass gives all four transforms (one ``ndtr`` over the rows b, a, -b, -a),
+  also to ``series_lset`` and ``green_density``, and the Greek engine forms
+  its twelve derivative term rows as one matrix.
 * fourier (``fourier_grid``): Gil-Pelaez inversion, one integral in k per
   cumulative, on Gauss-Legendre panels, for a batch of thresholds. It reads
   only psi, with no Poisson weights, so it is an independent cross-check of
@@ -204,21 +209,65 @@ def _poisson_weights(
 
 @dataclass(frozen=True)
 class _SeriesParts:
-    """Per-count ingredients of the mixture representation.
+    """Per-count ingredients of the mixture representation, split into the
+    continuous components and the point masses once per (spec, quad).
 
     ``n`` are the window's counts, n_lo..n_hi. ``plain_w`` are Poisson(lam tau)
     weights; ``tilt_w`` absorb the exponential tilt and are the
     Poisson(lam tau (1 + varsigma)) weights (lam tau varsigma == m_tilt - m).
-    Each set sums to one to rounding.
-    ``sd`` is the component standard deviation sqrt(n delta^2 + sigma^2 tau);
-    components with sd == 0 are point masses at ``mean`` = -n nu.
+    Each set sums to one to rounding. Component n is a normal of mean -n nu
+    and standard deviation sqrt(n delta^2 + sigma^2 tau), a point mass where
+    that is 0.
+
+    Continuous components: counts ``n_c``, means ``mean_c``, deviations ``s``;
+    ``w`` stacks their weights as rows (tilted, plain, tilted, plain), ``dw``
+    the weights' derivatives in the Poisson mean as rows (tilted, plain), and
+    ``ds`` the rows ds/dtau, ds/ddelta, ds/dsigma. Point masses: ``atom_mean``,
+    ``atom_w`` (4 rows) and ``atom_dw`` (2 rows), all None when there are none.
     """
 
     n: np.ndarray
     plain_w: np.ndarray
     tilt_w: np.ndarray
-    mean: np.ndarray
-    sd: np.ndarray
+    n_c: np.ndarray
+    mean_c: np.ndarray
+    s: np.ndarray
+    w: np.ndarray
+    dw: np.ndarray
+    ds: np.ndarray
+    atom_mean: np.ndarray | None
+    atom_w: np.ndarray | None
+    atom_dw: np.ndarray | None
+
+    @classmethod
+    def from_weights(
+        cls, spec: CharSpec, n: np.ndarray, plain_w: np.ndarray, tilt_w: np.ndarray
+    ) -> _SeriesParts:
+        """Parts of the ascending counts ``n`` with the given weights, all read-only."""
+        law = spec.law
+        sigma, tau, delta = spec.sigma, spec.tau, law.delta
+        mean = n * -law.nu
+        sd = np.sqrt(n * delta**2 + sigma**2 * tau)
+        # weight rows behind a zero column: w_{n_lo-1} is taken as 0 (it is
+        # below the window floor, so the edge errs by at most m_tilt times it)
+        padded = np.zeros((4, n.size + 1))
+        padded[0, 1:] = tilt_w
+        padded[1, 1:] = plain_w
+        padded[2:] = padded[:2]
+        # Poisson weights of mean M obey n w_n = M w_{n-1}, so dw_n/dM is w_{n-1} - w_n
+        dw = padded[:2, :-1] - padded[:2, 1:]
+        for arr in (n, mean, sd, padded, dw):  # the views taken below are read-only too
+            arr.flags.writeable = False
+        # sd grows with n, so the point masses (sd == 0) are the first k counts
+        k = int(sd.searchsorted(0.0, side="right"))
+        n_c, s, w = n[k:], sd[k:], padded[:, 1:]
+        ds = np.empty((3, s.size))
+        np.divide(sigma**2, 2.0 * s, out=ds[0])
+        np.divide(n_c * delta, s, out=ds[1])
+        np.divide(sigma * tau, s, out=ds[2])
+        ds.flags.writeable = False
+        atoms = (mean[:k], w[:, :k], dw[:, :k]) if k else (None, None, None)
+        return cls(n, w[1], w[0], n_c, mean[k:], s, w[:, k:], dw[:, k:], ds, *atoms)
 
 
 @functools.lru_cache(maxsize=_PARTS_CACHE_SIZE)
@@ -234,16 +283,16 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
         spec.mean_count, quad.series_tail, law.nu + 0.5 * law.delta**2
     )
     n = np.arange(n_lo, n_lo + len(plain_w), dtype=float)
-    parts = _SeriesParts(
-        n=n,
-        plain_w=plain_w,
-        tilt_w=tilt_w,
-        mean=-n * law.nu,
-        sd=np.sqrt(n * law.delta**2 + spec.sigma**2 * spec.tau),
-    )
-    for arr in vars(parts).values():
-        arr.flags.writeable = False
-    return parts
+    return _SeriesParts.from_weights(spec, n, plain_w, tilt_w)
+
+
+def _atom_terms(coef: np.ndarray, gap: np.ndarray) -> list:
+    """Rows of ``coef`` times the atoms l - mean = ``gap`` counts, as lists:
+    the module's brackets for rows (tilted cdf, plain cdf, tilted survival,
+    plain survival), or for the first two when ``coef`` has two rows."""
+    above, at = gap > 0.0, gap >= 0.0
+    hits = (above, at) if len(coef) == 2 else (above, at, ~above, ~at)
+    return (coef * np.array(hits)).tolist()
 
 
 @functools.lru_cache(maxsize=_LSET_CACHE_SIZE)
@@ -253,24 +302,21 @@ def _series_values(spec: CharSpec, l: float, quad: QuadratureSpec) -> tuple[floa
     if math.isnan(l):
         raise ParameterError("threshold l must not be NaN")
     p = _series_parts(spec, quad)
-    cont = p.sd > 0.0
-    s = p.sd[cont]
     with np.errstate(over="ignore"):  # a huge l gives a = +-inf: ndtr is 0 or 1
-        a = (l - p.mean[cont]) / s
-    b = a + s
-    gap = l - p.mean[~cont]
-    # (weights, standardized threshold, atoms counted): the module's brackets
-    legs = (
-        (p.plain_w, a, gap >= 0.0),
-        (p.tilt_w, b, gap > 0.0),
-        (p.plain_w, -a, gap < 0.0),
-        (p.tilt_w, -b, gap <= 0.0),
-    )
+        a = (l - p.mean_c) / p.s
+    # standardized thresholds, rows (b, a, -b, -a) with b = a + s, against the
+    # weight rows (tilted, plain, tilted, plain)
+    z = np.empty(p.w.shape)
+    z[1] = a
+    np.add(a, p.s, out=z[0])
+    np.negative(z[:2], out=z[2:])
+    terms = (p.w * ndtr(z)).tolist()
+    if p.atom_mean is not None:
+        for row, extra in zip(terms, _atom_terms(p.atom_w, l - p.atom_mean)):
+            row += extra
     # the weights sum to one only to rounding; a probability stays at most 1
-    return tuple(
-        min(1.0, math.fsum(np.concatenate((w[cont] * ndtr(z), w[~cont] * hit)).tolist()))
-        for w, z, hit in legs
-    )
+    tilted, plain, tilted_surv, plain_surv = (min(1.0, math.fsum(row)) for row in terms)
+    return plain, tilted, plain_surv, tilted_surv
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +377,19 @@ def _fourier_kmax(spec: CharSpec, tol_k: float) -> float:
     return max(_K_MAX, hi)
 
 
+def _char_sd(spec: CharSpec) -> float:
+    """Larger standard deviation of the plain and the tilted law; psi decays
+    within about its inverse. The tilt turns N(nu, delta^2) jumps at rate lam
+    into N(nu + delta^2, delta^2) jumps at rate lam e^{nu + delta^2/2}."""
+    law = spec.law
+    m = spec.mean_count
+    m_tilt = m * math.exp(law.nu + 0.5 * law.delta**2)
+    jumps = max(
+        m * (law.nu**2 + law.delta**2), m_tilt * ((law.nu + law.delta**2) ** 2 + law.delta**2)
+    )
+    return math.sqrt(spec.sigma**2 * spec.tau + jumps)
+
+
 def fourier_grid(
     spec: CharSpec, ls, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> FourierGrid:
@@ -349,7 +408,10 @@ def fourier_grid(
     ``rel_tol``; their spread is the reported error estimate. After
     ``_FOURIER_DOUBLINGS`` misses QuadratureError carries out the estimate.
     A pass that would evaluate more than ``_FOURIER_BUDGET`` thresholds x
-    nodes raises QuadratureError before building its arrays.
+    nodes raises QuadratureError before building its arrays, and so does a
+    psi narrower than the node spacing of the finest pass the doublings may
+    reach (a huge mean count): no pass would sample it, and passes that all
+    read about 0 would agree on 1/2.
     """
     ls = np.atleast_1d(np.asarray(ls, dtype=float))
     if not np.all(np.isfinite(ls)):
@@ -361,9 +423,13 @@ def fourier_grid(
     log_pref = -(0.5 * spec.sigma**2 + spec.lam * varsigma(spec.law)) * spec.tau
     if not math.isfinite(log_pref):
         raise ParameterError(f"lam varsigma tau overflows for lam {spec.lam}, law {spec.law}")
-    atom = math.exp(-spec.mean_count) if spec.sigma == 0.0 else 0.0
-    # no atom, no e^{-lam varsigma tau}: that factor alone may overflow
-    atom_t = math.exp(log_pref) * atom if atom else 0.0
+    atom = atom_t = 0.0
+    if spec.sigma == 0.0:
+        atom = math.exp(-spec.mean_count)
+        try:
+            atom_t = math.exp(log_pref) * atom
+        except OverflowError:  # the tilted atom e^{log_pref - lam tau} is still at most 1
+            atom_t = math.exp(log_pref - spec.mean_count)
     k_max = _fourier_kmax(spec, quad.rel_tol / 10.0)
 
     def integrals(n_panels: int) -> np.ndarray:
@@ -390,6 +456,13 @@ def fourier_grid(
     # The cap keeps an overflowing k_max |l| for the budget check to reject.
     start = k_max * float(np.max(np.abs(ls), initial=1.0)) / _K_NODES
     n_panels = max(4, math.ceil(min(start, _FOURIER_BUDGET)))
+    spacing = k_max / (n_panels * 2**_FOURIER_DOUBLINGS * _K_NODES)
+    width = 1.0 / _char_sd(spec)
+    if spacing > width:
+        raise QuadratureError(
+            f"psi's width {width:.3g} is below the node spacing {spacing:.3g} of the "
+            "finest pass: the panels cannot resolve psi"
+        )
     prev = integrals(n_panels)
     for _ in range(_FOURIER_DOUBLINGS):
         n_panels *= 2
@@ -500,72 +573,67 @@ def series_lset(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -
 def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
     l2, l1 = _series_values(spec, l, quad)[:2]
     law = spec.law
-    tau, lam, sigma = spec.tau, spec.lam, spec.sigma
+    tau, lam = spec.tau, spec.lam
     nu, delta = law.nu, law.delta
     p = _series_parts(spec, quad)
-    n = p.n
-    cont = p.sd > 0.0
+    s = p.s
 
-    def fsum(arr: np.ndarray) -> float:
-        return math.fsum(arr.tolist())
-
-    # Poisson weights of mean M obey n w_n = M w_{n-1}, so dw_n/dM is
-    # w_{n-1} - w_n, and a weight's derivative in any parameter is dM/dparam
-    # times that difference. The plain mean is lam tau; the tilted one is
-    # m_tilt = lam tau e^theta with theta = nu + delta^2/2, so dm_tilt/dnu is
-    # m_tilt and dm_tilt/ddelta is delta m_tilt. No n / lam or n / tau is
-    # formed, so a tiny lam or tau cannot overflow. w_{n_lo-1} is taken as 0:
-    # it is below the window floor, so the edge errs by at most m_tilt times it.
+    # A weight's derivative in any parameter is dM/dparam times its
+    # derivative dw in the Poisson mean M. The plain mean is lam tau; the
+    # tilted one is m_tilt = lam tau e^theta with theta = nu + delta^2/2, so
+    # dm_tilt/dnu is m_tilt and dm_tilt/ddelta is delta m_tilt. No n / lam or
+    # n / tau is formed, so a tiny lam or tau cannot overflow.
     growth = math.exp(nu + 0.5 * delta**2)  # 1 + varsigma
     m_tilt = lam * tau * growth
-    dwp = np.concatenate(([0.0], p.plain_w[:-1])) - p.plain_w
-    dwt = np.concatenate(([0.0], p.tilt_w[:-1])) - p.tilt_w
 
-    s = p.sd[cont]
-    wp = p.plain_w[cont]
-    wt = p.tilt_w[cont]
-    nc = n[cont]
     # a = (l + n nu)/s overflows for a huge l or a narrow component, and
     # phi(a) a would be 0 * inf. Clipping a to +-1e3 changes no finite output
     # while s < 960: phi and Phi of a and of b = a + s are exactly 0 or 1 there.
     with np.errstate(over="ignore"):
-        a = (l - p.mean[cont]) / s
+        a = (l - p.mean_c) / s
     a = np.minimum(np.maximum(a, -1e3), 1e3)
-    b = a + s
-    phi_a = np.exp(-0.5 * a * a) / _SQRT_2PI
-    phi_b = np.exp(-0.5 * b * b) / _SQRT_2PI
-    Phi_a = ndtr(a)
-    Phi_b = ndtr(b)
+    ab = np.empty((2, s.size))  # rows (b, a), against weight rows (tilted, plain)
+    ab[1] = a
+    np.add(a, s, out=ab[0])
+    phi = np.exp(-0.5 * ab * ab) / _SQRT_2PI
+    wphi = p.w[:2] * phi
 
     # At fixed l, nu moves a and b by n / s; tau, delta and sigma move them
     # only through s, with da/ds = -a/s and db/ds = 1 - a/s. The densities
     # multiply a before the division by s, so where phi underflows to 0 the
-    # product is 0 rather than 0 * inf.
-    pa = -phi_a * a / s  # phi(a) da/ds
-    pb = phi_b - phi_b * a / s  # phi(b) db/ds
-    ds_dtau = sigma**2 / (2.0 * s)
-    ds_ddelta = nc * delta / s
-    ds_dsigma = sigma * tau / s
+    # product is 0 rather than 0 * inf. Rows of dphi: phi(b) db/ds, phi(a) da/ds.
+    dphi = -(phi * a / s)
+    dphi[0] += phi[0]
+    wdphi = p.w[:2] * dphi
 
-    # derivatives of the transforms in the Poisson mean; atoms count with
-    # the brackets of cdf_plain and cdf_tilted
-    gap = l - p.mean[~cont]
-    l2_dm = fsum(np.concatenate((dwp[cont] * Phi_a, dwp[~cont] * (gap >= 0.0))))
-    l1_dm = fsum(np.concatenate((dwt[cont] * Phi_b, dwt[~cont] * (gap > 0.0))))
+    # term rows, (tilted, plain) each: d/dM, d/dl, the nu part, then the
+    # tau, delta and sigma parts
+    terms = np.empty((12, s.size))
+    np.multiply(p.dw, ndtr(ab), out=terms[0:2])
+    np.divide(wphi, s, out=terms[2:4])
+    np.divide(wphi * p.n_c, s, out=terms[4:6])
+    np.multiply(p.ds[:, None, :], wdphi, out=terms[6:].reshape(3, 2, s.size))
+    rows = terms.tolist()
+    if p.atom_mean is not None:  # the atoms count with the brackets of the cdfs
+        for row, extra in zip(rows, _atom_terms(p.atom_dw, l - p.atom_mean)):
+            row += extra
+    (
+        l1_dm, l2_dm, dl1_dl, dl2_dl, nu1, nu2, tau1, tau2, delta1, delta2, sigma1, sigma2
+    ) = (math.fsum(row) for row in rows)
 
     return LSet(
         l1=l1,
         l2=l2,
-        dl1_dl=fsum(wt * phi_b / s),
-        dl2_dl=fsum(wp * phi_a / s),
-        dl1_dtau=lam * growth * l1_dm + fsum(wt * pb * ds_dtau),
-        dl2_dtau=lam * l2_dm + fsum(wp * pa * ds_dtau),
+        dl1_dl=dl1_dl,
+        dl2_dl=dl2_dl,
+        dl1_dtau=lam * growth * l1_dm + tau1,
+        dl2_dtau=lam * l2_dm + tau2,
         dl1_dlam=tau * growth * l1_dm,
         dl2_dlam=tau * l2_dm,
-        dl1_dnu=m_tilt * l1_dm + fsum(wt * phi_b * nc / s),
-        dl2_dnu=fsum(wp * phi_a * nc / s),
-        dl1_ddelta=delta * m_tilt * l1_dm + fsum(wt * pb * ds_ddelta),
-        dl2_ddelta=fsum(wp * pa * ds_ddelta),
-        dl1_dsigma=fsum(wt * pb * ds_dsigma),
-        dl2_dsigma=fsum(wp * pa * ds_dsigma),
+        dl1_dnu=m_tilt * l1_dm + nu1,
+        dl2_dnu=nu2,
+        dl1_ddelta=delta * m_tilt * l1_dm + delta1,
+        dl2_ddelta=delta2,
+        dl1_dsigma=sigma1,
+        dl2_dsigma=sigma2,
     )

@@ -221,3 +221,24 @@ class TestParity:
             call = payoff(make_terms(s, 100, tau=0.0, kind=OptionKind.CALL))
             put = payoff(make_terms(s, 100, tau=0.0, kind=OptionKind.PUT))
             assert call - put == pytest.approx(s - 100.0)
+
+
+class TestWingAccuracy:
+    # References: the Merton mixture sum_n P_n e^{-r tau} E[payoff | n jumps],
+    # each term a Black-Scholes price, in 50-digit arithmetic (mpmath).
+    # Survivals are summed directly, so the far wings keep their relative size.
+    @pytest.mark.parametrize(
+        "strike, kind, reference",
+        [
+            (150.0, OptionKind.CALL, 0.019511171624853050056),
+            (300.0, OptionKind.CALL, 3.1251539046628471778e-7),
+            (500.0, OptionKind.CALL, 4.7865013604080386176e-11),
+            (60.0, OptionKind.PUT, 0.0085888096667605087731),
+            (25.0, OptionKind.PUT, 3.5228676536803609003e-8),
+            (15.0, OptionKind.PUT, 1.4365174248001838671e-11),
+        ],
+    )
+    def test_deep_otm_series_price_is_relatively_accurate(self, strike, kind, reference):
+        model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.2)
+        terms = OptionTerms(100.0, strike, 0.25, 0.03, 0.0, kind)
+        assert price(terms, model).value == pytest.approx(reference, rel=1e-12, abs=0.0)

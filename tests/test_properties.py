@@ -352,6 +352,35 @@ def test_underflowing_jump_compensator_raises_parameter_error(nu):
         mc_option_price(_call(1.0), AssetModel(1.0, GaussianJumpLaw(nu, 0.0), 0.2), _SIM)
 
 
+@pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
+def test_tiny_jump_compensator_gives_no_zero_standard_error(kind):
+    # e^{-lam varsigma tau} = e^{-147}: every drawn S_T is about 0 and the
+    # martingale mass sits on paths with about 30 jumps, never drawn; each
+    # path pays the same, so 0 +- 0 would look exact
+    terms = OptionTerms(100.0, 100.0, 1.0, 0.03, 0.01, kind)
+    model = AssetModel(1.0, GaussianJumpLaw(5.0, 0.0), 0.2)
+    with pytest.raises(ParameterError, match="no spread"):
+        mc_option_price(terms, model, SimConfig(paths=1000))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sigma=st.sampled_from([0.0, 0.2]),
+    lam=st.floats(min_value=0.0, max_value=3.0),
+    nu=st.floats(min_value=-1.0, max_value=6.0),
+    strike=st.floats(min_value=20.0, max_value=500.0),
+    paths=st.integers(min_value=1, max_value=64),
+)
+def test_mc_option_standard_error_is_zero_only_for_a_sure_payoff(sigma, lam, nu, strike, paths):
+    terms = OptionTerms(100.0, strike, 1.0, 0.03, 0.01, OptionKind.CALL)
+    model = AssetModel(lam, GaussianJumpLaw(nu, 0.1), sigma)
+    try:
+        est = mc_option_price(terms, model, SimConfig(paths=paths, seed=3))
+    except ParameterError:
+        return
+    assert est.std_error > 0.0 or (sigma == 0.0 and lam == 0.0)
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.1])
 def test_huge_jump_mean_fourier_price_raises_typed_error(delta):
     # varsigma = e^709 is a float, but k_max |l| for the threshold past it is not

@@ -68,12 +68,19 @@ def test_warm_and_cleared_caches_give_identical_bits(lam, nu, delta, sigma, tau,
 
 
 def test_cached_parts_are_read_only():
-    spec = CharSpec(tau=1.0, lam=2.0, sigma=0.1, law=GaussianJumpLaw(-0.05, 0.15))
-    parts = _series_parts(spec, DEFAULT_QUAD)
-    assert _series_parts(spec, DEFAULT_QUAD) is parts
-    for arr in vars(parts).values():
-        with pytest.raises(ValueError):
-            arr[0] = 0.5
+    # sigma = 0 adds the point mass at n = 0, and with it the atom arrays
+    atoms = {"atom_mean", "atom_w", "atom_dw"}
+    for sigma in (0.0, 0.1):
+        spec = CharSpec(tau=1.0, lam=2.0, sigma=sigma, law=GaussianJumpLaw(-0.05, 0.15))
+        parts = _series_parts(spec, DEFAULT_QUAD)
+        assert _series_parts(spec, DEFAULT_QUAD) is parts
+        arrays = {name: arr for name, arr in vars(parts).items() if arr is not None}
+        assert set(vars(parts)) - set(arrays) == (set() if sigma == 0.0 else atoms)
+        for arr in arrays.values():
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.5
+        # the continuous slice is a view of the window, not a copy
+        assert parts.n_c.base is parts.n
     assert _series_parts.cache_info().maxsize <= 8
     assert _series_lset.cache_info().maxsize <= 16
     assert _series_values.cache_info().maxsize <= 16

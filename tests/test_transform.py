@@ -105,12 +105,8 @@ def untrimmed_parts(spec):
     peak = max(m, m_tilt)
     n = np.arange(math.ceil(peak + 12.0 * math.sqrt(peak) + 30.0) + 1, dtype=float)
     plain, tilt = poisson.pmf(n, m), poisson.pmf(n, m_tilt)
-    return transform._SeriesParts(
-        n=n,
-        plain_w=plain / math.fsum(plain),
-        tilt_w=tilt / math.fsum(tilt),
-        mean=-n * law.nu,
-        sd=np.sqrt(n * law.delta**2 + spec.sigma**2 * spec.tau),
+    return transform._SeriesParts.from_weights(
+        spec, n, plain / math.fsum(plain), tilt / math.fsum(tilt)
     )
 
 
@@ -324,6 +320,28 @@ class TestFourierBackend:
         spec = spec_of(lam=1.0, sigma=0.0, delta=0.0, nu=0.1)
         with pytest.raises(QuadratureError):
             fourier_grid(spec, [0.3])
+
+    @pytest.mark.parametrize(
+        "lam, sigma, nu",
+        [(1e8, 0.0, -0.05), (1e12, 0.0, -0.05), (1e12, 0.2, -0.05), (1e300, 0.2, 1.0)],
+    )
+    def test_huge_mean_count_raises(self, lam, sigma, nu):
+        # psi decays within ~1/sqrt(lam tau (nu^2 + delta^2)), inside one node
+        # spacing of every pass: passes that all read ~0 would agree on 1/2
+        with time_limit(2.0), pytest.raises(QuadratureError, match="width"):
+            fourier_grid(spec_of(lam=lam, sigma=sigma, nu=nu, delta=0.1), [0.0])
+
+    def test_tilted_atom_where_the_prefactor_overflows(self):
+        # sigma = 0, lam tau varsigma = -720 (1 - e^{-4.995}): e^{-lam varsigma tau}
+        # is no float, but the tilted atom e^{-lam tau (1 + varsigma)} is 0.0078
+        spec = spec_of(lam=720.0, sigma=0.0, nu=-5.0, delta=0.1)
+        ls = [3000.0, 3600.0]
+        with time_limit(5.0):
+            grid = fourier_grid(spec, ls)
+        fns = (cdf_plain, cdf_tilted, survival_plain, survival_tilted)
+        series = np.array([[fn(spec, l) for l in ls] for fn in fns])
+        fourier = np.array([grid.plain, grid.tilted, grid.plain_surv, grid.tilted_surv])
+        assert fourier == pytest.approx(series, abs=1e-9)
 
 
 class TestGreenDensity:
