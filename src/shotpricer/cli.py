@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field
@@ -472,7 +473,9 @@ def execute(cfg: RunConfig) -> int:
     return status
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="shotpricer",
         description="Jump-model option/bond pricing reports",

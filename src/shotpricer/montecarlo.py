@@ -13,9 +13,16 @@ usable as oracles for the analytic formulas.
 
 Randomness is counter-based (Philox) with one substream per fixed-size batch
 of paths. Batches run on one thread per usable CPU, draw jump arrivals in
-chunks of paths and reduce to a few floats that are added in batch order, so
-estimates depend only on (seed, paths), not on the worker or BLAS thread
-count. Threads run only private numpy code; checks and library calls come first.
+chunks of paths into reused buffers, map them to their loads in place, and
+reduce to a few floats that are added in batch order, so estimates depend
+only on (seed, paths), not on the worker or BLAS thread count. Threads run
+only private numpy code; checks and library calls come first.
+
+A call's payoff grows like S_T, so under heavy right-tailed jumps a sample
+can miss the rare paths that carry its value, and then its standard error
+understates the error as much as its mean does. ``mc_option_price`` also
+estimates e^{-r tau} S_T for a call and raises ParameterError when that
+misses its exact value S e^{-q tau} by more than six of its standard errors.
 """
 
 from __future__ import annotations
@@ -58,6 +65,11 @@ _WORKERS = (
 # Most jumps one option path may expect; numpy's Poisson sampler stops at 9.2e18.
 _MAX_MEAN_COUNT = 1e18
 
+# Standard errors by which a call's sample mean of e^{-r tau} S_T may miss
+# S e^{-q tau} before the estimate is refused: an honest sample misses by
+# more than 6 about twice in a billion.
+_FORWARD_Z = 6.0
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -99,21 +111,25 @@ def _map_batches(work, sim: SimConfig) -> list:
         return list(pool.map(run, range(len(counts))))
 
 
-def _estimate(path_values, sim: SimConfig) -> McEstimate:
-    """Sample mean and standard error of path_values(rng, count) over all batches."""
+def _estimate(path_values, sim: SimConfig) -> list[McEstimate]:
+    """Sample mean and standard error, over all batches, of each of the arrays
+    path_values(rng, count) returns."""
 
-    def sums(rng, count: int) -> tuple[float, float]:
-        y = path_values(rng, count)
-        return float(np.sum(y)), float(np.sum(y * y))
+    def sums(rng, count: int) -> list[float]:
+        arrays = path_values(rng, count)
+        return [f for y in arrays for f in (float(np.sum(y)), float(np.sum(y * y)))]
 
     totals = _map_batches(sums, sim)
     paths = sim.paths
-    mean = math.fsum(s for s, _ in totals) / paths
-    se = 0.0
-    if paths > 1:
-        var = max(math.fsum(q for _, q in totals) - paths * mean * mean, 0.0) / (paths - 1)
-        se = math.sqrt(var / paths)
-    return McEstimate(mean=mean, std_error=se, paths_used=paths)
+    out = []
+    for col in range(0, len(totals[0]), 2):
+        mean = math.fsum(t[col] for t in totals) / paths
+        se = 0.0
+        if paths > 1:
+            square = math.fsum(t[col + 1] for t in totals)
+            se = math.sqrt(max(square - paths * mean * mean, 0.0) / (paths - 1) / paths)
+        out.append(McEstimate(mean=mean, std_error=se, paths_used=paths))
+    return out
 
 
 def _check_jump_count(mean_count: float, limit: float) -> None:
@@ -128,25 +144,39 @@ def _shot_noise(rng, count: int, mean_count: float, law: GaussianJumpLaw, window
     """Per path: drift nu s1 and noise delta sqrt(s2) Z of sum_k eta_k h(t_k), and a
     further standard normal, with s1 = sum_k h(t_k) and s2 = sum_k h(t_k)^2.
 
-    ``window`` is (lo, hi, h) with arrivals uniform on [lo, hi]; without one
-    h = 1 and s1 = s2 = the jump count. Arrivals are drawn _CHUNK paths at a
-    time, which draws the same stream and sums each path's loads in the same
-    order as one draw would. Callers add drift and noise in their own order,
-    which keeps their floats as they were.
+    ``window`` is (lo, hi, h) with arrivals uniform on [lo, hi] and h(t) an
+    in-place map of an array of arrivals to their loads; without one h = 1 and
+    s1 = s2 = the jump count. Arrivals are drawn _CHUNK paths at a time into
+    one reused buffer, as lo + (hi - lo) U the way ``rng.uniform`` forms them,
+    which draws the same stream and sums each path's loads in the same order
+    as one draw would. Callers add drift and noise in their own order, which
+    keeps their floats as they were.
     """
     n_jumps = rng.poisson(mean_count, count)
-    s1 = s2 = n_jumps
-    if window is not None:
+    if window is None:
+        s1, s2 = n_jumps.astype(float), np.sqrt(n_jumps)
+    else:
         lo, hi, h = window
         s1, s2 = np.empty(count), np.empty(count)
-        for start in range(0, count, _CHUNK):
+        starts = range(0, count, _CHUNK)
+        totals = np.add.reduceat(n_jumps, starts).tolist()
+        loads, squares = np.empty((2, max(totals)))
+        for start, total in zip(starts, totals):
             part = n_jumps[start : start + _CHUNK]
-            loads = h(rng.uniform(lo, hi, int(part.sum())))
+            t = rng.random(out=loads[:total])
+            t *= hi - lo
+            t += lo
+            h(t)
             owner = np.repeat(np.arange(part.size), part)
-            s1[start : start + part.size] = np.bincount(owner, loads, part.size)
-            s2[start : start + part.size] = np.bincount(owner, loads * loads, part.size)
-    noise = law.delta * np.sqrt(s2) * rng.standard_normal(count)
-    return law.nu * s1, noise, rng.standard_normal(count)
+            s1[start : start + part.size] = np.bincount(owner, t, part.size)
+            s2[start : start + part.size] = np.bincount(
+                owner, np.multiply(t, t, out=squares[:total]), part.size
+            )
+        np.sqrt(s2, out=s2)
+    s2 *= law.delta
+    s2 *= rng.standard_normal(count)
+    s1 *= law.nu
+    return s1, s2, rng.standard_normal(count)
 
 
 def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> McEstimate:
@@ -172,13 +202,14 @@ def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> Mc
     disc = math.exp(-terms.rate * tau)
     is_call = terms.kind is OptionKind.CALL
 
-    def discounted(rng, count: int) -> np.ndarray:
+    def discounted(rng, count: int) -> tuple[np.ndarray, ...]:
         jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law)
         s_t = np.exp(base + vol * z + (jump_drift + jump_noise))
         pay = s_t - terms.strike if is_call else terms.strike - s_t
-        return disc * np.maximum(pay, 0.0)
+        paid = disc * np.maximum(pay, 0.0)
+        return (paid, disc * s_t) if is_call else (paid,)
 
-    est = _estimate(discounted, sim)
+    est, *forward = _estimate(discounted, sim)
     law = model.law
     random_st = vol > 0.0 or (mean_count > 0.0 and (law.nu != 0.0 or law.delta > 0.0))
     # a random S_T whose paths all paid the same: the payoff's spread sits on
@@ -188,6 +219,18 @@ def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> Mc
             f"all {sim.paths} paths paid {est.mean:g}: a random S_T gave no spread "
             "to estimate a standard error from"
         )
+    # A call's payoff grows like S_T, so a heavy right tail it rarely draws
+    # hides in both its mean and its standard error. E[e^{-r tau} S_T] is
+    # S e^{-q tau}; a sample that misses it by far more than its own standard
+    # error has not drawn the tail. A put's payoff is bounded by K.
+    for fwd in forward:
+        target = terms.spot * math.exp(-terms.dividend * tau)
+        if fwd.std_error > 0.0 and abs(fwd.mean - target) > _FORWARD_Z * fwd.std_error:
+            raise ParameterError(
+                f"the paths' mean discounted S_T {fwd.mean:g} misses S e^(-q tau) {target:g} "
+                f"by {abs(fwd.mean - target) / fwd.std_error:.1f} standard errors: the "
+                "call's standard error would understate its error"
+            )
     return est
 
 
@@ -210,13 +253,22 @@ def mc_bond_price(model: RateModel, terms: BondTerms, sim: SimConfig) -> McEstim
     b_val = b_factor(model, t, T)
     det = terms.r_t * b_val + model.b * (span - b_val)
     gauss_sd = model.sigma_r * math.sqrt(_int_b_squared(model, t, T))
-    window = (t, T, lambda s: -np.expm1(-model.a * (T - s)) / model.a)
 
-    def discounted(rng, count: int) -> np.ndarray:
+    def loads(s: np.ndarray) -> None:
+        """B(s, T) = -expm1(-a (T - s)) / a, in place."""
+        np.subtract(T, s, out=s)
+        s *= -model.a
+        np.expm1(s, out=s)
+        np.negative(s, out=s)
+        s /= model.a
+
+    window = (t, T, loads)
+
+    def discounted(rng, count: int) -> tuple[np.ndarray]:
         jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law, window)
-        return np.exp(-(det + gauss_sd * z + (jump_drift + jump_noise)))
+        return (np.exp(-(det + gauss_sd * z + (jump_drift + jump_noise))),)
 
-    return _estimate(discounted, sim)
+    return _estimate(discounted, sim)[0]
 
 
 def mc_rate_moments(
@@ -237,13 +289,21 @@ def mc_rate_moments(
     decay = math.exp(-model.a * horizon)
     det = decay * r_t + model.b * (1.0 - decay)
     ou_sd = model.sigma_r * math.sqrt(-math.expm1(-2.0 * model.a * horizon) / (2.0 * model.a))
-    window = (0.0, horizon, lambda s: np.exp(-model.a * (horizon - s)))
+
+    def loads(s: np.ndarray) -> None:
+        """e^{-a (horizon - s)}, in place."""
+        np.subtract(horizon, s, out=s)
+        s *= -model.a
+        np.exp(s, out=s)
+
+    window = (0.0, horizon, loads)
 
     def power_sums(rng, count: int) -> tuple[float, ...]:
         jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law, window)
         # r - det, kept small so the power sums stay well conditioned
         d = ou_sd * z + jump_drift + jump_noise
-        return float(np.sum(d)), float(np.sum(d * d)), float(np.sum(d**3)), float(np.sum(d**4))
+        d2 = d * d
+        return float(np.sum(d)), float(np.sum(d2)), float(np.sum(d2 * d)), float(np.sum(d2 * d2))
 
     n = sim.paths
     mean_d, raw2, raw3, raw4 = (math.fsum(col) / n for col in zip(*_map_batches(power_sums, sim)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Sequence
 
 from scipy.special import ndtr
 
@@ -25,11 +26,9 @@ from .transform import (
     Backend,
     CharSpec,
     QuadratureSpec,
-    cdf_plain,
-    cdf_tilted,
+    _series_block,
+    _series_values,
     fourier_grid,
-    survival_plain,
-    survival_tilted,
 )
 
 __all__ = [
@@ -64,18 +63,23 @@ class OptionTerms:
     kind: OptionKind
 
     def __post_init__(self) -> None:
-        require_finite(self, "spot", "strike", "tau", "rate", "dividend")
-        if self.spot <= 0.0:
-            raise ParameterError(f"spot must be > 0, got {self.spot}")
-        if self.strike <= 0.0:
-            raise ParameterError(f"strike must be > 0, got {self.strike}")
+        require_finite(self, "tau", "rate", "dividend")
         if self.tau < 0.0:
             raise ParameterError(f"tau must be >= 0, got {self.tau}")
-        # e^{-q tau}, e^{-r tau}, S e^{-q tau} and K e^{-r tau} stay below e^700 ~ 1e304
-        for size, carry in ((self.spot, self.dividend), (self.strike, self.rate)):
-            if max(math.log(size), 0.0) - carry * self.tau > 700.0:
-                raise ParameterError("discounted spot or strike overflows")
+        _check_size("spot", self.spot, self.dividend, self.tau)
+        _check_size("strike", self.strike, self.rate, self.tau)
         object.__setattr__(self, "kind", OptionKind(self.kind))
+
+
+def _check_size(name: str, size: float, carry: float, tau: float) -> None:
+    """ParameterError unless the spot or strike ``size`` is finite and > 0 and
+    e^{-carry tau} and size e^{-carry tau} stay below e^700 ~ 1e304."""
+    if not math.isfinite(size):
+        raise ParameterError(f"{name} must be finite, got {size}")
+    if size <= 0.0:
+        raise ParameterError(f"{name} must be > 0, got {size}")
+    if max(math.log(size), 0.0) - carry * tau > 700.0:
+        raise ParameterError("discounted spot or strike overflows")
 
 
 @dataclass(frozen=True)
@@ -114,13 +118,12 @@ def l_parameter(terms: OptionTerms, model: AssetModel) -> float:
     """Drift-adjusted threshold l = x + (r - q - sigma^2/2 - lam varsigma) tau."""
     if terms.tau <= 0.0:
         raise DegenerateMaturityError("l parameter needs tau > 0")
-    drift = (
-        terms.rate
-        - terms.dividend
-        - 0.5 * model.sigma**2
-        - model.lam * varsigma(model.law)
-    )
-    return log_moneyness(terms) + drift * terms.tau
+    return log_moneyness(terms) + _drift(terms, model) * terms.tau
+
+
+def _drift(terms: OptionTerms, model: AssetModel) -> float:
+    """Risk-neutral log drift r - q - sigma^2/2 - lam varsigma."""
+    return terms.rate - terms.dividend - 0.5 * model.sigma**2 - model.lam * varsigma(model.law)
 
 
 def payoff(terms: OptionTerms) -> float:
@@ -156,28 +159,67 @@ def price(
         value = max(fwd_gap, 0.0) if terms.kind is OptionKind.CALL else max(-fwd_gap, 0.0)
         return PriceResult(value, l, backend, 0.0)
 
-    l_eval = l
-    if model.sigma == 0.0 and l == 0.0:
-        l_eval = math.nextafter(0.0, math.inf)  # right limit at the atom
-
+    l_eval = _kink_threshold(l, model)
     spec = model.char_spec(terms.tau)
     call = terms.kind is OptionKind.CALL
     if backend is Backend.FOURIER:
-        # one grid carries both legs and measures its own error
+        # one grid carries all four legs and measures its own error
         grid = fourier_grid(spec, [l_eval], quad)
-        spot_leg = float((grid.tilted if call else grid.tilted_surv)[0])
-        strike_leg = float((grid.plain if call else grid.plain_surv)[0])
+        legs = [float(v[0]) for v in (grid.plain, grid.tilted, grid.plain_surv, grid.tilted_surv)]
         est = (disc_spot + disc_strike) * grid.est_error
     else:
-        spot_leg = (cdf_tilted if call else survival_tilted)(spec, l_eval, quad)
-        strike_leg = (cdf_plain if call else survival_plain)(spec, l_eval, quad)
+        legs = _series_values(spec, l_eval, quad)
         # the series is exact up to its Poisson tail cutoff
         est = (terms.spot + terms.strike) * quad.series_tail
+    return PriceResult(_value(call, disc_spot, disc_strike, legs), l, backend, est)
+
+
+def _shifted_prices(
+    terms: OptionTerms,
+    model: AssetModel,
+    spots: Sequence[float],
+    quad: QuadratureSpec = DEFAULT_QUAD,
+) -> list[float]:
+    """Series value of ``terms`` with each of ``spots`` in place of its spot.
+
+    Bit for bit ``price(replace(terms, spot=s), model, Backend.SERIES,
+    quad).value``, with the ParameterError OptionTerms raises for a spot it
+    refuses, but no contract is built per spot and one series block serves
+    every threshold.
+    """
+    for spot in spots:
+        _check_size("spot", spot, terms.dividend, terms.tau)
+    if terms.tau == 0.0 or (model.lam == 0.0 and model.sigma == 0.0):
+        return [price(replace(terms, spot=s), model, Backend.SERIES, quad).value for s in spots]
+    call = terms.kind is OptionKind.CALL
+    carry = math.exp(-terms.dividend * terms.tau)
+    disc_strike = terms.strike * math.exp(-terms.rate * terms.tau)
+    shift = _drift(terms, model) * terms.tau
+    ls = [_kink_threshold(math.log(spot / terms.strike) + shift, model) for spot in spots]
+    return [
+        _value(call, spot * carry, disc_strike, legs)
+        for spot, legs in zip(spots, _series_block(model.char_spec(terms.tau), ls, quad))
+    ]
+
+
+def _kink_threshold(l: float, model: AssetModel) -> float:
+    """The threshold a price reads: at sigma = 0 the law has an atom at l = 0,
+    where the price is its right limit."""
+    if model.sigma == 0.0 and l == 0.0:
+        return math.nextafter(0.0, math.inf)
+    return l
+
+
+def _value(call: bool, disc_spot: float, disc_strike: float, legs) -> float:
+    """Call value S e^{-q tau} L1 - K e^{-r tau} L2 from the cdfs, or put value
+    K e^{-r tau} S2 - S e^{-q tau} S1 from the survivals, floored at 0; ``legs``
+    are the transforms (L2, L1, S2, S1) at the threshold."""
+    plain, tilted, plain_surv, tilted_surv = legs
     if call:
-        value = disc_spot * spot_leg - disc_strike * strike_leg
+        value = disc_spot * tilted - disc_strike * plain
     else:
-        value = disc_strike * strike_leg - disc_spot * spot_leg
-    return PriceResult(max(value, 0.0), l, backend, est)
+        value = disc_strike * plain_surv - disc_spot * tilted_surv
+    return max(value, 0.0)
 
 
 def bs_d1_d2(terms: OptionTerms, sigma: float) -> tuple[float, float]:

@@ -19,11 +19,13 @@ exp(-z) change of weight). Two independent evaluation routes are provided:
   over its ~30 orders of magnitude. It is the reference backend and alone
   has analytic derivatives (for the Greeks). Everything that depends only on
   the model and tau (the continuous/atom split, the stacked weight rows, their
-  derivatives and ds/dparam) is built once per (spec, quad) and cached. Each
-  threshold then runs one stacked array pass per tier: one memoized values
-  pass gives all four transforms (one ``ndtr`` over the rows b, a, -b, -a),
-  also to ``series_lset`` and ``green_density``, and the Greek engine forms
-  its twelve derivative term rows as one matrix.
+  derivatives and ds/dparam) is built once per (spec, quad) and cached. The
+  values pass runs over a block of thresholds at once (one ``ndtr`` over the
+  rows b, a, -b, -a of every threshold, one exact sum per row and
+  threshold); a memoized one-threshold block gives all four transforms to
+  the scalar functions, ``series_lset`` and ``green_density``, and the
+  residual checks price the shifted states of a grid point in one block.
+  The Greek engine forms its twelve derivative term rows as one matrix.
 * fourier (``fourier_grid``): Gil-Pelaez inversion, one integral in k per
   cumulative, on Gauss-Legendre panels, for a batch of thresholds. It reads
   only psi, with no Poisson weights, so it is an independent cross-check of
@@ -289,34 +291,59 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
 def _atom_terms(coef: np.ndarray, gap: np.ndarray) -> list:
     """Rows of ``coef`` times the atoms l - mean = ``gap`` counts, as lists:
     the module's brackets for rows (tilted cdf, plain cdf, tilted survival,
-    plain survival), or for the first two when ``coef`` has two rows."""
+    plain survival), or for the first two when ``coef`` has two rows. A gap
+    with one row per threshold gives one such block of rows per threshold."""
     above, at = gap > 0.0, gap >= 0.0
     hits = (above, at) if len(coef) == 2 else (above, at, ~above, ~at)
-    return (coef * np.array(hits)).tolist()
+    return (coef * np.array(hits).swapaxes(0, -2)).tolist()
+
+
+def _series_block(
+    spec: CharSpec, ls, quad: QuadratureSpec
+) -> list[tuple[float, float, float, float]]:
+    """(cdf_plain, cdf_tilted, survival_plain, survival_tilted) at each
+    threshold of ``ls``, one exact sum each; survivals are summed directly, so
+    deep-OTM puts keep their size.
+
+    One array pass serves every threshold: the rows (b, a, -b, -a) of all
+    thresholds go through one ``ndtr`` and one product with the weight rows.
+    Each threshold's terms keep the order of a one-threshold pass, so every
+    result is bit for bit that pass's.
+    """
+    if any(map(math.isnan, ls)):
+        raise ParameterError("threshold l must not be NaN")
+    p = _series_parts(spec, quad)
+    col = np.array(ls, dtype=float)[:, None]
+    # standardized thresholds, rows (b, a, -b, -a) with a = (l - mean) / s and
+    # b = a + s per threshold, against the weight rows (tilted, plain, tilted,
+    # plain); formed in place, which costs a one-threshold call least
+    z = np.empty((len(col), 4, p.s.size))
+    a = z[:, 1]
+    with np.errstate(over="ignore"):  # a huge l gives a = +-inf: ndtr is 0 or 1
+        np.divide(np.subtract(col, p.mean_c, out=a), p.s, out=a)
+    np.add(a, p.s, out=z[:, 0])
+    np.negative(z[:, :2], out=z[:, 2:])
+    ndtr(z, out=z)
+    z *= p.w
+    blocks = z.tolist()
+    if p.atom_mean is not None:
+        for terms, extras in zip(blocks, _atom_terms(p.atom_w, col - p.atom_mean)):
+            for row, extra in zip(terms, extras):
+                row += extra
+    out = []
+    for terms in blocks:
+        tilted, plain, tilted_surv, plain_surv = map(math.fsum, terms)
+        # the weights sum to one only to rounding; a probability stays at most 1
+        out.append(
+            (min(1.0, plain), min(1.0, tilted), min(1.0, plain_surv), min(1.0, tilted_surv))
+        )
+    return out
 
 
 @functools.lru_cache(maxsize=_LSET_CACHE_SIZE)
 def _series_values(spec: CharSpec, l: float, quad: QuadratureSpec) -> tuple[float, ...]:
-    """(cdf_plain, cdf_tilted, survival_plain, survival_tilted) at l, one exact
-    sum each; survivals are summed directly, so deep-OTM puts keep their size."""
-    if math.isnan(l):
-        raise ParameterError("threshold l must not be NaN")
-    p = _series_parts(spec, quad)
-    with np.errstate(over="ignore"):  # a huge l gives a = +-inf: ndtr is 0 or 1
-        a = (l - p.mean_c) / p.s
-    # standardized thresholds, rows (b, a, -b, -a) with b = a + s, against the
-    # weight rows (tilted, plain, tilted, plain)
-    z = np.empty(p.w.shape)
-    z[1] = a
-    np.add(a, p.s, out=z[0])
-    np.negative(z[:2], out=z[2:])
-    terms = (p.w * ndtr(z)).tolist()
-    if p.atom_mean is not None:
-        for row, extra in zip(terms, _atom_terms(p.atom_w, l - p.atom_mean)):
-            row += extra
-    # the weights sum to one only to rounding; a probability stays at most 1
-    tilted, plain, tilted_surv, plain_surv = (min(1.0, math.fsum(row)) for row in terms)
-    return plain, tilted, plain_surv, tilted_surv
+    """The four transforms of ``_series_block`` at the one threshold l, memoized."""
+    return _series_block(spec, (l,), quad)[0]
 
 
 # ---------------------------------------------------------------------------

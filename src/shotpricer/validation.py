@@ -4,7 +4,10 @@ The pricing formulas elsewhere in the package solve integro-differential
 equations; this module substitutes the prices into them and reports
 normalized residuals. Local derivatives are analytic (theta, delta, gamma;
 -B P and B^2 P in the rate). A bond's time derivative is a Richardson
-difference in the maturity. Jump expectations price at shifted states. It
+difference in the maturity. Jump expectations price at shifted states: an
+option point values all its quadrature nodes in one series block, and a
+bond point computes A(t, T) once and prices each shifted rate as
+exp(A - B (r + eta)). Both give the bits of one scalar price per node. It
 also runs the high-intensity scaling study that collapses the jump models
 onto their Gaussian limits, and the series-vs-Fourier cross-check of all
 eight cumulative transforms. ``contract_checks`` holds the numerical
@@ -14,7 +17,7 @@ contract, every check of CLI ``validate`` with its grid and tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -26,6 +29,7 @@ from .options import (
     AssetModel,
     OptionKind,
     OptionTerms,
+    _shifted_prices,
     bs_price,
     l_parameter,
     parity_residual,
@@ -35,6 +39,8 @@ from .shortrate import (
     BondTerms,
     BondVariant,
     RateModel,
+    _a_for,
+    _affine_price,
     a_shot,
     a_vasicek,
     b_factor,
@@ -83,41 +89,44 @@ class ResidualReport:
     rejected_points: tuple = ()
 
 
-def _jump_expectation_smooth(value, x0, law, c0, c_x) -> float:
-    """E[C(x+eta) - C(x) - (e^eta - 1) C_x] by Gauss-Hermite (smooth C only)."""
+def _jump_expectation_smooth(shifted, law, c0, c_x) -> float:
+    """E[C(x+eta) - C(x) - (e^eta - 1) C_x] by Gauss-Hermite (smooth C only);
+    ``shifted(eta)`` prices C(x+eta) at an array of jumps."""
     u, w = gauss_hermite(_GH_NODES)
     eta = law.nu + law.delta * u
-    shifted = np.array([value(x0 + e) for e in eta])
-    return float(np.dot(w, shifted - c0 - np.expm1(eta) * c_x))
+    return float(np.dot(w, shifted(eta) - c0 - np.expm1(eta) * c_x))
 
 
-def _jump_expectation_kinked(value, x0, law, c0, c_x, l0: float) -> float:
+def _jump_expectation_kinked(shifted, law, c0, c_x, l0: float) -> float:
     """Same expectation when C has the sigma = 0 delta-kink inside the range.
 
     Gauss-Hermite converges poorly across the derivative kink at
     eta = -l(x0), so the Gaussian weight is folded into Gauss-Legendre
-    panels split exactly at the kink; each side is analytic.
+    panels split exactly at the kink; each side is analytic. The nodes of
+    every panel are priced in one ``shifted`` call.
     """
     if law.delta == 0.0:
         eta = law.nu
-        return value(x0 + eta) - c0 - math.expm1(eta) * c_x
+        return float(shifted(np.array([eta]))[0]) - c0 - math.expm1(eta) * c_x
     lo = law.nu - 10.0 * law.delta
     hi = law.nu + 10.0 * law.delta + law.delta**2
     cuts = [lo, hi]
     if lo < -l0 < hi:
         cuts = [lo, -l0, hi]
-    total = 0.0
+    panels = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         n_panels = max(1, int(math.ceil((b - a) / (0.5 * law.delta))))
         for i in range(n_panels):
             p_lo = a + (b - a) * i / n_panels
             p_hi = a + (b - a) * (i + 1) / n_panels
-            eta, w = gauss_legendre(p_lo, p_hi, _KINK_NODES)
-            dens = np.exp(-0.5 * ((eta - law.nu) / law.delta) ** 2) / (
-                law.delta * math.sqrt(2.0 * math.pi)
-            )
-            vals = np.array([value(x0 + e) for e in eta])
-            total += float(np.dot(w * dens, vals - c0 - np.expm1(eta) * c_x))
+            panels.append(gauss_legendre(p_lo, p_hi, _KINK_NODES))
+    values = shifted(np.concatenate([eta for eta, _ in panels])).reshape(len(panels), -1)
+    total = 0.0
+    for (eta, w), vals in zip(panels, values):
+        dens = np.exp(-0.5 * ((eta - law.nu) / law.delta) ** 2) / (
+            law.delta * math.sqrt(2.0 * math.pi)
+        )
+        total += float(np.dot(w * dens, vals - c0 - np.expm1(eta) * c_x))
     return total
 
 
@@ -150,9 +159,9 @@ def option_pide_residual(
         used += 1
         x0 = math.log(terms.spot / terms.strike)
 
-        def value(x: float) -> float:
-            shifted = replace(terms, spot=terms.strike * math.exp(x))
-            return price(shifted, model, Backend.SERIES, quad).value
+        def shifted(eta: np.ndarray) -> np.ndarray:
+            spots = [terms.strike * math.exp(x) for x in (x0 + eta).tolist()]
+            return np.array(_shifted_prices(terms, model, spots, quad))
 
         spot = terms.spot
         c0 = price(terms, model, Backend.SERIES, quad).value
@@ -163,11 +172,9 @@ def option_pide_residual(
         if model.lam == 0.0:
             jump_term = 0.0
         elif model.sigma > 0.0:
-            jump_term = model.lam * _jump_expectation_smooth(value, x0, model.law, c0, c_x)
+            jump_term = model.lam * _jump_expectation_smooth(shifted, model.law, c0, c_x)
         else:
-            jump_term = model.lam * _jump_expectation_kinked(
-                value, x0, model.law, c0, c_x, l0
-            )
+            jump_term = model.lam * _jump_expectation_kinked(shifted, model.law, c0, c_x, l0)
         res = (
             -c_tau
             + 0.5 * model.sigma**2 * c_xx
@@ -210,14 +217,16 @@ def bond_pide_residual(
         def value(maturity: float, r: float) -> float:
             return bond_price(model, BondTerms(t=terms.t, T=maturity, r_t=r), variant, quad)
 
+        # A(t, T) once: every shifted rate prices as exp(A - B (r + eta))
+        a_val = _a_for(model, terms.t, terms.T, variant, quad)
         b_val = b_factor(model, terms.t, terms.T)
-        p0 = value(terms.T, terms.r_t)
+        p0 = _affine_price(a_val, b_val, terms.r_t)
         p_t = -fd_sensitivity(lambda s: value(s, terms.r_t), terms.T, _MATURITY_STEP)
         p_r = -b_val * p0
         if variant is BondVariant.VASICEK or model.lambda_r == 0.0:
             jump_term = 0.0
         else:
-            shifted = np.array([value(terms.T, terms.r_t + e) for e in eta])
+            shifted = np.array([_affine_price(a_val, b_val, r) for r in terms.r_t + eta])
             jump_term = model.lambda_r * float(np.dot(w, shifted - p0))
         if variant is BondVariant.SHOT:
             drift = -model.a * terms.r_t * p_r

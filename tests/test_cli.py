@@ -1,6 +1,9 @@
 """CLI contract: exit codes, report columns, overrides, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -194,6 +197,22 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             main(["price", "--bogus"])
         assert exc.value.code == 2
+
+    def test_parser_reused_after_a_usage_error(self, tmp_path, capsys):
+        # the parser is built once per process: a call that failed to parse
+        # leaves the next call's report as a fresh process writes it
+        with pytest.raises(SystemExit) as exc:
+            main(["price", "--bogus"])
+        assert exc.value.code == 2
+        here, fresh = tmp_path / "here.csv", tmp_path / "fresh.csv"
+        assert run(["price", "--out", str(here)], capsys)[0] == 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-m", "shotpricer.cli", "price", "--out", str(fresh)],
+            env=env, check=True, timeout=120,
+        )
+        assert body_lines(here.read_text()) == body_lines(fresh.read_text())
 
 
 class TestReproducibility:

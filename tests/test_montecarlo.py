@@ -98,6 +98,31 @@ class TestMartingale:
         assert abs(est.mean - bs_price(terms, 0.2).value) <= 3.0 * est.std_error
 
 
+class TestHeavyTail:
+    # An ATM call under jumps of +2 in log price: E[e^{-r tau} S_T] = 100, but
+    # 1000 paths rarely draw the e^{2n} paths that carry it. At seed 1 the call
+    # would read about 15.5 +- 4.4 against a price of about 91.8.
+    terms = make_terms(100.0, 100.0, tau=1.0)
+    model = AssetModel(1.0, GaussianJumpLaw(2.0, 0.0), 0.2)
+
+    def test_call_that_misses_its_forward_raises(self):
+        for seed in (1, 3):
+            with pytest.raises(ParameterError, match="standard errors"):
+                mc_option_price(self.terms, self.model, SimConfig(paths=1000, seed=seed))
+
+    def test_call_whose_sample_reaches_the_forward_stands(self):
+        # at seed 2 the forward misses by about 1.6 of its standard errors
+        est = mc_option_price(self.terms, self.model, SimConfig(paths=1000, seed=2))
+        analytic = price(self.terms, self.model).value
+        assert abs(est.mean - analytic) <= 3.0 * est.std_error
+
+    def test_put_is_not_checked(self):
+        # a put's payoff is bounded by K, so its estimate stays honest
+        put = make_terms(100.0, 100.0, tau=1.0, kind=OptionKind.PUT)
+        est = mc_option_price(put, self.model, SimConfig(paths=1000, seed=1))
+        assert abs(est.mean - price(put, self.model).value) <= 3.0 * est.std_error
+
+
 class TestErrorScaling:
     def test_quadrupling_halves_std_error(self, jump_model, atm_call):
         small = mc_option_price(atm_call, jump_model, SimConfig(paths=50_000, seed=3))

@@ -1,5 +1,6 @@
 """Option valuation: payoffs, parity, reductions, bounds, Monte Carlo."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from shotpricer import (
     varsigma,
 )
 from shotpricer.errors import DegenerateMaturityError, ParameterError
+from shotpricer.options import _shifted_prices
 
 from conftest import make_terms
 
@@ -242,3 +244,56 @@ class TestWingAccuracy:
         model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.2)
         terms = OptionTerms(100.0, strike, 0.25, 0.03, 0.0, kind)
         assert price(terms, model).value == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+def _per_spot_prices(terms, model, spots):
+    """Reference: one contract and one scalar price() per spot."""
+    return [
+        price(dataclasses.replace(terms, spot=s), model, Backend.SERIES).value for s in spots
+    ]
+
+
+class TestShiftedPrices:
+    """The batched prices of one contract at many spots (the PIDE residual's
+    jump expectation) are the scalar prices, bit for bit."""
+
+    @pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    def test_equal_to_per_spot_prices(self, kind, sigma):
+        model = AssetModel(1.5, GaussianJumpLaw(-0.05, 0.15), sigma)
+        terms = OptionTerms(100.0, 95.0, 0.75, 0.03, 0.01, kind)
+        spots = [95.0 * math.exp(x) for x in np.linspace(-1.5, 1.5, 41)] + [1e-3, 1e5, 95.0]
+        assert _shifted_prices(terms, model, spots) == _per_spot_prices(terms, model, spots)
+
+    @pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
+    def test_node_on_the_atom_reads_the_right_limit(self, kind):
+        # varsigma = e^{nu + delta^2/2} - 1 = 0 and r = q: the drift is 0, so
+        # the spot K has l = 0 exactly, on the sigma = 0 atom
+        law = GaussianJumpLaw(-0.125, 0.5)
+        assert varsigma(law) == 0.0
+        model = AssetModel(1.0, law, 0.0)
+        terms = OptionTerms(100.0, 100.0, 1.0, 0.02, 0.02, kind)
+        assert l_parameter(terms, model) == 0.0
+        spots = [99.0, 100.0, 101.0]
+        assert _shifted_prices(terms, model, spots) == _per_spot_prices(terms, model, spots)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_degenerate_contracts(self, sigma, tau):
+        # expiry, and the deterministic model (lam = sigma = 0), price as price() does
+        model = AssetModel(0.0, GaussianJumpLaw(0.0, 0.1), sigma)
+        terms = OptionTerms(100.0, 100.0, tau, 0.03, 0.0, OptionKind.PUT)
+        spots = [80.0, 100.0, 120.0]
+        assert _shifted_prices(terms, model, spots) == _per_spot_prices(terms, model, spots)
+
+    @pytest.mark.parametrize("spot", [0.0, -1.0, math.inf, math.nan, 1e305])
+    def test_refused_spot_raises_what_the_contract_raises(self, spot):
+        # 0.0 is a shifted spot K e^x whose e^x underflowed; 1e305 e^{-q tau}
+        # is past the overflow guard
+        terms = OptionTerms(100.0, 100.0, 1.0, 0.03, 0.0, OptionKind.CALL)
+        model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.0)
+        with pytest.raises(ParameterError) as expected:
+            dataclasses.replace(terms, spot=spot)
+        with pytest.raises(ParameterError) as got:
+            _shifted_prices(terms, model, [100.0, spot])
+        assert str(got.value) == str(expected.value)

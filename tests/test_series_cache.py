@@ -1,7 +1,11 @@
 """The memoized Poisson series: shared per (model, tau), never changes a result."""
 
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtr
 
 from shotpricer import (
     AssetModel,
@@ -14,9 +18,10 @@ from shotpricer import (
     new_greeks,
     price,
 )
-from shotpricer.errors import KinkError, TruncationError
+from shotpricer.errors import KinkError, ParameterError, TruncationError
 from shotpricer.transform import (
     DEFAULT_QUAD,
+    _series_block,
     _series_lset,
     _series_parts,
     _series_values,
@@ -126,3 +131,65 @@ def test_truncation_error_is_raised_again_and_not_cached():
     assert _series_values.cache_info().currsize == 0
     assert _series_lset.cache_info().currsize == 0
     assert _series_parts.cache_info().misses == 4
+
+
+def _one_threshold_reference(spec, l):
+    """The values pass at one threshold, written out row by row: one ndtr on
+    the rows (b, a, -b, -a) against the weight rows (tilted, plain, tilted,
+    plain), the atoms added with their brackets, one fsum per row."""
+    p = _series_parts(spec, DEFAULT_QUAD)
+    with np.errstate(over="ignore"):
+        a = (l - p.mean_c) / p.s
+    z = np.empty(p.w.shape)
+    z[1] = a
+    np.add(a, p.s, out=z[0])
+    np.negative(z[:2], out=z[2:])
+    rows = (p.w * ndtr(z)).tolist()
+    if p.atom_mean is not None:
+        gap = l - p.atom_mean
+        above, at = gap > 0.0, gap >= 0.0
+        for row, coef, hit in zip(rows, p.atom_w, (above, at, ~above, ~at)):
+            row += (coef * hit).tolist()
+    tilted, plain, tilted_surv, plain_surv = (min(1.0, math.fsum(row)) for row in rows)
+    return plain, tilted, plain_surv, tilted_surv
+
+
+# thresholds in the bulk, on the sigma = 0 atom at 0, and so far out that
+# a = (l - mean) / s overflows to +-inf
+_thresholds = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lam=st.floats(min_value=0.0, max_value=20.0),
+    nu=st.floats(min_value=-0.5, max_value=0.5),
+    delta=st.sampled_from([0.0, 0.02, 0.15, 0.6]),
+    sigma=st.sampled_from([0.0, 0.2]),
+    tau=st.floats(min_value=0.05, max_value=3.0),
+    ls=st.lists(_thresholds, min_size=1, max_size=8),
+    repeat=st.integers(min_value=0, max_value=3),
+)
+@example(lam=1.0, nu=-0.05, delta=0.15, sigma=0.0, tau=1.0, ls=[0.0, 0.1, 0.0, -0.1], repeat=1)
+@example(lam=1.0, nu=0.1, delta=0.0, sigma=0.0, tau=1.0, ls=[0.1, 0.2, 0.0, 1e300], repeat=0)
+@example(lam=2.0, nu=-0.05, delta=0.15, sigma=0.2, tau=0.5, ls=[1e300, -1e300], repeat=2)
+def test_block_equals_one_threshold_passes_bit_for_bit(lam, nu, delta, sigma, tau, ls, repeat):
+    spec = CharSpec(tau=tau, lam=lam, sigma=sigma, law=GaussianJumpLaw(nu, delta))
+    ls = ls + ls[:repeat]  # thresholds met twice in one block
+    try:
+        block = _series_block(spec, ls, DEFAULT_QUAD)
+    except TruncationError:
+        return
+    assert block == [_one_threshold_reference(spec, l) for l in ls]
+    assert block == [_series_values(spec, l, DEFAULT_QUAD) for l in ls]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_block_refuses_a_nan_threshold(sigma):
+    spec = CharSpec(tau=1.0, lam=1.0, sigma=sigma, law=GaussianJumpLaw(-0.05, 0.15))
+    with pytest.raises(ParameterError, match="NaN"):
+        _series_block(spec, [0.1, math.nan, 0.2], DEFAULT_QUAD)
+    with pytest.raises(ParameterError, match="NaN"):
+        _series_values(spec, math.nan, DEFAULT_QUAD)

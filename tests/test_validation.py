@@ -1,7 +1,9 @@
 """Residual verification: PIDEs, backend agreement, diffusion limits."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from shotpricer import (
@@ -17,6 +19,12 @@ from shotpricer import (
     diffusion_convergence,
     option_pide_residual,
 )
+from shotpricer import validation
+from shotpricer._quad import gauss_hermite
+from shotpricer.errors import ParameterError
+from shotpricer.greeks import fd_sensitivity
+from shotpricer.options import Backend, price, varsigma
+from shotpricer.shortrate import b_factor, bond_price
 from conftest import make_terms
 
 
@@ -138,3 +146,88 @@ class TestDiffusionConvergence:
         assert final.price_error <= 0.01
         assert final.greek_error <= 0.01
         assert final.bond_error <= 0.005
+
+
+def _per_node_prices(terms, model, spots, quad):
+    """Reference for the residual's shifted prices: one price() per node."""
+    return [
+        price(dataclasses.replace(terms, spot=s), model, Backend.SERIES, quad).value for s in spots
+    ]
+
+
+class TestBatchedJumpExpectations:
+    """The residuals price every jump node in one pass; each point's residual
+    is the one a price per node gives, bit for bit."""
+
+    @pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            AssetModel(1.0, GaussianJumpLaw(0.05, 0.1), 0.0),
+            AssetModel(0.7, GaussianJumpLaw(-0.08, 0.2), 0.0),
+            AssetModel(0.5, GaussianJumpLaw(0.05, 0.1), 0.15),
+            AssetModel(1.0, GaussianJumpLaw(0.1, 0.0), 0.0),
+        ],
+    )
+    def test_option_residual_equals_per_node_reference(self, monkeypatch, kind, model):
+        grid = [dataclasses.replace(t, kind=kind) for t in option_grid()]
+        batched = [option_pide_residual([t], model) for t in grid]
+        monkeypatch.setattr(validation, "_shifted_prices", _per_node_prices)
+        assert [option_pide_residual([t], model) for t in grid] == batched
+
+    def test_option_node_on_the_atom(self, monkeypatch):
+        # delta = 0 prices one node, x0 + nu; with zero drift and nu = -x0 it
+        # sits at l = 0, on the sigma = 0 atom
+        x0 = math.log(128.0 / 100.0)
+        law = GaussianJumpLaw(-x0, 0.0)
+        model = AssetModel(1.0, law, 0.0)
+        terms = OptionTerms(128.0, 100.0, 1.0, varsigma(law), 0.0, OptionKind.CALL)
+        node = dataclasses.replace(terms, spot=100.0 * math.exp(x0 + law.nu))
+        assert node.spot == 100.0 and validation.l_parameter(node, model) == 0.0
+        batched = option_pide_residual([terms], model)
+        monkeypatch.setattr(validation, "_shifted_prices", _per_node_prices)
+        assert option_pide_residual([terms], model) == batched
+
+    def test_underflowing_node_raises_as_before(self, monkeypatch):
+        # the node K e^{x0 - 800} underflows to a spot of 0
+        model = AssetModel(1.0, GaussianJumpLaw(-800.0, 0.0), 0.0)
+        terms = OptionTerms(100.0, 100.0, 1.0, 0.03, 0.0, OptionKind.CALL)
+        with pytest.raises(ParameterError, match="spot must be > 0") as got:
+            option_pide_residual([terms], model)
+        monkeypatch.setattr(validation, "_shifted_prices", _per_node_prices)
+        with pytest.raises(ParameterError) as expected:
+            option_pide_residual([terms], model)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("variant", list(BondVariant))
+    def test_bond_residual_equals_per_node_reference(self, rate_general_model, variant):
+        model = rate_general_model
+        grid = (BondTerms(0.5, 5.0, 0.01), BondTerms(2.0, 5.0, 0.06), BondTerms(0.0, 1.0, 0.0))
+        for terms in grid:
+            got = bond_pide_residual(model, [terms], variant).max_residual
+            assert got == _bond_residual_reference(model, terms, variant)
+
+
+def _bond_residual_reference(model, terms, variant):
+    """One point's term-structure residual with every price a bond_price call."""
+    u, w = gauss_hermite(validation._GH_NODES)
+    eta = model.law.nu + model.law.delta * u
+
+    def value(maturity, r):
+        return bond_price(model, BondTerms(terms.t, maturity, r), variant)
+
+    b_val = b_factor(model, terms.t, terms.T)
+    p0 = value(terms.T, terms.r_t)
+    p_t = -fd_sensitivity(lambda s: value(s, terms.r_t), terms.T, validation._MATURITY_STEP)
+    p_r = -b_val * p0
+    jump_term = 0.0
+    if variant is not BondVariant.VASICEK:
+        shifted = np.array([value(terms.T, terms.r_t + e) for e in eta])
+        jump_term = model.lambda_r * float(np.dot(w, shifted - p0))
+    if variant is BondVariant.SHOT:
+        drift, diff = -model.a * terms.r_t * p_r, 0.0
+    else:
+        drift = model.a * (model.b - terms.r_t) * p_r
+        diff = 0.5 * model.sigma_r**2 * b_val * b_val * p0
+    res = p_t + drift + diff + jump_term - terms.r_t * p0
+    return abs(res) / max(abs(terms.r_t * p0), validation._NORM_FLOOR)
