@@ -15,16 +15,18 @@ exp(-z) change of weight). Two independent evaluation routes are provided:
   keeps the Poisson window, the counts where either weight exceeds the floor
   ``series_tail * _WEIGHT_FLOOR`` plus one each side: both dropped tails stay
   below ``series_tail``, and the weight below it, taken as 0 by the Greek
-  engine, is under the floor. Window sums are exact (``math.fsum``), cheap
-  over its ~30 orders of magnitude. It is the reference backend and alone
+  engine, is under the floor. Rows are summed by numpy's pairwise reduction
+  (``np.sum``: a BLAS ``@`` moves its last bits with kernel and thread count);
+  only the Greek engine's two Poisson-mean rows, which telescope to nearly 0,
+  are summed exactly (``math.fsum``). It is the reference backend and alone
   has analytic derivatives (for the Greeks). Everything that depends only on
   the model and tau (the continuous/atom split, the stacked weight rows, their
   derivatives and ds/dparam) is built once per (spec, quad) and cached. The
   values pass runs over a block of thresholds at once (one ``ndtr`` over the
-  rows b, a, -b, -a of every threshold, one exact sum per row and
-  threshold); a memoized one-threshold block gives all four transforms to
-  the scalar functions, ``series_lset`` and ``green_density``, and the
-  residual checks price the shifted states of a grid point in one block.
+  rows b, a, -b, -a of every threshold, one reduction); a memoized
+  one-threshold block gives all four transforms to the scalar functions,
+  ``series_lset`` and ``green_density``, and the residual checks price the
+  shifted states of a grid point in one block.
   The Greek engine forms its twelve derivative term rows as one matrix.
 * fourier (``fourier_grid``): Gil-Pelaez inversion, one integral in k per
   cumulative, on Gauss-Legendre panels, for a batch of thresholds. It reads
@@ -191,7 +193,7 @@ def _poisson_weights(
         tilt = np.exp(log_p + n * theta - (m_tilt - mean))
         live = np.flatnonzero(np.maximum(plain, tilt) > tail_target * _WEIGHT_FLOOR)
         i, j = (max(live[0] - 1, 0), live[-1] + 2) if live.size else (0, 0)
-        sums = [math.fsum(w[i:j].tolist()) for w in (plain, tilt)]
+        sums = [w[i:j].sum() for w in (plain, tilt)]
         tail = 1.0 - min(sums)
         if tail < tail_target:
             return lo + int(i), plain[i:j] / sums[0], tilt[i:j] / sums[1]
@@ -288,27 +290,29 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
     return _SeriesParts.from_weights(spec, n, plain_w, tilt_w)
 
 
-def _atom_terms(coef: np.ndarray, gap: np.ndarray) -> list:
-    """Rows of ``coef`` times the atoms l - mean = ``gap`` counts, as lists:
-    the module's brackets for rows (tilted cdf, plain cdf, tilted survival,
-    plain survival), or for the first two when ``coef`` has two rows. A gap
-    with one row per threshold gives one such block of rows per threshold."""
-    above, at = gap > 0.0, gap >= 0.0
-    hits = (above, at) if len(coef) == 2 else (above, at, ~above, ~at)
-    return (coef * np.array(hits).swapaxes(0, -2)).tolist()
+# atom brackets of rows (tilted cdf, plain cdf, tilted survival, plain survival)
+_ATOM_SIDE = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # cdfs step up in l, survivals down
+_ATOM_AT_0 = np.array([[0.0], [1.0], [1.0], [0.0]])  # at l = mean: atom in or out
+
+
+def _atom_terms(coef: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """``coef`` times the first len(coef) brackets at the atoms' l - mean = ``gap``."""
+    k = len(coef)
+    return coef * np.heaviside(gap[..., None, :] * _ATOM_SIDE[:k], _ATOM_AT_0[:k])
 
 
 def _series_block(
     spec: CharSpec, ls, quad: QuadratureSpec
 ) -> list[tuple[float, float, float, float]]:
     """(cdf_plain, cdf_tilted, survival_plain, survival_tilted) at each
-    threshold of ``ls``, one exact sum each; survivals are summed directly, so
-    deep-OTM puts keep their size.
+    threshold of ``ls``; survivals are summed directly, so deep-OTM puts keep
+    their size.
 
     One array pass serves every threshold: the rows (b, a, -b, -a) of all
-    thresholds go through one ``ndtr`` and one product with the weight rows.
-    Each threshold's terms keep the order of a one-threshold pass, so every
-    result is bit for bit that pass's.
+    thresholds go through one ``ndtr``, one product with the weight rows and
+    one pairwise reduction along the counts; the atoms, summed inside their
+    brackets, are added after. The reduction sums each row alone, so every
+    result is bit for bit that of a one-threshold pass.
     """
     if any(map(math.isnan, ls)):
         raise ParameterError("threshold l must not be NaN")
@@ -325,19 +329,12 @@ def _series_block(
     np.negative(z[:, :2], out=z[:, 2:])
     ndtr(z, out=z)
     z *= p.w
-    blocks = z.tolist()
+    sums = z.sum(axis=-1)
     if p.atom_mean is not None:
-        for terms, extras in zip(blocks, _atom_terms(p.atom_w, col - p.atom_mean)):
-            for row, extra in zip(terms, extras):
-                row += extra
-    out = []
-    for terms in blocks:
-        tilted, plain, tilted_surv, plain_surv = map(math.fsum, terms)
-        # the weights sum to one only to rounding; a probability stays at most 1
-        out.append(
-            (min(1.0, plain), min(1.0, tilted), min(1.0, plain_surv), min(1.0, tilted_surv))
-        )
-    return out
+        sums += _atom_terms(p.atom_w, col - p.atom_mean).sum(axis=-1)
+    # the weights sum to one only to rounding; a probability stays at most 1
+    np.minimum(sums, 1.0, out=sums)
+    return [(plain, tilted, p_surv, t_surv) for tilted, plain, t_surv, p_surv in sums.tolist()]
 
 
 @functools.lru_cache(maxsize=_LSET_CACHE_SIZE)
@@ -640,13 +637,15 @@ def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
     np.divide(wphi, s, out=terms[2:4])
     np.divide(wphi * p.n_c, s, out=terms[4:6])
     np.multiply(p.ds[:, None, :], wdphi, out=terms[6:].reshape(3, 2, s.size))
-    rows = terms.tolist()
-    if p.atom_mean is not None:  # the atoms count with the brackets of the cdfs
-        for row, extra in zip(rows, _atom_terms(p.atom_dw, l - p.atom_mean)):
-            row += extra
-    (
-        l1_dm, l2_dm, dl1_dl, dl2_dl, nu1, nu2, tau1, tau2, delta1, delta2, sigma1, sigma2
-    ) = (math.fsum(row) for row in rows)
+    # the Poisson-mean rows telescope to nearly 0, so they alone are summed
+    # exactly; the atoms count with the brackets of the cdfs
+    dm = terms[:2]
+    if p.atom_mean is not None:
+        dm = np.hstack((_atom_terms(p.atom_dw, l - p.atom_mean), dm))
+    l1_dm, l2_dm = (math.fsum(row) for row in dm.tolist())
+    dl1_dl, dl2_dl, nu1, nu2, tau1, tau2, delta1, delta2, sigma1, sigma2 = (
+        terms[2:].sum(axis=1).tolist()
+    )
 
     return LSet(
         l1=l1,

@@ -14,9 +14,13 @@ from shotpricer import (
     OptionKind,
     OptionTerms,
     QuadratureSpec,
+    cdf_plain,
+    cdf_tilted,
     common_greeks,
     new_greeks,
     price,
+    survival_plain,
+    survival_tilted,
 )
 from shotpricer.errors import KinkError, ParameterError, TruncationError
 from shotpricer.transform import (
@@ -27,6 +31,8 @@ from shotpricer.transform import (
     _series_values,
     series_lset,
 )
+
+from conftest import time_limit
 
 
 def _clear():
@@ -133,10 +139,11 @@ def test_truncation_error_is_raised_again_and_not_cached():
     assert _series_parts.cache_info().misses == 4
 
 
-def _one_threshold_reference(spec, l):
-    """The values pass at one threshold, written out row by row: one ndtr on
-    the rows (b, a, -b, -a) against the weight rows (tilted, plain, tilted,
-    plain), the atoms added with their brackets, one fsum per row."""
+def _threshold_terms(spec, l):
+    """The values pass's terms at one threshold, rows (tilted cdf, plain cdf,
+    tilted survival, plain survival): the continuous components, from one
+    ndtr on the rows (b, a, -b, -a) against the weight rows (tilted, plain,
+    tilted, plain), and the atoms with their brackets (None without atoms)."""
     p = _series_parts(spec, DEFAULT_QUAD)
     with np.errstate(over="ignore"):
         a = (l - p.mean_c) / p.s
@@ -144,13 +151,22 @@ def _one_threshold_reference(spec, l):
     z[1] = a
     np.add(a, p.s, out=z[0])
     np.negative(z[:2], out=z[2:])
-    rows = (p.w * ndtr(z)).tolist()
-    if p.atom_mean is not None:
-        gap = l - p.atom_mean
-        above, at = gap > 0.0, gap >= 0.0
-        for row, coef, hit in zip(rows, p.atom_w, (above, at, ~above, ~at)):
-            row += (coef * hit).tolist()
-    tilted, plain, tilted_surv, plain_surv = (min(1.0, math.fsum(row)) for row in rows)
+    cont = p.w * ndtr(z)
+    if p.atom_mean is None:
+        return cont, None
+    gap = l - p.atom_mean
+    above, at = gap > 0.0, gap >= 0.0
+    return cont, p.atom_w * np.array((above, at, ~above, ~at))
+
+
+def _one_threshold_reference(spec, l):
+    """The values pass at one threshold, written out row by row: one np.sum
+    per row of continuous terms, plus one per row of atoms."""
+    cont, atoms = _threshold_terms(spec, l)
+    rows = [np.sum(row) for row in cont]
+    if atoms is not None:
+        rows = [row + np.sum(extra) for row, extra in zip(rows, atoms)]
+    tilted, plain, tilted_surv, plain_surv = (min(1.0, float(row)) for row in rows)
     return plain, tilted, plain_surv, tilted_surv
 
 
@@ -193,3 +209,45 @@ def test_block_refuses_a_nan_threshold(sigma):
         _series_block(spec, [0.1, math.nan, 0.2], DEFAULT_QUAD)
     with pytest.raises(ParameterError, match="NaN"):
         _series_values(spec, math.nan, DEFAULT_QUAD)
+
+
+def _pairwise_bound(n, abs_sum):
+    """Bound on |pairwise sum - exact sum, rounded| for n terms of absolute
+    sum ``abs_sum``, from numpy's summation scheme. Under 8 terms numpy adds
+    in a loop (at most 7 additions on any term's path). Up to 128 it keeps
+    eight accumulators of at most 16 terms (15 additions), joins them in a
+    3-level tree and adds the n mod 8 leftovers one by one (7 more): at most
+    25. Longer rows are halved at a multiple of 8 until each part has at most
+    128 terms; parts stay below n / 2^h + 15, so h <= ceil(log2 n) - 6
+    halvings, one addition each. The reduction adds its first element to
+    the pairwise sum of the rest, and the block adds the atoms' sum: 2 more.
+    A path of d additions errs by at most gamma_d = d u / (1 - d u) of
+    abs_sum (Higham 1993), and the exactly rounded reference by u of it."""
+    u = 2.0**-53
+    d = math.ceil(math.log2(max(n, 1))) + 21
+    return (d * u / (1.0 - d * u) + u) * abs_sum
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lam_tau=st.one_of(
+        st.floats(min_value=0.0, max_value=20.0), st.floats(min_value=20.0, max_value=3000.0)
+    ),
+    tau=st.floats(min_value=0.05, max_value=3.0),
+    sigma=st.sampled_from([0.0, 0.2]),
+    # tilted means stay under the count cap: lam tau e^{nu + delta^2/2} < 3500
+    nu=st.floats(min_value=-0.3, max_value=0.1),
+    delta=st.floats(min_value=0.0, max_value=0.3),
+    l=st.floats(min_value=-3.0, max_value=3.0),
+)
+@example(lam_tau=3000.0, tau=1.0, sigma=0.0, nu=0.1, delta=0.3, l=0.0)
+@example(lam_tau=1000.0, tau=1.0, sigma=0.2, nu=-0.05, delta=0.15, l=-0.05)
+def test_pairwise_sums_are_within_their_bound_of_exact_sums(lam_tau, tau, sigma, nu, delta, l):
+    spec = CharSpec(tau=tau, lam=lam_tau / tau, sigma=sigma, law=GaussianJumpLaw(nu, delta))
+    with time_limit(2.0):
+        values = [fn(spec, l) for fn in (cdf_tilted, cdf_plain, survival_tilted, survival_plain)]
+        cont, atoms = _threshold_terms(spec, l)
+    rows = cont.tolist() if atoms is None else np.hstack((cont, atoms)).tolist()
+    for value, row in zip(values, rows):
+        bound = _pairwise_bound(len(row), math.fsum(map(abs, row)))
+        assert abs(value - min(1.0, math.fsum(row))) <= bound
