@@ -78,6 +78,19 @@ def _check_evaluable(terms: OptionTerms, model: AssetModel) -> float:
     return l
 
 
+def _for_kind(
+    terms: OptionTerms, disc_spot: float, disc_strike: float, delta, gamma, rho, psi, theta, vega
+) -> GreekSet:
+    """The Greeks of ``terms.kind`` from the call's; by parity a put is
+    call - S e^{-q tau} + K e^{-r tau}."""
+    if terms.kind is not OptionKind.CALL:
+        delta = delta - math.exp(-terms.dividend * terms.tau)
+        rho = rho - terms.tau * disc_strike
+        psi = psi + terms.tau * disc_spot
+        theta = theta - terms.dividend * disc_spot + terms.rate * disc_strike
+    return GreekSet(delta=delta, gamma=gamma, rho=rho, psi=psi, theta=theta, vega=vega)
+
+
 def common_greeks(
     terms: OptionTerms,
     model: AssetModel,
@@ -106,17 +119,7 @@ def common_greeks(
     vega = None
     if model.sigma > 0.0:
         vega = disc_spot * ls.dl1_dsigma - disc_strike * ls.dl2_dsigma
-
-    if terms.kind is OptionKind.CALL:
-        return GreekSet(delta=delta_c, gamma=gamma, rho=rho_c, psi=psi_c, theta=theta_c, vega=vega)
-    return GreekSet(
-        delta=delta_c - math.exp(-terms.dividend * tau),
-        gamma=gamma,
-        rho=rho_c - tau * disc_strike,
-        psi=psi_c + tau * disc_spot,
-        theta=theta_c - terms.dividend * disc_spot + terms.rate * disc_strike,
-        vega=vega,
-    )
+    return _for_kind(terms, disc_spot, disc_strike, delta_c, gamma, rho_c, psi_c, theta_c, vega)
 
 
 def new_greeks(
@@ -176,17 +179,7 @@ def bs_greeks(terms: OptionTerms, sigma: float) -> GreekSet:
         - sigma * disc_spot * pdf_d1 / (2.0 * sqrt_tau)
     )
     vega = disc_spot * sqrt_tau * pdf_d1
-
-    if terms.kind is OptionKind.CALL:
-        return GreekSet(delta=delta_c, gamma=gamma, rho=rho_c, psi=psi_c, theta=theta_c, vega=vega)
-    return GreekSet(
-        delta=delta_c - math.exp(-terms.dividend * tau),
-        gamma=gamma,
-        rho=rho_c - tau * disc_strike,
-        psi=psi_c + tau * disc_spot,
-        theta=theta_c - terms.dividend * disc_spot + terms.rate * disc_strike,
-        vega=vega,
-    )
+    return _for_kind(terms, disc_spot, disc_strike, delta_c, gamma, rho_c, psi_c, theta_c, vega)
 
 
 def fd_sensitivity_with_error(
@@ -304,18 +297,13 @@ def _xi_weighted_density(
 
     Conditioning on the jump count turns the integral into
     sum_{n>=1} (P_{n-1} - P_n) N'(l; -n nu, n delta^2); the n = 0 term is a
-    point mass at l = 0 and is dropped (callers stay off the kink). The
-    weights are the series' own (0 outside its window): like with like.
+    point mass at l = 0 and is dropped (callers stay off the kink). It sums
+    the Greek engine's own rows: the plain dw row over the continuous
+    components of the cached series parts.
     """
-    law = model.law
-    if law.delta == 0.0:
+    if model.law.delta == 0.0:
         raise ParameterError("spectral term needs delta > 0")
-    parts = _series_parts(model.char_spec(tau), quad)
-    n = np.append(parts.n, parts.n[-1] + 1.0)  # n_lo..n_hi + 1
-    dp = -np.diff(np.concatenate([[0.0], parts.plain_w, [0.0]]))[n >= 1.0]
-    n = n[n >= 1.0]
-    sd = np.sqrt(n) * law.delta
-    z = (l + n * law.nu) / sd
-    dens = np.exp(-0.5 * z * z) / (_SQRT_2PI * sd)
-    return float(math.fsum(dp * dens))
-
+    p = _series_parts(model.char_spec(tau), quad)
+    a = (l - p.mean_c) / p.s
+    phi = np.exp(-0.5 * a * a) / _SQRT_2PI
+    return math.fsum((p.dw[1] * phi / p.s).tolist())

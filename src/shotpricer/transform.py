@@ -216,23 +216,20 @@ class _SeriesParts:
     """Per-count ingredients of the mixture representation, split into the
     continuous components and the point masses once per (spec, quad).
 
-    ``n`` are the window's counts, n_lo..n_hi. ``plain_w`` are Poisson(lam tau)
-    weights; ``tilt_w`` absorb the exponential tilt and are the
-    Poisson(lam tau (1 + varsigma)) weights (lam tau varsigma == m_tilt - m).
-    Each set sums to one to rounding. Component n is a normal of mean -n nu
-    and standard deviation sqrt(n delta^2 + sigma^2 tau), a point mass where
-    that is 0.
+    Built from the window's counts n_lo..n_hi, their Poisson(lam tau) weights
+    (plain) and Poisson(lam tau (1 + varsigma)) weights (tilted; lam tau
+    varsigma == m_tilt - m), each set summing to one to rounding. Component n
+    is a normal of mean -n nu and standard deviation sqrt(n delta^2 + sigma^2
+    tau), a point mass where that is 0.
 
     Continuous components: counts ``n_c``, means ``mean_c``, deviations ``s``;
     ``w`` stacks their weights as rows (tilted, plain, tilted, plain), ``dw``
-    the weights' derivatives in the Poisson mean as rows (tilted, plain), and
-    ``ds`` the rows ds/dtau, ds/ddelta, ds/dsigma. Point masses: ``atom_mean``,
-    ``atom_w`` (4 rows) and ``atom_dw`` (2 rows), all None when there are none.
+    their derivatives w_{n-1} - w_n in the Poisson mean as rows (tilted,
+    plain), and ``ds`` the rows ds/dtau, ds/ddelta, ds/dsigma. Point masses:
+    ``atom_mean``, ``atom_w`` (4 rows) and ``atom_dw`` (2 rows), all None when
+    there are none.
     """
 
-    n: np.ndarray
-    plain_w: np.ndarray
-    tilt_w: np.ndarray
     n_c: np.ndarray
     mean_c: np.ndarray
     s: np.ndarray
@@ -271,7 +268,7 @@ class _SeriesParts:
         np.divide(sigma * tau, s, out=ds[2])
         ds.flags.writeable = False
         atoms = (mean[:k], w[:, :k], dw[:, :k]) if k else (None, None, None)
-        return cls(n, w[1], w[0], n_c, mean[k:], s, w[:, k:], dw[:, k:], ds, *atoms)
+        return cls(n_c, mean[k:], s, w[:, k:], dw[:, k:], ds, *atoms)
 
 
 @functools.lru_cache(maxsize=_PARTS_CACHE_SIZE)
@@ -450,10 +447,8 @@ def fourier_grid(
     atom = atom_t = 0.0
     if spec.sigma == 0.0:
         atom = math.exp(-spec.mean_count)
-        try:
-            atom_t = math.exp(log_pref) * atom
-        except OverflowError:  # the tilted atom e^{log_pref - lam tau} is still at most 1
-            atom_t = math.exp(log_pref - spec.mean_count)
+        # one exponential: e^{log_pref} alone overflows where the tilted atom is at most 1
+        atom_t = math.exp(log_pref - spec.mean_count)
     k_max = _fourier_kmax(spec, quad.rel_tol / 10.0)
 
     def integrals(n_panels: int) -> np.ndarray:

@@ -10,8 +10,9 @@ bond point computes A(t, T) once and prices each shifted rate as
 exp(A - B (r + eta)). Both give the bits of one scalar price per node. It
 also runs the high-intensity scaling study that collapses the jump models
 onto their Gaussian limits, and the series-vs-Fourier cross-check of all
-eight cumulative transforms. ``contract_checks`` holds the numerical
-contract, every check of CLI ``validate`` with its grid and tolerance.
+eight cumulative transforms, one series block and one Fourier grid per
+model. ``contract_checks`` holds the numerical contract, every check of CLI
+``validate`` with its grid and tolerance.
 """
 
 from __future__ import annotations
@@ -52,11 +53,8 @@ from .transform import (
     Backend,
     CharSpec,
     QuadratureSpec,
-    cdf_plain,
-    cdf_tilted,
+    _series_block,
     fourier_grid,
-    survival_plain,
-    survival_tilted,
 )
 
 __all__ = [
@@ -102,32 +100,29 @@ def _jump_expectation_kinked(shifted, law, c0, c_x, l0: float) -> float:
 
     Gauss-Hermite converges poorly across the derivative kink at
     eta = -l(x0), so the Gaussian weight is folded into Gauss-Legendre
-    panels split exactly at the kink; each side is analytic. The nodes of
-    every panel are priced in one ``shifted`` call.
+    panels at most delta/2 wide, split exactly at the kink; each side is
+    analytic. One rule is mapped onto every panel at once, and all nodes are
+    priced in one ``shifted`` call.
     """
     if law.delta == 0.0:
         eta = law.nu
         return float(shifted(np.array([eta]))[0]) - c0 - math.expm1(eta) * c_x
     lo = law.nu - 10.0 * law.delta
     hi = law.nu + 10.0 * law.delta + law.delta**2
-    cuts = [lo, hi]
-    if lo < -l0 < hi:
-        cuts = [lo, -l0, hi]
-    panels = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        n_panels = max(1, int(math.ceil((b - a) / (0.5 * law.delta))))
-        for i in range(n_panels):
-            p_lo = a + (b - a) * i / n_panels
-            p_hi = a + (b - a) * (i + 1) / n_panels
-            panels.append(gauss_legendre(p_lo, p_hi, _KINK_NODES))
-    values = shifted(np.concatenate([eta for eta, _ in panels])).reshape(len(panels), -1)
-    total = 0.0
-    for (eta, w), vals in zip(panels, values):
-        dens = np.exp(-0.5 * ((eta - law.nu) / law.delta) ** 2) / (
-            law.delta * math.sqrt(2.0 * math.pi)
-        )
-        total += float(np.dot(w * dens, vals - c0 - np.expm1(eta) * c_x))
-    return total
+    cuts = [lo, -l0, hi] if lo < -l0 < hi else [lo, hi]
+    edges = [
+        np.linspace(a, b, max(1, math.ceil((b - a) / (0.5 * law.delta))) + 1)
+        for a, b in zip(cuts[:-1], cuts[1:])
+    ]
+    left = np.concatenate([e[:-1] for e in edges])[:, None]
+    right = np.concatenate([e[1:] for e in edges])[:, None]
+    x, w = gauss_legendre(-1.0, 1.0, _KINK_NODES)
+    half = 0.5 * (right - left)
+    eta = (half * x + 0.5 * (right + left)).ravel()
+    dens = np.exp(-0.5 * ((eta - law.nu) / law.delta) ** 2) / (
+        law.delta * math.sqrt(2.0 * math.pi)
+    )
+    return float(np.dot((half * w).ravel() * dens, shifted(eta) - c0 - np.expm1(eta) * c_x))
 
 
 def option_pide_residual(
@@ -343,23 +338,17 @@ def backend_agreement(
     worst = 0.0
     points = 0
     rejected = []
-    series_fns = (cdf_plain, cdf_tilted, survival_plain, survival_tilted)
     for spec, ls in grid:
         ls = np.asarray(ls, dtype=float)
-        keep = np.ones(len(ls), dtype=bool)
         if spec.sigma == 0.0:
             on_atom = ls == 0.0
-            for l in ls[on_atom]:
-                rejected.append((spec.lam, spec.sigma, float(l)))
-            keep &= ~on_atom
-        ls = ls[keep]
+            rejected.extend((spec.lam, spec.sigma, float(l)) for l in ls[on_atom])
+            ls = ls[~on_atom]
         if ls.size == 0:
             continue
         four = fourier_grid(spec, ls, quad)
-        four_vals = (four.plain, four.tilted, four.plain_surv, four.tilted_surv)
-        for fn, fv in zip(series_fns, four_vals):
-            sv = np.array([fn(spec, float(l), quad) for l in ls])
-            worst = max(worst, float(np.max(np.abs(sv - fv))))
+        fv = np.column_stack((four.plain, four.tilted, four.plain_surv, four.tilted_surv))
+        worst = max(worst, float(np.max(np.abs(np.array(_series_block(spec, ls, quad)) - fv))))
         points += ls.size
     return ResidualReport(
         max_residual=worst, grid_points=points, rejected_points=tuple(rejected)

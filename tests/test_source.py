@@ -1,15 +1,17 @@
 """Static checks on the library source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import shotpricer
 
-_MODULES = sorted(
-    p for p in Path(shotpricer.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+_SOURCES = sorted(Path(shotpricer.__file__).parent.glob("*.py"))
+_MODULES = [p for p in _SOURCES if p.name != "__init__.py"]
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -64,3 +66,57 @@ def test_no_environment_switches(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = _environment_reads(tree)
     assert not found, f"{path.name} reads os.{sorted(found)}"
+
+
+def _private_definitions(node: ast.stmt) -> set[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = {node.name}
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = {t.id for t in targets if isinstance(t, ast.Name)}
+    else:
+        names = set()
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names |= {alias.name for alias in sub.names}
+    return names
+
+
+def test_no_orphaned_private_names():
+    # a private top-level name that nothing in the package reads, outside its
+    # own definition, is a helper or constant left over from a refactor
+    nodes = [(p.name, node) for p in _SOURCES for node in ast.parse(p.read_text()).body]
+    refs = [_references(node) for _, node in nodes]
+    orphans = [
+        f"{module}: {name}"
+        for i, (module, node) in enumerate(nodes)
+        for name in _private_definitions(node)
+        if not any(name in r for j, r in enumerate(refs) if j != i)
+    ]
+    assert not orphans, f"private names nothing reads: {orphans}"
+
+
+def test_import_loads_no_heavy_scipy_modules():
+    # importing the package and its CLI loads only scipy.special: a
+    # scipy.integrate or scipy.stats import pulls in scipy.optimize and adds
+    # about 0.2 s to every start-up
+    code = (
+        "import sys, shotpricer, shotpricer.cli; "
+        "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))"
+    )
+    src = str(Path(shotpricer.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout.split()
+    public = {m.split(".")[1] for m in out if not m.split(".")[1].startswith("_")}
+    assert public <= {"special", "version"}, f"import loads scipy modules {sorted(public)}"

@@ -26,7 +26,7 @@ from shotpricer import (
 )
 from shotpricer import transform
 from shotpricer.errors import ParameterError, QuadratureError, TruncationError
-from shotpricer.transform import DEFAULT_QUAD, _series_parts, fourier_grid, series_lset
+from shotpricer.transform import DEFAULT_QUAD, _poisson_weights, fourier_grid, series_lset
 from conftest import make_terms, time_limit
 
 
@@ -49,9 +49,15 @@ class TestCharFunction:
             assert abs(char_function(spec, k)) <= 1.0 + 1e-14
 
 
+def series_window(mean, nu=0.0, delta=0.1):
+    """The series' window at lam tau = mean: first count, plain and tilted weights."""
+    law = spec_of(lam=mean, nu=nu, delta=delta).law  # CharSpec rejects a negative mean
+    return _poisson_weights(mean, DEFAULT_QUAD.series_tail, law.nu + 0.5 * law.delta**2)
+
+
 def series_weights(mean):
     """The series' Poisson(mean) weights, the library's one Poisson cutoff."""
-    return _series_parts(spec_of(lam=mean), DEFAULT_QUAD).plain_w
+    return series_window(mean)[1]
 
 
 class TestPoissonWeights:
@@ -66,11 +72,10 @@ class TestPoissonWeights:
         # for the plain and the tilted set, the two tails dropped outside the
         # window n_lo..n_hi together are below target, and the kept weights
         # sum to one
-        spec = spec_of(lam=mean, nu=0.3, delta=0.1)
-        parts = _series_parts(spec, DEFAULT_QUAD)
-        n_lo, n_hi = parts.n[0], parts.n[-1]
+        n_lo, plain_w, tilt_w = series_window(mean, nu=0.3, delta=0.1)
+        n_hi = n_lo + len(plain_w) - 1
         m_tilt = mean * math.exp(0.3 + 0.5 * 0.1**2)
-        for w, m in ((parts.plain_w, mean), (parts.tilt_w, m_tilt)):
+        for w, m in ((plain_w, mean), (tilt_w, m_tilt)):
             assert poisson.cdf(n_lo - 1, m) + poisson.sf(n_hi, m) <= DEFAULT_QUAD.series_tail
             assert math.fsum(w) == pytest.approx(1.0, abs=1e-15)
 
@@ -78,9 +83,9 @@ class TestPoissonWeights:
         # lam tau 1000: the counts from 0 up to the upper cutoff number 1411,
         # and more than half of their weights are below 1e-30; the window
         # (tilted mean 956) is 626..1381
-        parts = _series_parts(spec_of(lam=1000.0, sigma=0.1, nu=-0.05), DEFAULT_QUAD)
-        assert parts.n[0] > 0
-        assert len(parts.n) <= 760
+        n_lo, plain_w, _ = series_window(1000.0, nu=-0.05)
+        assert n_lo > 0
+        assert len(plain_w) <= 760
 
     def test_cap_raises(self):
         with pytest.raises(TruncationError):
