@@ -25,7 +25,7 @@ from scipy.special import ndtr
 from .errors import DegenerateMaturityError, KinkError, ParameterError, ShotPricerError
 from .jump_measure import varsigma
 from .options import AssetModel, OptionKind, OptionTerms, bs_d1_d2, l_parameter
-from .transform import DEFAULT_QUAD, QuadratureSpec, _series_parts, series_lset
+from .transform import _SQRT_2PI, DEFAULT_QUAD, QuadratureSpec, _series_parts, series_lset
 
 __all__ = [
     "GreekSet",
@@ -38,9 +38,6 @@ __all__ = [
     "identity_report",
     "delta_jump",
 ]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class GreekSet:
@@ -169,13 +166,13 @@ def bs_greeks(terms: OptionTerms, sigma: float) -> GreekSet:
     disc_strike = terms.strike * math.exp(-terms.rate * tau)
     pdf_d1 = _norm_pdf(d1)
 
-    delta_c = math.exp(-terms.dividend * tau) * ndtr(d1)
+    delta_c = math.exp(-terms.dividend * tau) * float(ndtr(d1))
     gamma = math.exp(-terms.dividend * tau) * pdf_d1 / (terms.spot * sigma * sqrt_tau)
-    rho_c = tau * disc_strike * ndtr(d2)
-    psi_c = -tau * disc_spot * ndtr(d1)
+    rho_c = tau * disc_strike * float(ndtr(d2))
+    psi_c = -tau * disc_spot * float(ndtr(d1))
     theta_c = (
-        terms.dividend * disc_spot * ndtr(d1)
-        - terms.rate * disc_strike * ndtr(d2)
+        terms.dividend * disc_spot * float(ndtr(d1))
+        - terms.rate * disc_strike * float(ndtr(d2))
         - sigma * disc_spot * pdf_d1 / (2.0 * sqrt_tau)
     )
     vega = disc_spot * sqrt_tau * pdf_d1

@@ -244,9 +244,9 @@ def bs_price(terms: OptionTerms, sigma: float) -> PriceResult:
     disc_spot = terms.spot * math.exp(-terms.dividend * terms.tau)
     disc_strike = terms.strike * math.exp(-terms.rate * terms.tau)
     if terms.kind is OptionKind.CALL:
-        value = disc_spot * ndtr(d1) - disc_strike * ndtr(d2)
+        value = disc_spot * float(ndtr(d1)) - disc_strike * float(ndtr(d2))
     else:
-        value = disc_strike * ndtr(-d2) - disc_spot * ndtr(-d1)
+        value = disc_strike * float(ndtr(-d2)) - disc_spot * float(ndtr(-d1))
     l_used = d2 * sigma * math.sqrt(terms.tau)
     return PriceResult(max(value, 0.0), l_used, Backend.SERIES, 0.0)
 

@@ -3,7 +3,9 @@
 Three nested models share the factor loading B(t,T) = (1 - e^{-a(T-t)})/a:
 
 * ``shot``: mean-reverting rate kicked by compound-Poisson jumps only;
-  the log-price intercept A(t,T) is a one-dimensional quadrature.
+  the log-price intercept A(t,T) is a one-dimensional quadrature: a
+  doubling Gauss-Legendre rule over the last 40/a of the span, where B
+  still moves, plus the flat stretch before it in closed form.
 * ``vasicek``: the Gaussian mean-reverting model; A is closed form.
 * ``general``: superposition of the two; the intercepts add.
 
@@ -21,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._quad import adaptive_gauss_legendre
+from ._quad import doubling_gauss_legendre
 from .errors import ParameterError, require_finite
 from .greeks import fd_sensitivity
 from .jump_measure import GaussianJumpLaw
@@ -33,7 +35,6 @@ __all__ = [
     "BondVariant",
     "b_factor",
     "a_shot",
-    "a_shot_substituted",
     "a_vasicek",
     "a_general",
     "bond_price",
@@ -100,15 +101,15 @@ def _jump_source(model: RateModel, b_val) -> np.ndarray:
     return model.lambda_r * np.expm1(-law.nu * b_val + 0.5 * law.delta**2 * b_val**2)
 
 
-def _intercept_integral(integrand, lo: float, hi: float, quad: QuadratureSpec) -> float:
-    """Adaptive quadrature of an intercept integrand, at most 1e-10 relative."""
-    return adaptive_gauss_legendre(integrand, lo, hi, rel_tol=min(quad.rel_tol, 1e-10))
-
-
 def a_shot(
     model: RateModel, t: float, T: float, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> float:
-    """Jump contribution to the bond intercept, integrated over s in [t, T]."""
+    """Jump contribution to the bond intercept, integrated over s in [t, T].
+
+    Before s = T - 40/a, B(s,T) rounds to 1/a (e^{-40} < 2^{-53}), so that
+    stretch adds (T - 40/a - t) times the integrand at B = 1/a and the
+    Gauss-Legendre rule covers at most the last 40/a of the span.
+    """
     if not 0.0 <= T - t < math.inf:
         raise ParameterError(f"need t <= T, both finite, got t={t}, T={T}")
     if t == T or model.lambda_r == 0.0:
@@ -120,25 +121,13 @@ def a_shot(
         b_val = -np.expm1(-model.a * (T - s)) / model.a
         return _jump_source(model, b_val)
 
-    return _intercept_integral(integrand, t, T, quad)
-
-
-def a_shot_substituted(
-    model: RateModel, t: float, T: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
-    """Same intercept via the change of variable y = B(s,T); cross-check route.
-
-    Integrates lam * (exp{-nu y + delta^2 y^2/2} - 1) / (1 - a y) over
-    y in [0, B(t,T)].
-    """
-    b_here = b_factor(model, t, T)  # checks t <= T first
-    if t == T or model.lambda_r == 0.0:
-        return 0.0
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        return _jump_source(model, y) / (1.0 - model.a * y)
-
-    return _intercept_integral(integrand, 0.0, b_here, quad)
+    start = max(t, T - 40.0 / model.a)
+    total = doubling_gauss_legendre(integrand, start, T, rel_tol=min(quad.rel_tol, 1e-10))
+    if start > t:
+        total += (start - t) * float(_jump_source(model, 1.0 / model.a))
+        if not math.isfinite(total):
+            raise ParameterError(f"jump intercept overflows on [{t}, {T}]")
+    return total
 
 
 def a_vasicek(model: RateModel, t: float, T: float) -> float:

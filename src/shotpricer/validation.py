@@ -25,7 +25,7 @@ import numpy as np
 
 from ._quad import gauss_hermite, gauss_legendre
 from .greeks import bs_greeks, common_greeks, fd_sensitivity, identity_report
-from .jump_measure import GaussianJumpLaw
+from .jump_measure import ArrivalRate, GaussianJumpLaw, diffusion_moments
 from .options import (
     AssetModel,
     OptionKind,
@@ -49,6 +49,7 @@ from .shortrate import (
     ode_residual,
 )
 from .transform import (
+    _SQRT_2PI,
     DEFAULT_QUAD,
     Backend,
     CharSpec,
@@ -119,9 +120,7 @@ def _jump_expectation_kinked(shifted, law, c0, c_x, l0: float) -> float:
     x, w = gauss_legendre(-1.0, 1.0, _KINK_NODES)
     half = 0.5 * (right - left)
     eta = (half * x + 0.5 * (right + left)).ravel()
-    dens = np.exp(-0.5 * ((eta - law.nu) / law.delta) ** 2) / (
-        law.delta * math.sqrt(2.0 * math.pi)
-    )
+    dens = np.exp(-0.5 * ((eta - law.nu) / law.delta) ** 2) / (law.delta * _SQRT_2PI)
     return float(np.dot((half * w).ravel() * dens, shifted(eta) - c0 - np.expm1(eta) * c_x))
 
 
@@ -270,10 +269,10 @@ def diffusion_convergence() -> list[ConvergenceRow]:
     rows = []
     for n in _LIMIT_SCALES:
         lam = float(n)
-        nu = _LIMIT_DRIFT / lam
-        delta = math.sqrt(_LIMIT_VARIANCE / lam)
-        model = AssetModel(lam=lam, law=GaussianJumpLaw(nu=nu, delta=delta), sigma=0.0)
-        sigma_n = math.sqrt(lam * (nu * nu + delta * delta))
+        rate = ArrivalRate(lam)
+        law = GaussianJumpLaw(nu=_LIMIT_DRIFT / lam, delta=math.sqrt(_LIMIT_VARIANCE / lam))
+        model = AssetModel(lam=lam, law=law, sigma=0.0)
+        sigma_n = math.sqrt(diffusion_moments(rate, law)[1])
         value = price(terms, model).value
         target = bs_price(terms, sigma_n).value
         price_err = abs(value - target) / abs(target)
@@ -281,16 +280,17 @@ def diffusion_convergence() -> list[ConvergenceRow]:
         theta_target = bs_greeks(terms, sigma_n).theta
         greek_err = abs(theta - theta_target) / abs(theta_target)
 
-        nu_r = _LIMIT_RATE_DRIFT / lam
-        delta_r = math.sqrt(_LIMIT_RATE_VARIANCE / lam)
-        rate_law = GaussianJumpLaw(nu=nu_r, delta=delta_r)
+        rate_law = GaussianJumpLaw(
+            nu=_LIMIT_RATE_DRIFT / lam, delta=math.sqrt(_LIMIT_RATE_VARIANCE / lam)
+        )
         jump_model = RateModel(
             a=_LIMIT_RATE_A, b=0.0, sigma_r=0.0, lambda_r=lam, law=rate_law
         )
+        drift_r, var_r = diffusion_moments(rate, rate_law)
         limit_model = RateModel(
             a=_LIMIT_RATE_A,
-            b=lam * nu_r / _LIMIT_RATE_A,
-            sigma_r=math.sqrt(lam * (nu_r**2 + delta_r**2)),
+            b=drift_r / _LIMIT_RATE_A,
+            sigma_r=math.sqrt(var_r),
             lambda_r=0.0,
             law=rate_law,
         )

@@ -16,6 +16,7 @@ from shotpricer import (
     OptionTerms,
     RateModel,
     SimConfig,
+    a_shot,
     a_vasicek,
     b_factor,
     bs_greeks,
@@ -38,7 +39,6 @@ from shotpricer import (
     zero_yield,
 )
 from shotpricer.errors import ParameterError, ShotPricerError, TruncationError
-from shotpricer.shortrate import a_shot_substituted
 from shotpricer.transform import DEFAULT_QUAD, fourier_grid, series_lset
 
 from conftest import time_limit
@@ -264,7 +264,7 @@ _SCALAR_ENTRY_POINTS = {
     "fourier_grid": _grid_at,
     "b_factor": lambda lam, t, T: b_factor(_rate_model(lam), t, T),
     "a_vasicek": lambda lam, t, T: a_vasicek(_rate_model(lam), t, T),
-    "a_shot_substituted": lambda lam, t, T: a_shot_substituted(_rate_model(lam), t, T),
+    "a_shot": lambda lam, t, T: a_shot(_rate_model(lam), t, T),
     "zero_yield": lambda lam, price, tenor: zero_yield(price, tenor),
     "bs_price": lambda lam, sigma, tau: bs_price(_call(tau), sigma),
     "bs_greeks": lambda lam, sigma, tau: bs_greeks(_call(tau), sigma),
@@ -309,7 +309,7 @@ def _floats_in(result):
 @example(entry="bs_greeks", lam=1.0, x=math.inf, y=1.0)
 @example(entry="bs_price", lam=1.0, x=1e-200, y=1e-300)
 @example(entry="bs_greeks", lam=1.0, x=1e-200, y=1e-300)
-@example(entry="a_shot_substituted", lam=0.0, x=2.0, y=1.0)
+@example(entry="a_shot", lam=0.0, x=2.0, y=1.0)
 @example(entry="price", lam=1e300, x=0.2, y=1.0)
 @example(entry="common_greeks", lam=1e19, x=0.2, y=1.0)
 @example(entry="new_greeks", lam=1e19, x=0.0, y=1.0)

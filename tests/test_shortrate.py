@@ -21,10 +21,21 @@ from shotpricer import (
     ode_residual,
     zero_yield,
 )
-from shotpricer._quad import adaptive_gauss_legendre
+from shotpricer._quad import doubling_gauss_legendre
 from shotpricer.errors import ParameterError, QuadratureError, ShotPricerError
-from shotpricer.shortrate import a_shot_substituted
 from conftest import time_limit
+
+
+def substituted_reference(model, t, T):
+    """Independent intercept route: y = B(s, T) turns A into
+    lam * int_0^{B(t,T)} (exp{-nu y + delta^2 y^2/2} - 1) / (1 - a y) dy."""
+    law, a = model.law, model.a
+
+    def integrand(y):
+        return math.expm1(-law.nu * y + 0.5 * law.delta**2 * y * y) / (1.0 - a * y)
+
+    ref, _ = squad(integrand, 0.0, b_factor(model, t, T), limit=200)
+    return model.lambda_r * ref
 
 
 class TestBFactor:
@@ -49,15 +60,13 @@ class TestAShot:
             a_shot(rate_jump_model, 0.0, math.nan)
 
     def test_reversed_bounds_raise_parameter_error(self, rate_jump_model):
-        # same error as the substituted route, before any quadrature runs
+        # same error as b_factor, before any quadrature runs
         with time_limit(2.0):
             with pytest.raises(ParameterError, match="need t <= T"):
                 a_shot(rate_jump_model, 2.0, 1.0)
-            with pytest.raises(ParameterError, match="need t <= T"):
-                a_shot_substituted(rate_jump_model, 2.0, 1.0)
             # also where there are no jumps to integrate
             with pytest.raises(ParameterError, match="need t <= T"):
-                a_shot_substituted(replace(rate_jump_model, lambda_r=0.0), 2.0, 1.0)
+                a_shot(replace(rate_jump_model, lambda_r=0.0), 2.0, 1.0)
 
     def test_degenerate_law(self):
         model = RateModel(0.5, 0.0, 0.0, 2.0, GaussianJumpLaw(0.0, 0.0))
@@ -66,13 +75,13 @@ class TestAShot:
     def test_dual_route_agreement(self):
         model = RateModel(0.5, 0.0, 0.0, 1.0, GaussianJumpLaw(0.01, 0.02))
         direct = a_shot(model, 0.0, 1.0)
-        substituted = a_shot_substituted(model, 0.0, 1.0)
+        substituted = substituted_reference(model, 0.0, 1.0)
         assert direct == pytest.approx(substituted, abs=1e-10)
 
     @pytest.mark.parametrize("span", [0.5, 2.0, 10.0])
     def test_dual_route_on_spans(self, rate_jump_model, span):
         direct = a_shot(rate_jump_model, 0.0, span)
-        substituted = a_shot_substituted(rate_jump_model, 0.0, span)
+        substituted = substituted_reference(rate_jump_model, 0.0, span)
         assert direct == pytest.approx(substituted, abs=1e-10)
 
     def test_against_scipy_quadrature(self, rate_jump_model):
@@ -89,13 +98,46 @@ class TestAShot:
         )
 
 
-class TestAdaptiveQuadrature:
-    @pytest.mark.parametrize("freq", [1e6, 1e8])
-    def test_oscillatory_integrand_raises_in_bounded_time(self, freq):
-        # finite everywhere, but it needs on the order of freq panels to
-        # resolve: at 1e6 the panel budget stops it, at 1e8 the depth limit
+    @pytest.mark.parametrize("T", [1e4, 1e6])
+    def test_long_tenor(self, T):
+        # before T - 40/a, B rounds to 1/a and the integrand is flat at f_inf
+        model = RateModel(2.0, 0.0, 0.0, 1.0, GaussianJumpLaw(0.01, 0.02))
+        law, a = model.law, model.a
+
+        def integrand(s):
+            b_val = -math.expm1(-a * (T - s)) / a
+            return math.expm1(-law.nu * b_val + 0.5 * law.delta**2 * b_val**2)
+
+        start = T - 40.0 / a
+        head, _ = squad(integrand, start, T, limit=200, epsabs=0.0, epsrel=1e-13)
+        ref = model.lambda_r * (head + start * integrand(0.0))
+        assert a_shot(model, 0.0, T) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_overflowing_flat_stretch_raises(self):
+        # the rule covers [T - 80, T]; the flat stretch before it overflows
+        model = RateModel(0.5, 0.0, 0.0, 5.0, GaussianJumpLaw(-1.0, 0.1))
+        with pytest.raises(ParameterError, match="overflows"):
+            a_shot(model, 0.0, 1e308)
+
+    def test_sharp_layer_raises_in_bounded_time(self):
+        # the integrand turns over in a layer that 1024 nodes do not resolve
+        model = RateModel(0.01, 0.0, 0.0, 1.0, GaussianJumpLaw(50.0, 1.0))
         with time_limit(2.0), pytest.raises(QuadratureError):
-            adaptive_gauss_legendre(lambda x: np.sin(freq * x), 0.0, 1.0)
+            a_shot(model, 0.0, 5000.0)
+
+
+class TestDoublingRule:
+    def test_cancelling_integral_converges(self):
+        # the integral is 0; the tolerance scales with the integral of |f|
+        assert doubling_gauss_legendre(np.sin, 0.0, 2.0 * math.pi, 1e-10) == pytest.approx(
+            0.0, abs=1e-14
+        )
+
+    def test_oscillatory_integrand_raises_in_bounded_time(self):
+        # finite everywhere, but 1024 nodes cannot resolve 1e6 / 2 pi periods
+        with time_limit(2.0), pytest.raises(QuadratureError) as info:
+            doubling_gauss_legendre(lambda x: np.sin(1e6 * x), 0.0, 1.0, 1e-10)
+        assert info.value.achieved > 0.0
 
 
 class TestAVasicek:

@@ -16,6 +16,8 @@ from shotpricer import (
     RateModel,
     backend_agreement,
     bond_pide_residual,
+    bs_greeks,
+    bs_price,
     diffusion_convergence,
     option_pide_residual,
 )
@@ -146,6 +148,18 @@ class TestDiffusionConvergence:
         assert final.price_error <= 0.01
         assert final.greek_error <= 0.01
         assert final.bond_error <= 0.005
+
+    def test_numbers_are_python_floats(self):
+        # scipy.special returns numpy scalars; reports carry plain floats
+        records = [diffusion_convergence()[0]]
+        for kind in OptionKind:
+            terms = make_terms(strike=95.0, rate=0.03, dividend=0.01, kind=kind)
+            records += [bs_price(terms, 0.2), bs_greeks(terms, 0.2)]
+        for record in records:
+            for field in dataclasses.fields(record):
+                value = getattr(record, field.name)
+                expected = {"scale": int, "backend": Backend}.get(field.name, float)
+                assert type(value) is expected, (type(record).__name__, field.name, type(value))
 
 
 def _per_node_prices(terms, model, spots, quad):
