@@ -11,10 +11,12 @@ eta_k B(t_k, T), with the Gaussian part's variance in closed form. The
 estimators therefore carry statistical error only, which is what makes them
 usable as oracles for the analytic formulas.
 
-Randomness is counter-based (Philox) with one substream per fixed-size batch
-of paths. Batches run on one thread per usable CPU, draw jump arrivals in
-chunks of paths into reused buffers, map them to their loads in place, and
-reduce to a few floats that are added in batch order, so estimates depend
+Each fixed-size batch of paths draws from its own SFC64 substream, seeded by
+SeedSequence(seed, spawn_key=(batch,)). Batches run on one thread per usable
+CPU. The bond and rate samplers draw one uniform u on [0, 1) per jump, a
+chunk of paths at a time into a reused buffer, and map it in place straight
+to its load h(t_k) with t_k = t + (T - t) u, without forming t_k. Each batch
+reduces to a few floats that are added in batch order, so estimates depend
 only on (seed, paths), not on the worker or BLAS thread count. Threads run
 only private numpy code; checks and library calls come first.
 
@@ -95,14 +97,15 @@ class McEstimate:
 def _map_batches(work, sim: SimConfig) -> list:
     """work(rng, count) for each batch of up to _BATCH paths, in batch order.
 
-    Batch i draws from Philox key (seed, i). Several batches run on up to
-    _WORKERS threads; ``work`` must reduce its paths to a few floats.
+    Batch i draws from SFC64 seeded by SeedSequence(seed, spawn_key=(i,)).
+    Several batches run on up to _WORKERS threads; ``work`` must reduce its
+    paths to a few floats.
     """
     counts = [min(_BATCH, sim.paths - start) for start in range(0, sim.paths, _BATCH)]
 
     def run(index: int):
-        key = np.array([sim.seed, index], dtype=np.uint64)
-        return work(np.random.Generator(np.random.Philox(key=key)), counts[index])
+        seeds = np.random.SeedSequence(sim.seed, spawn_key=(index,))
+        return work(np.random.Generator(np.random.SFC64(seeds)), counts[index])
 
     workers = min(_WORKERS, len(counts))
     if workers == 1:
@@ -140,37 +143,33 @@ def _check_jump_count(mean_count: float, limit: float) -> None:
         )
 
 
-def _shot_noise(rng, count: int, mean_count: float, law: GaussianJumpLaw, window=None):
+def _shot_noise(rng, count: int, mean_count: float, law: GaussianJumpLaw, loads=None):
     """Per path: drift nu s1 and noise delta sqrt(s2) Z of sum_k eta_k h(t_k), and a
     further standard normal, with s1 = sum_k h(t_k) and s2 = sum_k h(t_k)^2.
 
-    ``window`` is (lo, hi, h) with arrivals uniform on [lo, hi] and h(t) an
-    in-place map of an array of arrivals to their loads; without one h = 1 and
-    s1 = s2 = the jump count. Arrivals are drawn _CHUNK paths at a time into
-    one reused buffer, as lo + (hi - lo) U the way ``rng.uniform`` forms them,
-    which draws the same stream and sums each path's loads in the same order
-    as one draw would. Callers add drift and noise in their own order, which
-    keeps their floats as they were.
+    ``loads`` maps an array of uniforms u on [0, 1), one per jump, to their
+    loads h in place; without it h = 1 and s1 = s2 = the jump count. The
+    uniforms are drawn _CHUNK paths at a time into one reused buffer, each
+    path's in turn, and each path's loads are summed in order. Callers add
+    drift and noise in their own order, which keeps their floats as they were.
     """
     n_jumps = rng.poisson(mean_count, count)
-    if window is None:
+    if loads is None:
         s1, s2 = n_jumps.astype(float), np.sqrt(n_jumps)
     else:
-        lo, hi, h = window
         s1, s2 = np.empty(count), np.empty(count)
         starts = range(0, count, _CHUNK)
         totals = np.add.reduceat(n_jumps, starts).tolist()
-        loads, squares = np.empty((2, max(totals)))
+        h, squares = np.empty((2, max(totals)))
+        paths = np.arange(_CHUNK)
         for start, total in zip(starts, totals):
             part = n_jumps[start : start + _CHUNK]
-            t = rng.random(out=loads[:total])
-            t *= hi - lo
-            t += lo
-            h(t)
-            owner = np.repeat(np.arange(part.size), part)
-            s1[start : start + part.size] = np.bincount(owner, t, part.size)
+            u = rng.random(out=h[:total])
+            loads(u)
+            owner = np.repeat(paths[: part.size], part)
+            s1[start : start + part.size] = np.bincount(owner, u, part.size)
             s2[start : start + part.size] = np.bincount(
-                owner, np.multiply(t, t, out=squares[:total]), part.size
+                owner, np.multiply(u, u, out=squares[:total]), part.size
             )
         np.sqrt(s2, out=s2)
     s2 *= law.delta
@@ -190,13 +189,12 @@ def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> Mc
     tau = terms.tau
     mean_count = model.lam * tau
     _check_jump_count(mean_count, _MAX_MEAN_COUNT)
-    compensator = model.lam * varsigma(model.law) * tau
+    jump_mean = model.lam * varsigma(model.law)
+    compensator = jump_mean * tau
     # e^{-lam varsigma tau} = 0 sends every drawn S_T to 0: a 0 +- 0 that saw nothing
     if compensator > 0.0 and math.exp(-compensator) == 0.0:
         raise ParameterError(f"e^(-lam varsigma tau) underflows, lam varsigma tau {compensator:g}")
-    drift = (
-        terms.rate - terms.dividend - model.lam * varsigma(model.law) - 0.5 * model.sigma**2
-    ) * tau
+    drift = (terms.rate - terms.dividend - jump_mean - 0.5 * model.sigma**2) * tau
     base = math.log(terms.spot) + drift
     vol = model.sigma * math.sqrt(tau)
     disc = math.exp(-terms.rate * tau)
@@ -223,8 +221,8 @@ def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> Mc
     # hides in both its mean and its standard error. E[e^{-r tau} S_T] is
     # S e^{-q tau}; a sample that misses it by far more than its own standard
     # error has not drawn the tail. A put's payoff is bounded by K.
+    target = terms.spot * math.exp(-terms.dividend * tau)
     for fwd in forward:
-        target = terms.spot * math.exp(-terms.dividend * tau)
         if fwd.std_error > 0.0 and abs(fwd.mean - target) > _FORWARD_Z * fwd.std_error:
             raise ParameterError(
                 f"the paths' mean discounted S_T {fwd.mean:g} misses S e^(-q tau) {target:g} "
@@ -254,18 +252,15 @@ def mc_bond_price(model: RateModel, terms: BondTerms, sim: SimConfig) -> McEstim
     det = terms.r_t * b_val + model.b * (span - b_val)
     gauss_sd = model.sigma_r * math.sqrt(_int_b_squared(model, t, T))
 
-    def loads(s: np.ndarray) -> None:
-        """B(s, T) = -expm1(-a (T - s)) / a, in place."""
-        np.subtract(T, s, out=s)
-        s *= -model.a
-        np.expm1(s, out=s)
-        np.negative(s, out=s)
-        s /= model.a
-
-    window = (t, T, loads)
+    def loads(u: np.ndarray) -> None:
+        """B(s, T) = -expm1(a span (u - 1)) / a at s = t + span u, in place."""
+        u -= 1.0
+        u *= model.a * span
+        np.expm1(u, out=u)
+        u /= -model.a
 
     def discounted(rng, count: int) -> tuple[np.ndarray]:
-        jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law, window)
+        jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law, loads)
         return (np.exp(-(det + gauss_sd * z + (jump_drift + jump_noise))),)
 
     return _estimate(discounted, sim)[0]
@@ -290,16 +285,14 @@ def mc_rate_moments(
     det = decay * r_t + model.b * (1.0 - decay)
     ou_sd = model.sigma_r * math.sqrt(-math.expm1(-2.0 * model.a * horizon) / (2.0 * model.a))
 
-    def loads(s: np.ndarray) -> None:
-        """e^{-a (horizon - s)}, in place."""
-        np.subtract(horizon, s, out=s)
-        s *= -model.a
-        np.exp(s, out=s)
-
-    window = (0.0, horizon, loads)
+    def loads(u: np.ndarray) -> None:
+        """e^{-a (horizon - s)} = e^{a horizon (u - 1)} at s = horizon u, in place."""
+        u -= 1.0
+        u *= model.a * horizon
+        np.exp(u, out=u)
 
     def power_sums(rng, count: int) -> tuple[float, ...]:
-        jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law, window)
+        jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law, loads)
         # r - det, kept small so the power sums stay well conditioned
         d = ou_sd * z + jump_drift + jump_noise
         d2 = d * d
