@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, ndtr
+from scipy.special import gammaln, ndtr, wrightomega
 
 from ._quad import gauss_legendre
 from .errors import ParameterError, QuadratureError, TruncationError
@@ -359,43 +359,43 @@ class FourierGrid:
 
 
 def _fourier_kmax(spec: CharSpec, tol_k: float) -> float:
-    """Frequency truncation where both integrand envelopes dip below tol,
-    and never below ``_K_MAX``.
+    """Frequency truncation where both integrand envelopes fall to tol_k, never
+    below ``_K_MAX``; the tilted one has mean count lam tau e^{nu + delta^2/2}.
 
-    The tilted transform's envelope is the plain one with the mean count
-    lam tau replaced by lam tau e^{nu + delta^2/2}, so one rule bounds both.
+    Each crossing is closed form in z = c k^2 (c = delta^2/2, g = sigma^2 tau/2,
+    L = ln(1/tol_k), M the mean count). At sigma = 0 (atom subtracted) e^{-M}
+    expm1(M e^{-z}) = tol_k: z = ln(M / ln(1 + tol_k e^M)), at least 0. At sigma > 0
+    r z + M (1 - e^{-z}) = L with r = g/c: v = z - (L - M)/r solves v e^v = (M/r)
+    e^{(M - L)/r}, so v is the Wright omega of ln(M/r) + (M - L)/r (then one Newton
+    step below z = 1). With M c = 0, g k^2 = L; where r rounds away, M (1 - e^{-z}) = L.
     """
-    law = spec.law
-    m = spec.mean_count
-    m_tilt = m * math.exp(law.nu + 0.5 * law.delta**2)
-
-    def envelope(k: float, mean: float) -> float:
-        gauss = math.exp(-0.5 * spec.sigma**2 * k * k * spec.tau)
-        x = 0.5 * k * k * law.delta**2
-        if spec.sigma == 0.0:
-            # atom already subtracted: bound |e^{lam tau phi} - 1| e^{-lam tau}
-            phi = math.exp(-x)
-            return math.exp(-mean) * math.expm1(mean * phi) if mean * phi < 700.0 else 1.0
-        jump = math.exp(mean * math.expm1(-x))
-        return jump * gauss
-
-    def over(k: float) -> bool:
-        return max(envelope(k, m), envelope(k, m_tilt)) > tol_k
-
-    lo, hi = 1.0, 2.0
-    for _ in range(80):
-        if not over(hi):
-            break
-        hi *= 2.0
-    else:
+    c, g = 0.5 * spec.law.delta**2, 0.5 * spec.sigma**2 * spec.tau
+    means = (spec.mean_count, spec.mean_count * math.exp(spec.law.nu + c))
+    big_l = -math.log(max(tol_k, math.ulp(0.0)))  # no envelope falls below the least float
+    k2 = max(_crossing_k2(m, c, g, big_l, spec.sigma == 0.0) for m in means)
+    if not k2 < math.inf:
         raise QuadratureError("no frequency truncation meets the envelope bound")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if over(mid):
-            lo = mid
-        else:
-            hi = mid
-    return max(_K_MAX, hi)
+    return max(_K_MAX, math.sqrt(k2))
+
+
+def _crossing_k2(m: float, c: float, g: float, big_l: float, atom: bool) -> float:
+    """k^2 where one envelope of ``_fourier_kmax`` falls to e^{-big_l}; inf if none."""
+    if atom:  # ln(1 + tol_k e^m) is max(m - big_l, 0) + den; past big_l, m cancels exactly
+        den = math.log1p(math.exp(-abs(m - big_l)))
+        z = -math.log1p((den - big_l) / m) if m >= big_l else math.log(m / den) if m else 0.0
+        return max(z, 0.0) / c if c else (math.inf if z > 0.0 else 0.0)
+    r = g / c if c else math.inf
+    if m == 0.0 or r == math.inf:
+        return big_l / g if g else math.inf
+    arg = math.log(m) - math.log(r) + (m - big_l) / r if r else math.inf
+    if not math.isfinite(arg):  # sigma^2 tau rounds away against the jumps
+        return -math.log1p(-big_l / m) / c if m > big_l else math.inf
+    v, zl = float(wrightomega(arg)), big_l / (r + m)  # zl <= z <= zl / (1 - z/2)
+    # the two equal forms each avoid the other's cancellation, but both cancel for tiny z
+    z = zl if zl < 1e-5 else v + (big_l - m) / r if v < 1.0 else math.log(m / (r * v))
+    if z < 1.0:  # Newton step arranged to cancel nothing
+        z = (big_l + m * (math.expm1(-z) + z * math.exp(-z))) / (r + m * math.exp(-z))
+    return z / c
 
 
 def _char_sd(spec: CharSpec) -> float:
@@ -606,14 +606,14 @@ def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
     m_tilt = lam * tau * growth
 
     # a = (l + n nu)/s overflows for a huge l or a narrow component, and
-    # phi(a) a would be 0 * inf. Clipping a to +-1e3 changes no finite output
-    # while s < 960: phi and Phi of a and of b = a + s are exactly 0 or 1 there.
-    with np.errstate(over="ignore"):
-        a = (l - p.mean_c) / s
-    a = np.minimum(np.maximum(a, -1e3), 1e3)
+    # phi(a) a would be 0 * inf. Clipping a and b = a + s to +-1e3 after b is
+    # formed changes no finite output: phi and Phi of both are exactly 0 or 1 there.
     ab = np.empty((2, s.size))  # rows (b, a), against weight rows (tilted, plain)
-    ab[1] = a
-    np.add(a, s, out=ab[0])
+    with np.errstate(over="ignore"):
+        np.divide(l - p.mean_c, s, out=ab[1])
+    np.add(ab[1], s, out=ab[0])
+    np.minimum(np.maximum(ab, -1e3, out=ab), 1e3, out=ab)  # np.clip costs 2 us more
+    a = ab[1]
     phi = np.exp(-0.5 * ab * ab) / _SQRT_2PI
     wphi = p.w[:2] * phi
 

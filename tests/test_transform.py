@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 from scipy.stats import poisson
 
@@ -26,7 +27,14 @@ from shotpricer import (
 )
 from shotpricer import transform
 from shotpricer.errors import ParameterError, QuadratureError, TruncationError
-from shotpricer.transform import DEFAULT_QUAD, _poisson_weights, fourier_grid, series_lset
+from shotpricer.transform import (
+    DEFAULT_QUAD,
+    _K_MAX,
+    _fourier_kmax,
+    _poisson_weights,
+    fourier_grid,
+    series_lset,
+)
 from conftest import make_terms, time_limit
 
 
@@ -269,6 +277,13 @@ class TestSeriesDerivatives:
         phi0, phi1 = ndtr(0.05 / 0.1), ndtr(0.05 / math.sqrt(0.02))
         assert ls.dl2_dlam == pytest.approx(phi1 - phi0, abs=1e-12)
 
+    def test_wide_component_far_below_the_threshold_has_no_slope(self):
+        # s = 1000 and a = -2000: all mass sits above l, so every row is 0. Clipping
+        # a to -1e3 before forming b = a + s would put b at 0, where phi is 0.4.
+        spec = CharSpec(tau=1.0, lam=1.0, sigma=1000.0, law=GaussianJumpLaw(0.0, 0.1))
+        ls = series_lset(spec, -2e6)
+        assert dataclasses.astuple(ls) == (0.0,) * len(dataclasses.fields(ls))
+
 
 class TestFourierBackend:
     def test_matches_series_on_thresholds(self):
@@ -347,6 +362,104 @@ class TestFourierBackend:
         series = np.array([[fn(spec, l) for l in ls] for fn in fns])
         fourier = np.array([grid.plain, grid.tilted, grid.plain_surv, grid.tilted_surv])
         assert fourier == pytest.approx(series, abs=1e-9)
+
+
+def log_envelope(spec, k, mean):
+    """log of the bound on one Fourier integrand at frequency k, for mean count ``mean``."""
+    x = 0.5 * spec.law.delta**2 * k * k
+    if spec.sigma > 0.0:
+        return mean * math.expm1(-x) - 0.5 * spec.sigma**2 * spec.tau * k * k
+    if mean == 0.0:
+        return -math.inf
+    # atom subtracted: e^{-M} expm1(M e^{-x}), with expm1(y) = e^y (1 - e^{-y})
+    y = mean * math.exp(-x)
+    return -mean + y + math.log(-math.expm1(-y)) if y > 0.0 else -math.inf
+
+
+def log_envelopes(spec, k):
+    m = spec.mean_count
+    return [log_envelope(spec, k, mean) for mean in (m, m * (1.0 + varsigma(spec.law)))]
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+class TestFourierCutoff:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tau=log_uniform(0.01, 10.0),
+        lam_tau=st.floats(min_value=0.0, max_value=3600.0),
+        sigma=st.one_of(st.just(0.0), log_uniform(1e-5, 5.0)),
+        nu=st.floats(min_value=-1.0, max_value=0.5),
+        delta=st.one_of(st.just(0.0), log_uniform(1e-6, 3.0)),
+        tol=log_uniform(1e-13, 1e-3),
+    )
+    def test_cutoff_is_where_the_envelope_crosses(self, tau, lam_tau, sigma, nu, delta, tol):
+        # both envelopes are at most tol at k_max, and unless k_max is the floor
+        # one of them is above tol just before it
+        if sigma == 0.0 and delta == 0.0:
+            return  # purely atomic: fourier_grid rejects it first
+        spec = spec_of(tau=tau, lam=lam_tau / tau, sigma=sigma, nu=nu, delta=delta)
+        k_max = _fourier_kmax(spec, tol)
+        assert max(log_envelopes(spec, k_max)) <= math.log(tol) + 1e-9
+        if k_max > _K_MAX:
+            assert max(log_envelopes(spec, 0.999 * k_max)) > math.log(tol)
+
+    @pytest.mark.parametrize(
+        "tau, lam, sigma, nu, delta, tol, k_max",
+        [
+            (1.0, 1.0, 0.0, -0.05, 0.15, 1e-10, 44.247637405931506),
+            (1.0, 1.0, 0.2, -0.05, 0.15, 1e-10, 33.214352072607426),
+            (0.5, 8.0, 0.15, 0.05, 0.1, 1e-10, 58.15817681812234),
+            (2.0, 0.2, 0.0, 0.02, 0.01, 1e-11, 693.1680077805129),
+            (1.0, 50.0, 0.01, -0.05, 0.1, 1e-13, 16.0),
+        ],
+    )
+    def test_pinned_cutoffs(self, tau, lam, sigma, nu, delta, tol, k_max):
+        # the cutoffs the bracket-and-bisection search found
+        spec = spec_of(tau=tau, lam=lam, sigma=sigma, nu=nu, delta=delta)
+        assert _fourier_kmax(spec, tol) == pytest.approx(k_max, rel=1e-12)
+
+    def test_high_intensity_atom_cutoff_is_the_crossing(self):
+        # sigma = 0, mean count 2696: the crossing is at 113.2; the search's
+        # overflow guard took the envelope as 1 there and stopped at 2072.9
+        spec = CharSpec(
+            tau=2.2720728734381,
+            lam=1186.4724343320981,
+            sigma=0.0,
+            law=GaussianJumpLaw(-0.16135521902809158, 0.0007921937693185356),
+        )
+        k_max = _fourier_kmax(spec, 1e-4)
+        assert k_max == pytest.approx(113.22853107192283, rel=1e-12)
+        assert max(log_envelopes(spec, k_max)) == pytest.approx(math.log(1e-4), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "sigma, lam, rel_tol",
+        [
+            (1e-200, 1.0, 1e-9),  # sigma^2 tau is 0: the jump envelope stays above tol
+            (1e-170, 0.0, 1e-9),  # no jumps and sigma^2 tau is 0: psi is 1
+            (1e-30, 1.0, 1e-9),  # k_max about 7e30, which no pass can cover
+            (0.0, 1.0, 1e-300),
+            (0.2, 1.0, 1e-300),
+            (0.0, 800.0, 1e-300),
+            (0.2, 800.0, 1e-300),
+            (0.0, 1.0, 5e-324),  # rel_tol / 10 underflows to 0
+            (0.2, 1.0, 5e-324),
+        ],
+    )
+    def test_unreachable_cutoffs_raise(self, sigma, lam, rel_tol):
+        spec = spec_of(lam=lam, sigma=sigma, nu=-0.05, delta=0.15)
+        with time_limit(2.0), pytest.raises(QuadratureError):
+            fourier_grid(spec, [0.1], QuadratureSpec(rel_tol=rel_tol))
+
+    def test_sigma_rounding_away_against_the_jumps(self):
+        # sigma^2 tau / 2 is subnormal: the jumps alone set the cutoff
+        spec = spec_of(lam=50.0, sigma=1e-160, nu=-0.05, delta=0.15)
+        with time_limit(2.0):
+            grid = fourier_grid(spec, [0.1])
+        assert grid.plain[0] == pytest.approx(0.013131502634084524, abs=1e-12)
+        assert grid.plain[0] == pytest.approx(cdf_plain(spec, 0.1), abs=1e-7)
 
 
 class TestGreenDensity:
