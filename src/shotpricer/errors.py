@@ -51,3 +51,12 @@ def require_finite(obj, *fields: str) -> None:
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def require_finite_square(obj, *fields: str) -> None:
+    """Raise ParameterError naming the first of ``fields`` of ``obj`` whose
+    square is no finite float: a volatility enters every formula squared."""
+    for name in fields:
+        value = getattr(obj, name)
+        if not math.isfinite(value * value):
+            raise ParameterError(f"{name} squared must be a finite float, got {value}")

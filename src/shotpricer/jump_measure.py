@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_finite_square
 
 __all__ = [
     "GaussianJumpLaw",
@@ -48,6 +48,7 @@ class GaussianJumpLaw:
             raise ParameterError("jump law parameters must be finite")
         if self.delta < 0.0:
             raise ParameterError(f"delta must be >= 0, got {self.delta}")
+        require_finite_square(self, "delta")
 
     @property
     def mean(self) -> float:

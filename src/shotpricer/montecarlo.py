@@ -4,21 +4,27 @@ Nothing here is discretized in time. Each oracle reads the same
 compound-Poisson shot noise with Gaussian jumps through a weighted sum
 sum_k eta_k h(t_k): h = 1 for the log-price, h = B(t_k, T) for int r ds and
 h = e^{-a(horizon - t_k)} for the rate. Given the jump count and arrival
-times that sum is Gaussian with mean nu sum h and variance delta^2 sum h^2,
-so one sampler draws it for all three. Bond discount factors use the
-pathwise identity int r ds = r_t B(t,T) + b[(T-t) - B] + Gaussian + sum_k
-eta_k B(t_k, T), with the Gaussian part's variance in closed form. The
-estimators therefore carry statistical error only, which is what makes them
-usable as oracles for the analytic formulas.
+times that sum is Gaussian with mean nu sum h and variance delta^2 sum h^2.
+Bond discount factors use the pathwise identity int r ds = r_t B(t,T) +
+b[(T-t) - B] + Gaussian + sum_k eta_k B(t_k, T), with the Gaussian part's
+variance in closed form, and the rate carries a Gaussian part of the same
+kind. Given sum h^2 that Gaussian part and the jump noise are independent
+centred normals, so the bond and rate samplers draw one normal per path for
+both. The estimators therefore carry statistical error only, which is what
+makes them usable as oracles for the analytic formulas.
 
 Each fixed-size batch of paths draws from its own SFC64 substream, seeded by
 SeedSequence(seed, spawn_key=(batch,)). Batches run on one thread per usable
-CPU. The bond and rate samplers draw one uniform u on [0, 1) per jump, a
-chunk of paths at a time into a reused buffer, and map it in place straight
-to its load h(t_k) with t_k = t + (T - t) u, without forming t_k. Each batch
-reduces to a few floats that are added in batch order, so estimates depend
-only on (seed, paths), not on the worker or BLAS thread count. Threads run
-only private numpy code; checks and library calls come first.
+CPU. The option sampler draws a Poisson count per path. The bond and rate
+samplers use Poisson superposition and splitting instead: a Poisson(m size)
+total of jumps, each given to one of ``size`` paths uniformly, gives every
+path an independent Poisson(m) count. They draw a total per chunk of paths,
+each jump's owner and one uniform u on [0, 1) per jump into a reused
+buffer, and map u in place straight to its load h(t_k) with t_k = t +
+(T - t) u, without forming t_k. Each batch reduces to a few floats that are
+added in batch order, so estimates depend only on (seed, paths), not on the
+worker or BLAS thread count. Threads run only private numpy code; checks and
+library calls come first.
 
 A call's payoff grows like S_T, so under heavy right-tailed jumps a sample
 can miss the rare paths that carry its value, and then its standard error
@@ -51,12 +57,12 @@ __all__ = [
 
 _BATCH = 1 << 16
 
-# Paths per chunk of jump arrivals in the bond and rate samplers.
+# Paths per chunk of the bond and rate samplers, which draw one jump total per chunk.
 _CHUNK = 1 << 12
 
 # Most jumps one batch of paths may expect. It bounds the work per batch; the
-# per-jump arrays (arrivals, loads, owners) live for one chunk of paths, a
-# sixteenth of the batch, so at most 8 MB each.
+# per-jump arrays (owners and loads) live for one chunk of paths, a sixteenth
+# of the batch, so they expect at most 8 MB each.
 _BATCH_JUMPS = 1 << 24
 
 # Threads that run batches: one per CPU this process may run on.
@@ -143,39 +149,48 @@ def _check_jump_count(mean_count: float, limit: float) -> None:
         )
 
 
-def _shot_noise(rng, count: int, mean_count: float, law: GaussianJumpLaw, loads=None):
-    """Per path: drift nu s1 and noise delta sqrt(s2) Z of sum_k eta_k h(t_k), and a
-    further standard normal, with s1 = sum_k h(t_k) and s2 = sum_k h(t_k)^2.
-
-    ``loads`` maps an array of uniforms u on [0, 1), one per jump, to their
-    loads h in place; without it h = 1 and s1 = s2 = the jump count. The
-    uniforms are drawn _CHUNK paths at a time into one reused buffer, each
-    path's in turn, and each path's loads are summed in order. Callers add
-    drift and noise in their own order, which keeps their floats as they were.
-    """
+def _shot_noise(rng, count: int, mean_count: float, law: GaussianJumpLaw):
+    """Per path: drift nu n and noise delta sqrt(n) Z of the sum of
+    n ~ Poisson(mean_count) jumps, and a further standard normal."""
     n_jumps = rng.poisson(mean_count, count)
-    if loads is None:
-        s1, s2 = n_jumps.astype(float), np.sqrt(n_jumps)
-    else:
-        s1, s2 = np.empty(count), np.empty(count)
-        starts = range(0, count, _CHUNK)
-        totals = np.add.reduceat(n_jumps, starts).tolist()
-        h, squares = np.empty((2, max(totals)))
-        paths = np.arange(_CHUNK)
-        for start, total in zip(starts, totals):
-            part = n_jumps[start : start + _CHUNK]
-            u = rng.random(out=h[:total])
-            loads(u)
-            owner = np.repeat(paths[: part.size], part)
-            s1[start : start + part.size] = np.bincount(owner, u, part.size)
-            s2[start : start + part.size] = np.bincount(
-                owner, np.multiply(u, u, out=squares[:total]), part.size
-            )
-        np.sqrt(s2, out=s2)
+    s1, s2 = n_jumps.astype(float), np.sqrt(n_jumps)
     s2 *= law.delta
     s2 *= rng.standard_normal(count)
     s1 *= law.nu
     return s1, s2, rng.standard_normal(count)
+
+
+def _loaded_shot_noise(
+    rng, count: int, mean_count: float, law: GaussianJumpLaw, loads, gauss_var: float
+):
+    """Per path: drift nu s1 and noise sqrt(gauss_var + delta^2 s2) Z, with
+    s1 = sum_k h(t_k) and s2 = sum_k h(t_k)^2: the jump sum plus an
+    independent Gaussian of variance gauss_var.
+
+    Each chunk of up to _CHUNK paths draws its Poisson total, then each jump's
+    owning path, then each jump's uniform u into a reused buffer, which
+    ``loads`` maps to h in place. Each path's loads are summed in jump order.
+    The normals come after all chunks.
+    """
+    s1, s2 = np.empty(count), np.empty(count)
+    h = np.empty(0)
+    for start in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - start)
+        total = rng.poisson(mean_count * size)
+        owner = rng.integers(0, size, total)
+        if total > h.size:
+            # an eighth to spare: later totals vary by about their square root
+            h = np.empty(total + total // 8)
+        u = rng.random(out=h[:total])
+        loads(u)
+        s1[start : start + size] = np.bincount(owner, u, size)
+        s2[start : start + size] = np.bincount(owner, np.multiply(u, u, out=u), size)
+    s2 *= law.delta * law.delta
+    s2 += gauss_var
+    np.sqrt(s2, out=s2)
+    s2 *= rng.standard_normal(count)
+    s1 *= law.nu
+    return s1, s2
 
 
 def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> McEstimate:
@@ -250,7 +265,7 @@ def mc_bond_price(model: RateModel, terms: BondTerms, sim: SimConfig) -> McEstim
     _check_jump_count(mean_count, _BATCH_JUMPS / min(sim.paths, _BATCH))
     b_val = b_factor(model, t, T)
     det = terms.r_t * b_val + model.b * (span - b_val)
-    gauss_sd = model.sigma_r * math.sqrt(_int_b_squared(model, t, T))
+    gauss_var = model.sigma_r**2 * _int_b_squared(model, t, T)
 
     def loads(u: np.ndarray) -> None:
         """B(s, T) = -expm1(a span (u - 1)) / a at s = t + span u, in place."""
@@ -260,8 +275,10 @@ def mc_bond_price(model: RateModel, terms: BondTerms, sim: SimConfig) -> McEstim
         u /= -model.a
 
     def discounted(rng, count: int) -> tuple[np.ndarray]:
-        jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law, loads)
-        return (np.exp(-(det + gauss_sd * z + (jump_drift + jump_noise))),)
+        drift, noise = _loaded_shot_noise(rng, count, mean_count, model.law, loads, gauss_var)
+        drift += noise
+        np.subtract(-det, drift, out=drift)  # -(det + jump drift + noise)
+        return (np.exp(drift, out=drift),)
 
     return _estimate(discounted, sim)[0]
 
@@ -283,7 +300,7 @@ def mc_rate_moments(
     _check_jump_count(mean_count, _BATCH_JUMPS / min(sim.paths, _BATCH))
     decay = math.exp(-model.a * horizon)
     det = decay * r_t + model.b * (1.0 - decay)
-    ou_sd = model.sigma_r * math.sqrt(-math.expm1(-2.0 * model.a * horizon) / (2.0 * model.a))
+    ou_var = model.sigma_r**2 * -math.expm1(-2.0 * model.a * horizon) / (2.0 * model.a)
 
     def loads(u: np.ndarray) -> None:
         """e^{-a (horizon - s)} = e^{a horizon (u - 1)} at s = horizon u, in place."""
@@ -292,9 +309,9 @@ def mc_rate_moments(
         np.exp(u, out=u)
 
     def power_sums(rng, count: int) -> tuple[float, ...]:
-        jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law, loads)
+        d, noise = _loaded_shot_noise(rng, count, mean_count, model.law, loads, ou_var)
         # r - det, kept small so the power sums stay well conditioned
-        d = ou_sd * z + jump_drift + jump_noise
+        d += noise
         d2 = d * d
         return float(np.sum(d)), float(np.sum(d2)), float(np.sum(d2 * d)), float(np.sum(d2 * d2))
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from scipy.special import ndtr
 
-from .errors import DegenerateMaturityError, ParameterError, require_finite
+from .errors import DegenerateMaturityError, ParameterError, require_finite, require_finite_square
 from .jump_measure import GaussianJumpLaw, varsigma
 from .transform import (
     DEFAULT_QUAD,
@@ -96,6 +96,7 @@ class AssetModel:
             raise ParameterError(f"lam must be >= 0, got {self.lam}")
         if self.sigma < 0.0:
             raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
+        require_finite_square(self, "sigma")
 
     def char_spec(self, tau: float) -> CharSpec:
         return CharSpec(tau=tau, lam=self.lam, sigma=self.sigma, law=self.law)

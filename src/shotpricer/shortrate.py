@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from ._quad import doubling_gauss_legendre
-from .errors import ParameterError, require_finite
+from .errors import ParameterError, require_finite, require_finite_square
 from .greeks import fd_sensitivity
 from .jump_measure import GaussianJumpLaw
 from .transform import DEFAULT_QUAD, QuadratureSpec
@@ -71,6 +71,7 @@ class RateModel:
             raise ParameterError(f"mean reversion a must be > 0, got {self.a}")
         if self.sigma_r < 0.0:
             raise ParameterError(f"sigma_r must be >= 0, got {self.sigma_r}")
+        require_finite_square(self, "sigma_r")
         if self.lambda_r < 0.0:
             raise ParameterError(f"lambda_r must be >= 0, got {self.lambda_r}")
 

@@ -54,7 +54,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr, wrightomega
 
 from ._quad import gauss_legendre
-from .errors import ParameterError, QuadratureError, TruncationError
+from .errors import ParameterError, QuadratureError, TruncationError, require_finite_square
 from .jump_measure import GaussianJumpLaw, varsigma, xi
 
 __all__ = [
@@ -150,6 +150,7 @@ class CharSpec:
             raise ParameterError(f"lam must be >= 0, got {self.lam}")
         if self.sigma < 0.0 or not math.isfinite(self.sigma):
             raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
+        require_finite_square(self, "sigma")
 
     @property
     def mean_count(self) -> float:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 from shotpricer import (
     AssetModel,
@@ -58,10 +59,10 @@ class TestDeterminism:
         option = mc_option_price(make_terms(100, 100, 1.0, 0.02), model, sim)
         assert (option.mean, option.std_error) == (10.784179915019298, 0.06512559318588998)
         bond = mc_bond_price(rate_general_model, BondTerms(0.0, 5.0, 0.03), sim)
-        assert (bond.mean, bond.std_error) == (0.8094400057155305, 0.00017394194745979364)
+        assert (bond.mean, bond.std_error) == (0.8094758842796748, 0.00017276765200389195)
         mean, var = mc_rate_moments(rate_general_model, 0.03, 1.0, sim)
-        assert (mean.mean, mean.std_error) == (0.03779792008844647, 5.586264995652733e-05)
-        assert (var.mean, var.std_error) == (0.00021844761689182653, 1.3687849711536746e-06)
+        assert (mean.mean, mean.std_error) == (0.037825262147348486, 5.592120614967179e-05)
+        assert (var.mean, var.std_error) == (0.0002189058180323582, 1.3860343755522782e-06)
         assert option.paths_used == bond.paths_used == mean.paths_used == 70_000
 
     def test_worker_count_does_not_move_estimates(self, monkeypatch, rate_general_model):
@@ -149,6 +150,19 @@ class TestShotNoiseSampler:
         np.expm1(u, out=u)
         u /= -0.3
 
+    @staticmethod
+    def stream(seed, count, mean_count):
+        """The sampler's draws, replayed: per chunk of up to _CHUNK paths the
+        Poisson total, then each jump's owning path, then its uniform."""
+        rng = np.random.Generator(np.random.SFC64(seed))
+        chunks = []
+        for start in range(0, count, montecarlo._CHUNK):
+            size = min(montecarlo._CHUNK, count - start)
+            total = rng.poisson(mean_count * size)
+            owners = rng.integers(0, size, total)
+            chunks.append((size, owners, rng.random(total)))
+        return rng, chunks
+
     @settings(max_examples=30, deadline=None)
     @given(
         count=st.integers(1, 3 * montecarlo._CHUNK + 5),
@@ -157,37 +171,62 @@ class TestShotNoiseSampler:
     )
     @example(count=3 * montecarlo._CHUNK + 5, mean_count=40.0, seed=7)
     @example(count=2 * montecarlo._CHUNK + 1, mean_count=1e-3, seed=8)
+    @example(count=montecarlo._CHUNK + 3, mean_count=0.0, seed=9)
     def test_loads_match_a_python_replay(self, count, mean_count, seed):
-        law = GaussianJumpLaw(-0.02, 0.03)
-        got = montecarlo._shot_noise(
-            np.random.Generator(np.random.SFC64(seed)), count, mean_count, law, self.loads
+        law, gauss_var = GaussianJumpLaw(-0.02, 0.03), 4e-4
+        got = montecarlo._loaded_shot_noise(
+            np.random.Generator(np.random.SFC64(seed)), count, mean_count, law, self.loads,
+            gauss_var,
         )
-        # the same stream, drawn as the sampler is specified: counts, then each
-        # chunk's uniforms mapped to loads, then each path summed left to right
-        rng = np.random.Generator(np.random.SFC64(seed))
-        n_jumps = rng.poisson(mean_count, count).tolist()
+        # the same stream, drawn as the sampler is specified: each chunk's
+        # total, owners and uniforms mapped to loads, each path summed in jump
+        # order, then one normal per path for both noise parts
+        rng, chunks = self.stream(seed, count, mean_count)
         s1, s2 = [], []
-        for start in range(0, count, montecarlo._CHUNK):
-            part = n_jumps[start : start + montecarlo._CHUNK]
-            h = rng.random(sum(part))
+        for size, owners, h in chunks:
             self.loads(h)
-            h = iter(h.tolist())
-            for n in part:
-                one = two = 0.0
-                for _ in range(n):
-                    x = next(h)
-                    one += x
-                    two += x * x
-                s1.append(one)
-                s2.append(two)
-        noise = rng.standard_normal(count).tolist()
+            one, two = [0.0] * size, [0.0] * size
+            for path, x in zip(owners.tolist(), h.tolist()):
+                one[path] += x
+                two[path] += x * x
+            s1 += one
+            s2 += two
         z = rng.standard_normal(count).tolist()
+        delta2 = law.delta * law.delta
         want = [
             [law.nu * one for one in s1],
-            [math.sqrt(two) * law.delta * y for two, y in zip(s2, noise)],
-            z,
+            [math.sqrt(two * delta2 + gauss_var) * y for two, y in zip(s2, z)],
         ]
         assert [a.tolist() for a in got] == want
+
+    @pytest.mark.parametrize("mean_count", [0.5, 3.0, 30.0])
+    def test_jump_counts_are_independent_poisson(self, mean_count):
+        # 2^16 paths in 16 full chunks and one partial; a unit load and nu = 1
+        # make the sampler's drift each path's jump count
+        count, seed = (1 << 16) + 1000, 11
+        counts = np.concatenate([
+            np.bincount(owners, minlength=size)
+            for size, owners, _ in self.stream(seed, count, mean_count)[1]
+        ])
+        drift, _ = montecarlo._loaded_shot_noise(
+            np.random.Generator(np.random.SFC64(seed)), count, mean_count,
+            GaussianJumpLaw(1.0, 0.0), lambda u: u.fill(1.0), 0.0,
+        )
+        assert drift.tolist() == counts.astype(float).tolist()
+        # chi-square against Poisson(mean_count), tails pooled so that every
+        # cell expects at least 5 paths
+        pmf = stats.poisson.pmf(np.arange(counts.max() + 1), mean_count)
+        cells = np.flatnonzero(pmf * count >= 5.0)
+        lo, hi = cells[0], cells[-1]
+        observed = np.bincount(counts, minlength=counts.max() + 1)
+        observed = np.concatenate(([observed[: lo + 1].sum()], observed[lo + 1 : hi],
+                                   [observed[hi:].sum()]))
+        expected = np.concatenate(([stats.poisson.cdf(lo, mean_count)], pmf[lo + 1 : hi],
+                                   [stats.poisson.sf(hi - 1, mean_count)])) * count
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+        # paths next to each other, within a chunk and across chunk edges,
+        # draw independent counts: the lag-1 correlation is about N(0, 1/count)
+        assert abs(np.corrcoef(counts[:-1], counts[1:])[0, 1]) <= 4.0 / math.sqrt(count)
 
 
 class TestErrorScaling:

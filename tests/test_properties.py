@@ -19,6 +19,7 @@ from shotpricer import (
     a_shot,
     a_vasicek,
     b_factor,
+    bond_price,
     bs_greeks,
     bs_price,
     cdf_plain,
@@ -343,6 +344,38 @@ def test_overflowing_jump_compensator_raises_parameter_error(entry):
     # varsigma = e^{nu + delta^2/2} - 1 overflows a float at nu = 710
     with pytest.raises(ParameterError):
         _OPTION_ENTRY_POINTS[entry](_call(1.0), AssetModel(1.0, GaussianJumpLaw(710.0, 0.0)))
+
+
+_HUGE_VOL = 1e200  # its square overflows a float
+_SQUARE_OVERFLOW_CALLS = {
+    "price": lambda: price(_call(1.0), _asset(1.0, _HUGE_VOL)),
+    "price_fourier": lambda: price(_call(1.0), _asset(1.0, _HUGE_VOL), "fourier"),
+    "common_greeks": lambda: common_greeks(_call(1.0), _asset(1.0, _HUGE_VOL)),
+    "cdf_plain_sigma": lambda: cdf_plain(
+        CharSpec(1.0, 1.0, _HUGE_VOL, GaussianJumpLaw(0.1, 0.1)), 0.1
+    ),
+    "fourier_grid": lambda: fourier_grid(
+        CharSpec(1.0, 1.0, _HUGE_VOL, GaussianJumpLaw(0.1, 0.1)), [0.1]
+    ),
+    "cdf_plain_delta": lambda: cdf_plain(
+        CharSpec(1.0, 1.0, 0.2, GaussianJumpLaw(-1e300, _HUGE_VOL)), 0.1
+    ),
+    "mc_option_price": lambda: mc_option_price(_call(1.0), _asset(1.0, _HUGE_VOL), _SIM),
+    "bond_price_sigma_r": lambda: bond_price(
+        RateModel(0.5, 0.03, _HUGE_VOL, 1.0, GaussianJumpLaw(0.01, 0.02)), BondTerms(0.0, 5.0, 0.03)
+    ),
+    "bond_price_delta_r": lambda: bond_price(
+        RateModel(0.5, 0.03, 0.01, 1.0, GaussianJumpLaw(0.01, _HUGE_VOL)), BondTerms(0.0, 5.0, 0.03)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_SQUARE_OVERFLOW_CALLS))
+def test_volatility_whose_square_overflows_raises_parameter_error(call):
+    # sigma, sigma_r and delta enter every formula squared; Python's x**2
+    # raises a bare OverflowError there, so the models refuse them when built
+    with pytest.raises(ParameterError, match="squared"):
+        _SQUARE_OVERFLOW_CALLS[call]()
 
 
 @pytest.mark.parametrize("nu", [50.0, 300.0, 709.0])
