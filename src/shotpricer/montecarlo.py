@@ -1,30 +1,25 @@
 """Exact-sampling Monte Carlo oracles for options, bonds, and rate moments.
 
 Nothing here is discretized in time. Each oracle reads the same
-compound-Poisson shot noise with Gaussian jumps through a weighted sum
-sum_k eta_k h(t_k): h = 1 for the log-price, h = B(t_k, T) for int r ds and
-h = e^{-a(horizon - t_k)} for the rate. Given the jump count and arrival
-times that sum is Gaussian with mean nu sum h and variance delta^2 sum h^2.
-Bond discount factors use the pathwise identity int r ds = r_t B(t,T) +
-b[(T-t) - B] + Gaussian + sum_k eta_k B(t_k, T), with the Gaussian part's
-variance in closed form, and the rate carries a Gaussian part of the same
-kind. Given sum h^2 that Gaussian part and the jump noise are independent
-centred normals, so the bond and rate samplers draw one normal per path for
-both. The estimators therefore carry statistical error only, which is what
-makes them usable as oracles for the analytic formulas.
+compound-Poisson shot noise with Gaussian jumps through sum_k eta_k h(t_k):
+h = 1 for the log-price, B(t_k, T) for int r ds and e^{-a(horizon - t_k)}
+for the rate. Given the jumps' count and arrival times that sum is normal,
+with mean nu sum h and variance delta^2 sum h^2, and the option sampler draws
+it. The bond and rate oracles are conditional Monte Carlo (Rao-Blackwell):
+they draw only the arrivals and average the closed form given them, a
+discount factor exp(-det + gauss_var/2 + sum_k c(h_k)) with c(h) = -nu h +
+delta^2 h^2 / 2 = log E[e^{-eta h}], and a normal rate of mean det + p and
+variance ou_var + q (p = nu sum h, q = delta^2 sum h^2).
 
-Each fixed-size batch of paths draws from its own SFC64 substream, seeded by
-SeedSequence(seed, spawn_key=(batch,)). Batches run on one thread per usable
-CPU. The option sampler draws a Poisson count per path. The bond and rate
-samplers use Poisson superposition and splitting instead: a Poisson(m size)
-total of jumps, each given to one of ``size`` paths uniformly, gives every
-path an independent Poisson(m) count. They draw a total per chunk of paths,
-each jump's owner and one uniform u on [0, 1) per jump into a reused
-buffer, and map u in place straight to its load h(t_k) with t_k = t +
-(T - t) u, without forming t_k. Each batch reduces to a few floats that are
-added in batch order, so estimates depend only on (seed, paths), not on the
-worker or BLAS thread count. Threads run only private numpy code; checks and
-library calls come first.
+Batch i of paths draws from SFC64 seeded by SeedSequence(seed, spawn_key=(i,)),
+and batches run on one thread per usable CPU. The option sampler draws a
+Poisson count per path. The bond and rate samplers use Poisson superposition
+and splitting: a Poisson(m size) total of jumps, each given to one of
+``size`` paths uniformly, gives every path an independent Poisson(m) count,
+and each jump's uniform u gives its owner floor(size u) and arrival fraction
+size u - floor(size u). Batches reduce to a few floats added in batch order,
+so estimates depend only on (seed, paths). Threads run only private numpy
+code; checks come first. Paths that overflow a float raise ParameterError.
 
 A call's payoff grows like S_T, so under heavy right-tailed jumps a sample
 can miss the rare paths that carry its value, and then its standard error
@@ -61,8 +56,8 @@ _BATCH = 1 << 16
 _CHUNK = 1 << 12
 
 # Most jumps one batch of paths may expect. It bounds the work per batch; the
-# per-jump arrays (owners and loads) live for one chunk of paths, a sixteenth
-# of the batch, so they expect at most 8 MB each.
+# per-jump arrays (owners, fractions and a spare buffer) live for one chunk of
+# paths, a sixteenth of the batch, so they expect at most 8 MB each.
 _BATCH_JUMPS = 1 << 24
 
 # Threads that run batches: one per CPU this process may run on.
@@ -95,9 +90,15 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
+    """A sample mean and its standard error; both are finite."""
+
     mean: float
     std_error: float
     paths_used: int
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.mean) and math.isfinite(self.std_error)):
+            raise ParameterError(f"estimate {self.mean:g} +- {self.std_error:g} overflows a float")
 
 
 def _map_batches(work, sim: SimConfig) -> list:
@@ -111,7 +112,9 @@ def _map_batches(work, sim: SimConfig) -> list:
 
     def run(index: int):
         seeds = np.random.SeedSequence(sim.seed, spawn_key=(index,))
-        return work(np.random.Generator(np.random.SFC64(seeds)), counts[index])
+        # an overflow shows as inf or NaN in the estimate, which McEstimate refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return work(np.random.Generator(np.random.SFC64(seeds)), counts[index])
 
     workers = min(_WORKERS, len(counts))
     if workers == 1:
@@ -128,17 +131,26 @@ def _estimate(path_values, sim: SimConfig) -> list[McEstimate]:
         arrays = path_values(rng, count)
         return [f for y in arrays for f in (float(np.sum(y)), float(np.sum(y * y)))]
 
-    totals = _map_batches(sums, sim)
-    paths = sim.paths
-    out = []
-    for col in range(0, len(totals[0]), 2):
-        mean = math.fsum(t[col] for t in totals) / paths
-        se = 0.0
-        if paths > 1:
-            square = math.fsum(t[col + 1] for t in totals)
-            se = math.sqrt(max(square - paths * mean * mean, 0.0) / (paths - 1) / paths)
-        out.append(McEstimate(mean=mean, std_error=se, paths_used=paths))
-    return out
+    cols = [math.fsum(col) for col in zip(*_map_batches(sums, sim))]
+    n = sim.paths
+    pairs = [_mean_var(total, square, n) for total, square in zip(cols[::2], cols[1::2])]
+    return [McEstimate(mean, math.sqrt(var / n), n) for mean, var in pairs]
+
+
+def _mean_var(total: float, square: float, n: int) -> tuple[float, float]:
+    """Sample mean and variance of n paths from their sum and sum of squares."""
+    mean = total / n
+    return mean, max(square - n * mean * mean, 0.0) / (n - 1) if n > 1 else 0.0
+
+
+def _with_spread(est: McEstimate, mean_count: float, law: GaussianJumpLaw, vol=0.0) -> McEstimate:
+    """``est``, unless the paths of a random value (vol > 0 or jumps that move)
+    all gave the same: its spread sits on paths too rare to draw (or there is
+    one path), and 0 +- 0 would look exact."""
+    if est.std_error == 0.0 and (vol > 0.0 or mean_count > 0.0 and (law.nu or law.delta)):
+        raise ParameterError(f"all {est.paths_used} paths gave the same value: no spread to "
+                             "estimate a random value's standard error from")
+    return est
 
 
 def _check_jump_count(mean_count: float, limit: float) -> None:
@@ -160,37 +172,32 @@ def _shot_noise(rng, count: int, mean_count: float, law: GaussianJumpLaw):
     return s1, s2, rng.standard_normal(count)
 
 
-def _loaded_shot_noise(
-    rng, count: int, mean_count: float, law: GaussianJumpLaw, loads, gauss_var: float
-):
-    """Per path: drift nu s1 and noise sqrt(gauss_var + delta^2 s2) Z, with
-    s1 = sum_k h(t_k) and s2 = sum_k h(t_k)^2: the jump sum plus an
-    independent Gaussian of variance gauss_var.
+def _jump_sums(rng, count: int, mean_count: float, weights) -> list[np.ndarray]:
+    """Per path, in jump order, the sums over its Poisson(mean_count) jumps of
+    the arrays weights(frac, spare) returns; ``weights`` maps the arrival
+    fractions in place and may write ``spare``, a buffer of their length.
 
-    Each chunk of up to _CHUNK paths draws its Poisson total, then each jump's
-    owning path, then each jump's uniform u into a reused buffer, which
-    ``loads`` maps to h in place. Each path's loads are summed in jump order.
-    The normals come after all chunks.
+    Per chunk of up to _CHUNK paths: the Poisson total, then one uniform u per
+    jump; v = size u gives its owner floor(v) < size (u <= 1 - 2^-53 keeps v
+    over half an ulp below size) and its arrival fraction v - floor(v).
     """
-    s1, s2 = np.empty(count), np.empty(count)
-    h = np.empty(0)
+    chunks = []
+    frac = spare = np.empty(0)
+    owner = np.empty(0, np.intp)
     for start in range(0, count, _CHUNK):
         size = min(_CHUNK, count - start)
         total = rng.poisson(mean_count * size)
-        owner = rng.integers(0, size, total)
-        if total > h.size:
+        if total > frac.size:
             # an eighth to spare: later totals vary by about their square root
-            h = np.empty(total + total // 8)
-        u = rng.random(out=h[:total])
-        loads(u)
-        s1[start : start + size] = np.bincount(owner, u, size)
-        s2[start : start + size] = np.bincount(owner, np.multiply(u, u, out=u), size)
-    s2 *= law.delta * law.delta
-    s2 += gauss_var
-    np.sqrt(s2, out=s2)
-    s2 *= rng.standard_normal(count)
-    s1 *= law.nu
-    return s1, s2
+            grow = total + total // 8
+            frac, spare, owner = np.empty(grow), np.empty(grow), np.empty(grow, np.intp)
+        v = rng.random(out=frac[:total])
+        v *= size
+        o = owner[:total]
+        np.copyto(o, v, casting="unsafe")  # truncation is floor for v >= 0
+        v -= o
+        chunks.append([np.bincount(o, w, size) for w in weights(v, spare[:total])])
+    return [np.concatenate(sums, dtype=float) for sums in zip(*chunks)]
 
 
 def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> McEstimate:
@@ -223,15 +230,7 @@ def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> Mc
         return (paid, disc * s_t) if is_call else (paid,)
 
     est, *forward = _estimate(discounted, sim)
-    law = model.law
-    random_st = vol > 0.0 or (mean_count > 0.0 and (law.nu != 0.0 or law.delta > 0.0))
-    # a random S_T whose paths all paid the same: the payoff's spread sits on
-    # paths too rare to draw (or there is one path), and 0 +- 0 would look exact
-    if random_st and est.std_error == 0.0:
-        raise ParameterError(
-            f"all {sim.paths} paths paid {est.mean:g}: a random S_T gave no spread "
-            "to estimate a standard error from"
-        )
+    _with_spread(est, mean_count, model.law, vol)
     # A call's payoff grows like S_T, so a heavy right tail it rarely draws
     # hides in both its mean and its standard error. E[e^{-r tau} S_T] is
     # S e^{-q tau}; a sample that misses it by far more than its own standard
@@ -247,50 +246,50 @@ def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> Mc
     return est
 
 
-def _int_b_squared(model: RateModel, t: float, T: float) -> float:
-    """Closed form of int_t^T B(s,T)^2 ds."""
-    a = model.a
-    span = T - t
-    b_val = b_factor(model, t, T)
-    return (span - 2.0 * b_val + -math.expm1(-2.0 * a * span) / (2.0 * a)) / (a * a)
-
-
 def mc_bond_price(model: RateModel, terms: BondTerms, sim: SimConfig) -> McEstimate:
-    """Mean of exp{-int r ds} with the integral sampled exactly per path."""
+    """Mean over paths of E[exp{-int r ds} | jump arrivals], in closed form per path."""
     if not terms.t < terms.T:
         raise ParameterError("mc_bond_price needs t < T")
-    t, T = terms.t, terms.T
-    span = T - t
+    span = terms.T - terms.t
     mean_count = model.lambda_r * span
     _check_jump_count(mean_count, _BATCH_JUMPS / min(sim.paths, _BATCH))
-    b_val = b_factor(model, t, T)
+    a = model.a
+    b_val = b_factor(model, terms.t, terms.T)
     det = terms.r_t * b_val + model.b * (span - b_val)
-    gauss_var = model.sigma_r**2 * _int_b_squared(model, t, T)
+    int_b2 = (span - 2.0 * b_val - math.expm1(-2.0 * a * span) / (2.0 * a)) / (a * a)
+    log_scale = 0.5 * model.sigma_r**2 * int_b2 - det
+    alpha, beta = model.law.nu / a, 0.5 * (model.law.delta / a) ** 2
 
-    def loads(u: np.ndarray) -> None:
-        """B(s, T) = -expm1(a span (u - 1)) / a at s = t + span u, in place."""
+    def jump_logs(u: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray]:
+        """c(h) at h = B(t + span u, T) into ``spare``: with e = expm1(a span
+        (u - 1)), h = -e / a and c(h) = -nu h + delta^2 h^2 / 2 = e (alpha + beta e)."""
         u -= 1.0
-        u *= model.a * span
+        u *= a * span
         np.expm1(u, out=u)
-        u /= -model.a
+        np.multiply(u, beta, out=spare)
+        spare += alpha
+        spare *= u
+        return (spare,)
 
-    def discounted(rng, count: int) -> tuple[np.ndarray]:
-        drift, noise = _loaded_shot_noise(rng, count, mean_count, model.law, loads, gauss_var)
-        drift += noise
-        np.subtract(-det, drift, out=drift)  # -(det + jump drift + noise)
-        return (np.exp(drift, out=drift),)
+    def growth(rng, count: int) -> tuple[np.ndarray]:
+        (logs,) = _jump_sums(rng, count, mean_count, jump_logs)
+        return (np.expm1(logs, out=logs),)
 
-    return _estimate(discounted, sim)[0]
+    # each path's discount factor is e^{log_scale} (1 + growth)
+    est = _with_spread(_estimate(growth, sim)[0], mean_count, model.law)
+    with np.errstate(over="ignore"):
+        scale = float(np.exp(log_scale))
+    return McEstimate(scale * (1.0 + est.mean), scale * est.std_error, sim.paths)
 
 
 def mc_rate_moments(
     model: RateModel, r_t: float, horizon: float, sim: SimConfig
 ) -> tuple[McEstimate, McEstimate]:
-    """Empirical conditional mean and variance of r(t + horizon).
+    """Conditional mean and variance of r(t + horizon), averaged over jump arrivals.
 
-    The rate is sampled from its exact representation (decayed start, the
-    Gaussian part's stationary-increment integral, decayed jump kicks).
-    The variance estimate's standard error uses the fourth central moment.
+    E[r] is det + mean(p). Var r is ou_var + mean(q) + the sample variance of
+    p (the law of total variance), with the standard error of its influence
+    q + (p - mean(p))^2 (the delta method).
     """
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ParameterError(f"mc_rate_moments needs a finite horizon > 0, got {horizon}")
@@ -302,27 +301,28 @@ def mc_rate_moments(
     det = decay * r_t + model.b * (1.0 - decay)
     ou_var = model.sigma_r**2 * -math.expm1(-2.0 * model.a * horizon) / (2.0 * model.a)
 
-    def loads(u: np.ndarray) -> None:
-        """e^{-a (horizon - s)} = e^{a horizon (u - 1)} at s = horizon u, in place."""
+    def loads(u: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """h = e^{a horizon (u - 1)} at s = horizon u, in place, and h^2 into ``spare``."""
         u -= 1.0
         u *= model.a * horizon
         np.exp(u, out=u)
+        return u, np.multiply(u, u, out=spare)
 
     def power_sums(rng, count: int) -> tuple[float, ...]:
-        d, noise = _loaded_shot_noise(rng, count, mean_count, model.law, loads, ou_var)
-        # r - det, kept small so the power sums stay well conditioned
-        d += noise
-        d2 = d * d
-        return float(np.sum(d)), float(np.sum(d2)), float(np.sum(d2 * d)), float(np.sum(d2 * d2))
+        p, q = _jump_sums(rng, count, mean_count, loads)
+        p *= model.law.nu
+        q *= model.law.delta**2
+        z = p * p
+        sum_pp, sum_q = float(np.sum(z)), float(np.sum(q))
+        z += q
+        return float(np.sum(p)), sum_pp, sum_q, float(np.sum(z * z)), float(np.sum(z * p))
 
     n = sim.paths
-    mean_d, raw2, raw3, raw4 = (math.fsum(col) / n for col in zip(*_map_batches(power_sums, sim)))
-    m2c = max(raw2 - mean_d**2, 0.0)
-    m4c = raw4 - 4.0 * mean_d * raw3 + 6.0 * mean_d**2 * raw2 - 3.0 * mean_d**4
-    var_sample = m2c * n / (n - 1) if n > 1 else 0.0
-    se_mean = math.sqrt(m2c / n)
-    se_var = math.sqrt(max(m4c - m2c * m2c * (n - 3) / (n - 1), 0.0) / n) if n > 1 else 0.0
-    return (
-        McEstimate(mean=det + mean_d, std_error=se_mean, paths_used=n),
-        McEstimate(mean=var_sample, std_error=se_var, paths_used=n),
-    )
+    s_p, s_pp, s_q, s_zz, s_zp = (math.fsum(c) for c in zip(*_map_batches(power_sums, sim)))
+    mean_p, var_p = _mean_var(s_p, s_pp, n)
+    # the influence, less a constant, is w = z - m p with z = q + p^2
+    m = 2.0 * mean_p
+    _, var_w = _mean_var(s_q + s_pp - m * s_p, s_zz - 2.0 * m * s_zp + m * m * s_pp, n)
+    mean = McEstimate(det + mean_p, math.sqrt(var_p / n), n)
+    var = McEstimate(ou_var + s_q / n + var_p, math.sqrt(var_w / n), n)
+    return mean, _with_spread(var, mean_count, model.law)

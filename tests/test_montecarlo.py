@@ -1,6 +1,7 @@
 """Monte Carlo oracles: determinism, unbiasedness, exactness properties."""
 
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -59,10 +60,10 @@ class TestDeterminism:
         option = mc_option_price(make_terms(100, 100, 1.0, 0.02), model, sim)
         assert (option.mean, option.std_error) == (10.784179915019298, 0.06512559318588998)
         bond = mc_bond_price(rate_general_model, BondTerms(0.0, 5.0, 0.03), sim)
-        assert (bond.mean, bond.std_error) == (0.8094758842796748, 0.00017276765200389195)
+        assert (bond.mean, bond.std_error) == (0.809222599163154, 6.470034688442486e-05)
         mean, var = mc_rate_moments(rate_general_model, 0.03, 1.0, sim)
-        assert (mean.mean, mean.std_error) == (0.037825262147348486, 5.592120614967179e-05)
-        assert (var.mean, var.std_error) == (0.0002189058180323582, 1.3860343755522782e-06)
+        assert (mean.mean, mean.std_error) == (0.037860347535735694, 2.121099844232285e-05)
+        assert (var.mean, var.std_error) == (0.0002209584116834183, 4.715592166594703e-07)
         assert option.paths_used == bond.paths_used == mean.paths_used == 70_000
 
     def test_worker_count_does_not_move_estimates(self, monkeypatch, rate_general_model):
@@ -143,24 +144,26 @@ class TestHeavyTail:
 
 class TestShotNoiseSampler:
     @staticmethod
-    def loads(u):
-        """A bond-like map u -> -expm1(1.5 (u - 1)) / 0.3, in place."""
+    def loads(u, spare):
+        """A bond-like map u -> -expm1(1.5 (u - 1)) / 0.3 in place, and its square."""
         u -= 1.0
         u *= 1.5
         np.expm1(u, out=u)
         u /= -0.3
+        return u, np.multiply(u, u, out=spare)
 
     @staticmethod
     def stream(seed, count, mean_count):
         """The sampler's draws, replayed: per chunk of up to _CHUNK paths the
-        Poisson total, then each jump's owning path, then its uniform."""
+        Poisson total, then one uniform u per jump, split as v = size u into
+        the owning path floor(v) and the arrival fraction v - floor(v)."""
         rng = np.random.Generator(np.random.SFC64(seed))
         chunks = []
         for start in range(0, count, montecarlo._CHUNK):
             size = min(montecarlo._CHUNK, count - start)
-            total = rng.poisson(mean_count * size)
-            owners = rng.integers(0, size, total)
-            chunks.append((size, owners, rng.random(total)))
+            v = rng.random(rng.poisson(mean_count * size)) * size
+            owners = np.floor(v)
+            chunks.append((size, owners.astype(np.intp), v - owners))
         return rng, chunks
 
     @settings(max_examples=30, deadline=None)
@@ -173,46 +176,46 @@ class TestShotNoiseSampler:
     @example(count=2 * montecarlo._CHUNK + 1, mean_count=1e-3, seed=8)
     @example(count=montecarlo._CHUNK + 3, mean_count=0.0, seed=9)
     def test_loads_match_a_python_replay(self, count, mean_count, seed):
-        law, gauss_var = GaussianJumpLaw(-0.02, 0.03), 4e-4
-        got = montecarlo._loaded_shot_noise(
-            np.random.Generator(np.random.SFC64(seed)), count, mean_count, law, self.loads,
-            gauss_var,
+        got = montecarlo._jump_sums(
+            np.random.Generator(np.random.SFC64(seed)), count, mean_count, self.loads
         )
         # the same stream, drawn as the sampler is specified: each chunk's
-        # total, owners and uniforms mapped to loads, each path summed in jump
-        # order, then one normal per path for both noise parts
-        rng, chunks = self.stream(seed, count, mean_count)
+        # total and uniforms, split into owners and fractions, the fractions
+        # mapped to loads, each path summed in jump order
         s1, s2 = [], []
-        for size, owners, h in chunks:
-            self.loads(h)
+        for size, owners, frac in self.stream(seed, count, mean_count)[1]:
+            h, _ = self.loads(frac, np.empty_like(frac))
             one, two = [0.0] * size, [0.0] * size
             for path, x in zip(owners.tolist(), h.tolist()):
                 one[path] += x
                 two[path] += x * x
             s1 += one
             s2 += two
-        z = rng.standard_normal(count).tolist()
-        delta2 = law.delta * law.delta
-        want = [
-            [law.nu * one for one in s1],
-            [math.sqrt(two * delta2 + gauss_var) * y for two, y in zip(s2, z)],
-        ]
-        assert [a.tolist() for a in got] == want
+        assert [a.tolist() for a in got] == [s1, s2]
+
+    def test_owner_stays_below_the_chunk_size(self):
+        # numpy's largest uniform is 1 - 2^-53; size times it rounds below
+        # size, so floor(v) needs no clamp, whatever the chunk's size
+        sizes = np.arange(1, montecarlo._CHUNK + 1)
+        top = np.nextafter(1.0, 0.0)
+        assert top == 1.0 - 2.0**-53
+        assert (np.floor(sizes * top) == sizes - 1).all()
 
     @pytest.mark.parametrize("mean_count", [0.5, 3.0, 30.0])
     def test_jump_counts_are_independent_poisson(self, mean_count):
-        # 2^16 paths in 16 full chunks and one partial; a unit load and nu = 1
-        # make the sampler's drift each path's jump count
+        # 2^16 paths in 16 full chunks and one partial of 1000 paths; a unit
+        # weight per jump makes the sampler's sum each path's jump count
         count, seed = (1 << 16) + 1000, 11
-        counts = np.concatenate([
-            np.bincount(owners, minlength=size)
-            for size, owners, _ in self.stream(seed, count, mean_count)[1]
-        ])
-        drift, _ = montecarlo._loaded_shot_noise(
+        chunks = self.stream(seed, count, mean_count)[1]
+        for size, owners, _ in chunks:
+            assert owners.size == 0 or owners.max() < size
+        assert chunks[-1][0] == 1000 and chunks[-1][1].size > 0
+        counts = np.concatenate([np.bincount(owners, minlength=size) for size, owners, _ in chunks])
+        (sums,) = montecarlo._jump_sums(
             np.random.Generator(np.random.SFC64(seed)), count, mean_count,
-            GaussianJumpLaw(1.0, 0.0), lambda u: u.fill(1.0), 0.0,
+            lambda u, spare: (np.ones_like(u),),
         )
-        assert drift.tolist() == counts.astype(float).tolist()
+        assert sums.tolist() == counts.astype(float).tolist()
         # chi-square against Poisson(mean_count), tails pooled so that every
         # cell expects at least 5 paths
         pmf = stats.poisson.pmf(np.arange(counts.max() + 1), mean_count)
@@ -235,6 +238,20 @@ class TestErrorScaling:
         big = mc_option_price(atm_call, jump_model, SimConfig(paths=200_000, seed=3))
         ratio = small.std_error / big.std_error
         assert ratio == pytest.approx(2.0, rel=0.2)
+
+    def test_standard_errors_match_the_spread_over_seeds(self, rate_general_model):
+        # 40 independent estimates: their spread over the mean reported
+        # standard error is about 1, and within [0.75, 1.3] for 40 seeds
+        bond, rate_mean, rate_var = [], [], []
+        for seed in range(40):
+            sim = SimConfig(paths=4096, seed=seed)
+            bond.append(mc_bond_price(rate_general_model, BondTerms(0.0, 5.0, 0.03), sim))
+            mean, var = mc_rate_moments(rate_general_model, 0.03, 1.0, sim)
+            rate_mean.append(mean)
+            rate_var.append(var)
+        for ests in (bond, rate_mean, rate_var):
+            spread = statistics.stdev(e.mean for e in ests)
+            assert 0.75 <= spread / statistics.fmean(e.std_error for e in ests) <= 1.3
 
 
 class TestUnbiasedness:
@@ -269,23 +286,49 @@ class TestBondSampler:
             bond_price(model, terms, BondVariant.GENERAL), rel=1e-14
         )
 
-    def test_gaussian_only_variance_matches_closed_form(self):
-        # lam = 0: log-discount is Gaussian with known variance, so the
-        # estimator's dispersion is checkable directly
-        model = RateModel(0.5, 0.03, 0.02, 0.0, GaussianJumpLaw(0.0, 0.0))
-        terms = BondTerms(0.0, 5.0, 0.03)
-        a = model.a
-        span = 5.0
+    @staticmethod
+    def lognormal_mean(model, terms):
+        """E[exp(-int r ds)] = exp(-det + var/2) when int r ds is Gaussian."""
+        a, span = model.a, terms.T - terms.t
         b_val = (1.0 - math.exp(-a * span)) / a
         int_b2 = (span - 2 * b_val + (1 - math.exp(-2 * a * span)) / (2 * a)) / a**2
-        var_log = model.sigma_r**2 * int_b2
         det = terms.r_t * b_val + model.b * (span - b_val)
-        # lognormal moments of exp(-integral)
-        mean_exact = math.exp(-det + 0.5 * var_log)
-        sd_exact = mean_exact * math.sqrt(math.expm1(var_log))
+        return math.exp(-det + 0.5 * model.sigma_r**2 * int_b2)
+
+    def test_gaussian_only_model_is_exact(self):
+        # lam = 0: the log-discount is Gaussian, and the conditional
+        # estimator averages its lognormal mean on every path
+        model = RateModel(0.5, 0.03, 0.02, 0.0, GaussianJumpLaw(0.01, 0.02))
+        terms = BondTerms(0.0, 5.0, 0.03)
         est = mc_bond_price(model, terms, SimConfig(paths=200_000, seed=21))
-        assert abs(est.mean - mean_exact) <= 3.0 * est.std_error
-        assert est.std_error == pytest.approx(sd_exact / math.sqrt(200_000), rel=0.05)
+        assert est.std_error == 0.0
+        assert est.mean == pytest.approx(self.lognormal_mean(model, terms), rel=1e-14)
+
+    def test_zero_jump_law_is_exact(self):
+        # jumps that arrive but move nothing (nu = delta = 0) leave the same bond
+        model = RateModel(0.5, 0.03, 0.02, 3.0, GaussianJumpLaw(0.0, 0.0))
+        terms = BondTerms(0.0, 5.0, 0.03)
+        est = mc_bond_price(model, terms, SimConfig(paths=200_000, seed=21))
+        assert est.std_error == 0.0
+        assert est.mean == pytest.approx(self.lognormal_mean(model, terms), rel=1e-14)
+
+    @pytest.mark.parametrize("paths", [1, 10])
+    def test_paths_without_spread_raise(self, paths):
+        # lambda_r T = 0.05: all ten paths draw no jump with probability 0.6,
+        # and then every path holds the same conditional value
+        model = RateModel(0.5, 0.03, 0.01, 0.01, GaussianJumpLaw(0.005, 0.01))
+        sim = SimConfig(paths=paths, seed=1)
+        with pytest.raises(ParameterError, match="no spread"):
+            mc_bond_price(model, BondTerms(0.0, 5.0, 0.03), sim)
+        with pytest.raises(ParameterError, match="no spread"):
+            mc_rate_moments(model, 0.03, 1.0, sim)
+
+    def test_overflowing_discount_raises(self, recwarn):
+        # delta_r = 100 makes E[e^{-eta B}] about e^{5000 B^2}, past any float
+        model = RateModel(0.5, 0.03, 0.01, 1.0, GaussianJumpLaw(0.005, 100.0))
+        with pytest.raises(ParameterError, match="overflows a float"):
+            mc_bond_price(model, BondTerms(0.0, 5.0, 0.03), SimConfig(paths=10_000))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_shot_model_concordance(self, rate_jump_model):
         terms = BondTerms(0.0, 5.0, 0.03)
@@ -304,10 +347,21 @@ class TestRateMoments:
         assert abs(v_est.mean - var) <= 3.0 * v_est.std_error
 
     def test_short_horizon_pins_start(self, rate_jump_model):
+        # the mean sits 1.5e-6 below r_t = 0.05 at horizon 1e-4 (a 0.5, b 0),
+        # five times the standard error
+        mean, _ = conditional_moments(rate_jump_model, 0.05, 1e-4)
         m_est, _ = mc_rate_moments(
             rate_jump_model, 0.05, 1e-4, SimConfig(paths=100_000, seed=29)
         )
-        assert abs(m_est.mean - 0.05) <= max(3.0 * m_est.std_error, 1e-6)
+        assert abs(m_est.mean - mean) <= 3.0 * m_est.std_error
+        assert abs(m_est.mean - 0.05) <= 1e-5
+
+    def test_overflowing_variance_raises(self, recwarn):
+        # delta_r = 1e80 squares to 1e160, and the influence's square overflows
+        model = RateModel(0.5, 0.03, 0.01, 1.0, GaussianJumpLaw(0.005, 1e80))
+        with pytest.raises(ParameterError, match="overflows a float"):
+            mc_rate_moments(model, 0.03, 1.0, SimConfig(paths=10_000))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_repeatable(self, rate_jump_model):
         sim = SimConfig(paths=50_000, seed=41)

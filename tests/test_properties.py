@@ -414,6 +414,31 @@ def test_mc_option_standard_error_is_zero_only_for_a_sure_payoff(sigma, lam, nu,
     assert est.std_error > 0.0 or (sigma == 0.0 and lam == 0.0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    lambda_r=st.sampled_from([0.0, 0.01, 0.3, 2.0]),
+    nu=st.sampled_from([0.0, 0.01]),
+    delta=st.sampled_from([0.0, 0.02]),
+    paths=st.integers(min_value=1, max_value=64),
+)
+def test_mc_rate_standard_errors_are_zero_only_for_sure_values(lambda_r, nu, delta, paths):
+    # the conditional oracles integrate the Gaussian parts exactly, so only
+    # jumps that move the rate make their estimates random
+    model = RateModel(0.5, 0.03, 0.01, lambda_r, GaussianJumpLaw(nu, delta))
+    sim = SimConfig(paths=paths, seed=3)
+    random = lambda_r > 0.0 and (nu != 0.0 or delta > 0.0)
+    for oracle in (
+        lambda: mc_bond_price(model, BondTerms(0.0, 5.0, 0.03), sim),
+        lambda: mc_rate_moments(model, 0.03, 1.0, sim)[1],
+    ):
+        try:
+            est = oracle()
+        except ParameterError as exc:
+            assert random and "no spread" in str(exc)
+            continue
+        assert (est.std_error > 0.0) == random
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.1])
 def test_huge_jump_mean_fourier_price_raises_typed_error(delta):
     # varsigma = e^709 is a float, but k_max |l| for the threshold past it is not
