@@ -64,6 +64,16 @@ def _norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
+def _checked_gamma(gamma: float, density: float) -> float:
+    """``gamma`` where finite; 0 where its ``density`` factor is 0 (a tiny spot
+    overflows e^{-q tau}/S, and inf * 0 is NaN); else ParameterError."""
+    if math.isfinite(gamma):
+        return gamma
+    if density == 0.0:
+        return 0.0
+    raise ParameterError("gamma overflows: the spot is too small")
+
+
 def _check_evaluable(terms: OptionTerms, model: AssetModel) -> float:
     if terms.tau <= 0.0:
         raise DegenerateMaturityError("Greeks need tau > 0")
@@ -104,7 +114,7 @@ def common_greeks(
     disc_strike = terms.strike * math.exp(-terms.rate * tau)
 
     delta_c = math.exp(-terms.dividend * tau) * ls.l1
-    gamma = math.exp(-terms.dividend * tau) / terms.spot * ls.dl1_dl
+    gamma = _checked_gamma(math.exp(-terms.dividend * tau) / terms.spot * ls.dl1_dl, ls.dl1_dl)
     rho_c = tau * disc_strike * ls.l2
     psi_c = -tau * disc_spot * ls.l1
     theta_c = (
@@ -167,7 +177,10 @@ def bs_greeks(terms: OptionTerms, sigma: float) -> GreekSet:
     pdf_d1 = _norm_pdf(d1)
 
     delta_c = math.exp(-terms.dividend * tau) * float(ndtr(d1))
-    gamma = math.exp(-terms.dividend * tau) * pdf_d1 / (terms.spot * sigma * sqrt_tau)
+    vol_spot = terms.spot * sigma * sqrt_tau  # 0 where a tiny spot underflows it
+    gamma = _checked_gamma(
+        math.exp(-terms.dividend * tau) * pdf_d1 / vol_spot if vol_spot else math.inf, pdf_d1
+    )
     rho_c = tau * disc_strike * float(ndtr(d2))
     psi_c = -tau * disc_spot * float(ndtr(d1))
     theta_c = (

@@ -12,6 +12,7 @@ The lam = 0 limit is Black-Scholes; sigma = 0 is the pure-jump model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -26,6 +27,7 @@ from .transform import (
     Backend,
     CharSpec,
     QuadratureSpec,
+    _PARTS_CACHE_SIZE,
     _series_block,
     _series_values,
     fourier_grid,
@@ -98,7 +100,9 @@ class AssetModel:
             raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
         require_finite_square(self, "sigma")
 
+    @functools.lru_cache(maxsize=_PARTS_CACHE_SIZE)
     def char_spec(self, tau: float) -> CharSpec:
+        """Characteristic-function inputs at maturity tau, one per (model, tau)."""
         return CharSpec(tau=tau, lam=self.lam, sigma=self.sigma, law=self.law)
 
 
@@ -112,7 +116,14 @@ class PriceResult:
 
 def log_moneyness(terms: OptionTerms) -> float:
     """x = ln(S/K)."""
-    return math.log(terms.spot / terms.strike)
+    return _log_ratio(terms.spot, terms.strike)
+
+
+def _log_ratio(spot: float, strike: float) -> float:
+    """ln(spot/strike), as ln spot - ln strike where the ratio underflows to 0
+    or overflows."""
+    ratio = spot / strike
+    return math.log(ratio) if 0.0 < ratio < math.inf else math.log(spot) - math.log(strike)
 
 
 def l_parameter(terms: OptionTerms, model: AssetModel) -> float:
@@ -196,7 +207,7 @@ def _shifted_prices(
     carry = math.exp(-terms.dividend * terms.tau)
     disc_strike = terms.strike * math.exp(-terms.rate * terms.tau)
     shift = _drift(terms, model) * terms.tau
-    ls = [_kink_threshold(math.log(spot / terms.strike) + shift, model) for spot in spots]
+    ls = [_kink_threshold(_log_ratio(spot, terms.strike) + shift, model) for spot in spots]
     return [
         _value(call, spot * carry, disc_strike, legs)
         for spot, legs in zip(spots, _series_block(model.char_spec(terms.tau), ls, quad))

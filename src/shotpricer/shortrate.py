@@ -69,6 +69,8 @@ class RateModel:
         require_finite(self, "a", "b", "sigma_r", "lambda_r")
         if self.a <= 0.0:
             raise ParameterError(f"mean reversion a must be > 0, got {self.a}")
+        if not 0.0 < self.a * self.a < math.inf:  # a_vasicek divides by a^2
+            raise ParameterError(f"a squared must be a positive finite float, got {self.a}")
         if self.sigma_r < 0.0:
             raise ParameterError(f"sigma_r must be >= 0, got {self.sigma_r}")
         require_finite_square(self, "sigma_r")
@@ -117,6 +119,12 @@ def a_shot(
         return 0.0
     if model.law.nu == 0.0 and model.law.delta == 0.0:
         return 0.0
+    # the exponent -nu B + delta^2 B^2 / 2 is convex in B, so on [0, B(t, T)]
+    # it is largest at an end: 0, or its value at B(t, T)
+    b_end = b_factor(model, t, T)
+    top = -model.law.nu * b_end + 0.5 * model.law.delta**2 * (b_end * b_end)
+    if not (math.isfinite(top) and math.log(model.lambda_r) + top < 709.0):
+        raise ParameterError(f"jump intercept overflows on [{t}, {T}]")
 
     def integrand(s: np.ndarray) -> np.ndarray:
         b_val = -np.expm1(-model.a * (T - s)) / model.a
@@ -135,9 +143,12 @@ def a_vasicek(model: RateModel, t: float, T: float) -> float:
     """Closed-form Gaussian intercept (b - s^2/2a^2)(B - (T-t)) - s^2 B^2/4a."""
     b_val = b_factor(model, t, T)
     var = model.sigma_r**2
-    return (model.b - var / (2.0 * model.a**2)) * (b_val - (T - t)) - var * b_val**2 / (
+    value = (model.b - var / (2.0 * model.a**2)) * (b_val - (T - t)) - var * b_val**2 / (
         4.0 * model.a
     )
+    if not math.isfinite(value):
+        raise ParameterError(f"Gaussian intercept overflows on [{t}, {T}] (a {model.a})")
+    return value
 
 
 def a_general(

@@ -21,13 +21,13 @@ exp(-z) change of weight). Two independent evaluation routes are provided:
   are summed exactly (``math.fsum``). It is the reference backend and alone
   has analytic derivatives (for the Greeks). Everything that depends only on
   the model and tau (the continuous/atom split, the stacked weight rows, their
-  derivatives and ds/dparam) is built once per (spec, quad) and cached. The
-  values pass runs over a block of thresholds at once (one ``ndtr`` over the
-  rows b, a, -b, -a of every threshold, one reduction); a memoized
+  derivatives and the Greek rows) is built once per (spec, quad) and cached.
+  The values pass runs over a block of thresholds at once (one ``ndtr`` over
+  the rows b, a, -b, -a of every threshold, one reduction); a memoized
   one-threshold block gives all four transforms to the scalar functions,
   ``series_lset`` and ``green_density``, and the residual checks price the
-  shifted states of a grid point in one block.
-  The Greek engine forms its twelve derivative term rows as one matrix.
+  shifted states of a grid point in one block. The Greek engine gets eight
+  of its sums from one product of the cached rows with two per threshold.
 * fourier (``fourier_grid``): Gil-Pelaez inversion, one integral in k per
   cumulative, on Gauss-Legendre panels, for a batch of thresholds. It reads
   only psi, with no Poisson weights, so it is an independent cross-check of
@@ -151,6 +151,8 @@ class CharSpec:
         if self.sigma < 0.0 or not math.isfinite(self.sigma):
             raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
         require_finite_square(self, "sigma")
+        if not math.isfinite(self.mean_count):
+            raise ParameterError(f"mean count lam tau overflows (lam {self.lam}, tau {self.tau})")
 
     @property
     def mean_count(self) -> float:
@@ -226,9 +228,9 @@ class _SeriesParts:
     Continuous components: counts ``n_c``, means ``mean_c``, deviations ``s``;
     ``w`` stacks their weights as rows (tilted, plain, tilted, plain), ``dw``
     their derivatives w_{n-1} - w_n in the Poisson mean as rows (tilted,
-    plain), and ``ds`` the rows ds/dtau, ds/ddelta, ds/dsigma. Point masses:
-    ``atom_mean``, ``atom_w`` (4 rows) and ``atom_dw`` (2 rows), all None when
-    there are none.
+    plain), and ``uv`` the Greek rows u = w / (sqrt(2 pi) s), v = n u, sigma u
+    and delta v, each (tilted, plain). Point masses: ``atom_mean``, ``atom_w``
+    (4 rows) and ``atom_dw`` (2 rows), all None when there are none.
     """
 
     n_c: np.ndarray
@@ -236,7 +238,7 @@ class _SeriesParts:
     s: np.ndarray
     w: np.ndarray
     dw: np.ndarray
-    ds: np.ndarray
+    uv: np.ndarray
     atom_mean: np.ndarray | None
     atom_w: np.ndarray | None
     atom_dw: np.ndarray | None
@@ -263,13 +265,13 @@ class _SeriesParts:
         # sd grows with n, so the point masses (sd == 0) are the first k counts
         k = int(sd.searchsorted(0.0, side="right"))
         n_c, s, w = n[k:], sd[k:], padded[:, 1:]
-        ds = np.empty((3, s.size))
-        np.divide(sigma**2, 2.0 * s, out=ds[0])
-        np.divide(n_c * delta, s, out=ds[1])
-        np.divide(sigma * tau, s, out=ds[2])
-        ds.flags.writeable = False
+        uv = np.empty((2, 2, 2, s.size))
+        np.divide(w[:2, k:], _SQRT_2PI * s, out=uv[0, 0])
+        np.multiply(uv[0, 0], n_c, out=uv[0, 1])
+        np.multiply(uv[0], np.array([sigma, delta])[:, None, None], out=uv[1])
+        uv.flags.writeable = False
         atoms = (mean[:k], w[:, :k], dw[:, :k]) if k else (None, None, None)
-        return cls(n_c, mean[k:], s, w[:, k:], dw[:, k:], ds, *atoms)
+        return cls(n_c, mean[k:], s, w[:, k:], dw[:, k:], uv, *atoms)
 
 
 @functools.lru_cache(maxsize=_PARTS_CACHE_SIZE)
@@ -291,12 +293,6 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
 # atom brackets of rows (tilted cdf, plain cdf, tilted survival, plain survival)
 _ATOM_SIDE = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # cdfs step up in l, survivals down
 _ATOM_AT_0 = np.array([[0.0], [1.0], [1.0], [0.0]])  # at l = mean: atom in or out
-
-
-def _atom_terms(coef: np.ndarray, gap: np.ndarray) -> np.ndarray:
-    """``coef`` times the first len(coef) brackets at the atoms' l - mean = ``gap``."""
-    k = len(coef)
-    return coef * np.heaviside(gap[..., None, :] * _ATOM_SIDE[:k], _ATOM_AT_0[:k])
 
 
 def _series_block(
@@ -329,7 +325,8 @@ def _series_block(
     z *= p.w
     sums = z.sum(axis=-1)
     if p.atom_mean is not None:
-        sums += _atom_terms(p.atom_w, col - p.atom_mean).sum(axis=-1)
+        gap = (col - p.atom_mean)[:, None, :]  # l - mean per threshold and atom
+        sums += (p.atom_w * np.heaviside(gap * _ATOM_SIDE, _ATOM_AT_0)).sum(axis=-1)
     # the weights sum to one only to rounding; a probability stays at most 1
     np.minimum(sums, 1.0, out=sums)
     return [(plain, tilted, p_surv, t_surv) for tilted, plain, t_surv, p_surv in sums.tolist()]
@@ -477,10 +474,10 @@ def fourier_grid(
     start = k_max * float(np.max(np.abs(ls), initial=1.0)) / _K_NODES
     n_panels = max(4, math.ceil(min(start, _FOURIER_BUDGET)))
     spacing = k_max / (n_panels * 2**_FOURIER_DOUBLINGS * _K_NODES)
-    width = 1.0 / _char_sd(spec)
-    if spacing > width:
+    sd = _char_sd(spec)  # 0 where the mean count underflows: psi is the atom alone
+    if spacing * sd > 1.0:
         raise QuadratureError(
-            f"psi's width {width:.3g} is below the node spacing {spacing:.3g} of the "
+            f"psi's width {1.0 / sd:.3g} is below the node spacing {spacing:.3g} of the "
             "finest pass: the panels cannot resolve psi"
         )
     prev = integrals(n_panels)
@@ -593,7 +590,7 @@ def series_lset(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -
 def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
     l2, l1 = _series_values(spec, l, quad)[:2]
     law = spec.law
-    tau, lam = spec.tau, spec.lam
+    tau, lam, sigma = spec.tau, spec.lam, spec.sigma
     nu, delta = law.nu, law.delta
     p = _series_parts(spec, quad)
     s = p.s
@@ -606,41 +603,40 @@ def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
     growth = math.exp(nu + 0.5 * delta**2)  # 1 + varsigma
     m_tilt = lam * tau * growth
 
-    # a = (l + n nu)/s overflows for a huge l or a narrow component, and
-    # phi(a) a would be 0 * inf. Clipping a and b = a + s to +-1e3 after b is
-    # formed changes no finite output: phi and Phi of both are exactly 0 or 1 there.
-    ab = np.empty((2, s.size))  # rows (b, a), against weight rows (tilted, plain)
+    # One buffer holds the rows (b, a), against the weight rows (tilted,
+    # plain), then e and g below. a = (l + n nu)/s overflows for a huge l or a
+    # narrow component, and phi(a) a would be 0 * inf. Clipping a and b = a + s
+    # to +-1e3 after b is formed changes no finite output: phi and Phi of both
+    # are exactly 0 or 1 there.
+    buf = np.empty((3, 2, s.size))
+    ab, (e, g) = buf[0], buf[1:]
     with np.errstate(over="ignore"):
         np.divide(l - p.mean_c, s, out=ab[1])
     np.add(ab[1], s, out=ab[0])
     np.minimum(np.maximum(ab, -1e3, out=ab), 1e3, out=ab)  # np.clip costs 2 us more
-    a = ab[1]
-    phi = np.exp(-0.5 * ab * ab) / _SQRT_2PI
-    wphi = p.w[:2] * phi
-
-    # At fixed l, nu moves a and b by n / s; tau, delta and sigma move them
-    # only through s, with da/ds = -a/s and db/ds = 1 - a/s. The densities
-    # multiply a before the division by s, so where phi underflows to 0 the
-    # product is 0 rather than 0 * inf. Rows of dphi: phi(b) db/ds, phi(a) da/ds.
-    dphi = -(phi * a / s)
-    dphi[0] += phi[0]
-    wdphi = p.w[:2] * dphi
-
-    # term rows, (tilted, plain) each: d/dM, d/dl, the nu part, then the
-    # tau, delta and sigma parts
-    terms = np.empty((12, s.size))
-    np.multiply(p.dw, ndtr(ab), out=terms[0:2])
-    np.divide(wphi, s, out=terms[2:4])
-    np.divide(wphi * p.n_c, s, out=terms[4:6])
-    np.multiply(p.ds[:, None, :], wdphi, out=terms[6:].reshape(3, 2, s.size))
     # the Poisson-mean rows telescope to nearly 0, so they alone are summed
     # exactly; the atoms count with the brackets of the cdfs
-    dm = terms[:2]
+    dm1, dm2 = (p.dw * ndtr(ab)).tolist()
     if p.atom_mean is not None:
-        dm = np.hstack((_atom_terms(p.atom_dw, l - p.atom_mean), dm))
-    l1_dm, l2_dm = (math.fsum(row) for row in dm.tolist())
-    dl1_dl, dl2_dl, nu1, nu2, tau1, tau2, delta1, delta2, sigma1, sigma2 = (
-        terms[2:].sum(axis=1).tolist()
+        atoms = list(zip(p.atom_mean.tolist(), *p.atom_dw.tolist()))
+        dm1 += [tilted for mean, tilted, _ in atoms if l > mean]
+        dm2 += [plain for mean, _, plain in atoms if l >= mean]
+    l1_dm, l2_dm = math.fsum(dm1), math.fsum(dm2)
+
+    # The other rows are the cached rows (u, v, sigma u, delta v) times e =
+    # e^{-z^2/2} or g = e (a/s - E) on z = (b, a), E = (1, 0): d/dl sums u e,
+    # the nu part v e (nu moves a and b by n/s). tau, delta and sigma move them
+    # through s (da/ds = -a/s, db/ds = 1 - a/s; ds/dparam = sigma^2/2s, n delta/s,
+    # sigma tau/s), so their parts are -sigma/2, -1 and -tau times the sums of
+    # sigma u g, delta v g and sigma u g; sigma and delta keep tiny-s terms finite.
+    np.multiply(ab, ab, out=e)
+    e *= -0.5
+    np.exp(e, out=e)
+    np.divide(ab[1], s, out=g[1])
+    np.subtract(g[1], 1.0, out=g[0])
+    g *= e
+    (dl1_dl, dl2_dl), (nu1, nu2), (sig_g1, sig_g2), (delta_g1, delta_g2) = (
+        (p.uv * buf[1:, None]).sum(axis=-1).reshape(4, 2).tolist()
     )
 
     return LSet(
@@ -648,14 +644,14 @@ def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
         l2=l2,
         dl1_dl=dl1_dl,
         dl2_dl=dl2_dl,
-        dl1_dtau=lam * growth * l1_dm + tau1,
-        dl2_dtau=lam * l2_dm + tau2,
+        dl1_dtau=lam * growth * l1_dm - 0.5 * sigma * sig_g1,
+        dl2_dtau=lam * l2_dm - 0.5 * sigma * sig_g2,
         dl1_dlam=tau * growth * l1_dm,
         dl2_dlam=tau * l2_dm,
         dl1_dnu=m_tilt * l1_dm + nu1,
         dl2_dnu=nu2,
-        dl1_ddelta=delta * m_tilt * l1_dm + delta1,
-        dl2_ddelta=delta2,
-        dl1_dsigma=sigma1,
-        dl2_dsigma=sigma2,
+        dl1_ddelta=delta * m_tilt * l1_dm - delta_g1,
+        dl2_ddelta=-delta_g2,
+        dl1_dsigma=-tau * sig_g1,
+        dl2_dsigma=-tau * sig_g2,
     )

@@ -33,6 +33,7 @@ from .options import (
     _shifted_prices,
     bs_price,
     l_parameter,
+    log_moneyness,
     parity_residual,
     price,
 )
@@ -151,7 +152,7 @@ def option_pide_residual(
             rejected.append((terms.spot, terms.tau, "kink proximity"))
             continue
         used += 1
-        x0 = math.log(terms.spot / terms.strike)
+        x0 = log_moneyness(terms)
 
         def shifted(eta: np.ndarray) -> np.ndarray:
             spots = [terms.strike * math.exp(x) for x in (x0 + eta).tolist()]

@@ -215,12 +215,24 @@ def test_non_finite_field_raises_parameter_error(field, bad):
 _SIM = SimConfig(paths=10, seed=7)
 
 
-def _rate_model(lambda_r):
-    return RateModel(a=0.5, b=0.03, sigma_r=0.01, lambda_r=lambda_r, law=GaussianJumpLaw(0.01, 0.02))
+@dataclasses.dataclass(frozen=True)
+class _Sizes:
+    """Contract sizes and rate-model scales the scalar entry points read."""
+
+    spot: float = 100.0
+    strike: float = 95.0
+    a: float = 0.5
+    delta_r: float = 0.02
 
 
-def _call(tau):
-    return OptionTerms(100.0, 95.0, tau, 0.03, 0.01, OptionKind.CALL)
+def _rate_model(lambda_r, z=_Sizes()):
+    return RateModel(
+        a=z.a, b=0.03, sigma_r=0.01, lambda_r=lambda_r, law=GaussianJumpLaw(0.01, z.delta_r)
+    )
+
+
+def _call(tau, z=_Sizes()):
+    return OptionTerms(z.spot, z.strike, tau, 0.03, 0.01, OptionKind.CALL)
 
 
 def _asset(lam, sigma):
@@ -237,43 +249,62 @@ def _grid_at(lam, nu, l):
     return tuple(float(leg[0]) for leg in legs)
 
 
-# entry point -> call with (intensity lam or lambda_r, x, y)
+# entry point -> call with (intensity lam or lambda_r, x, y, sizes z)
 _SCALAR_ENTRY_POINTS = {
-    "conditional_moments": lambda lam, r_t, horizon: conditional_moments(
-        _rate_model(lam), r_t, horizon
+    "conditional_moments": lambda lam, r_t, horizon, z: conditional_moments(
+        _rate_model(lam, z), r_t, horizon
     ),
-    "mc_rate_moments": lambda lam, r_t, horizon: mc_rate_moments(
-        _rate_model(lam), r_t, horizon, _SIM
+    "mc_rate_moments": lambda lam, r_t, horizon, z: mc_rate_moments(
+        _rate_model(lam, z), r_t, horizon, _SIM
     ),
-    "mc_bond_price": lambda lam, r_t, T: mc_bond_price(
-        _rate_model(lam), BondTerms(0.0, T, r_t), _SIM
+    "mc_bond_price": lambda lam, r_t, T, z: mc_bond_price(
+        _rate_model(lam, z), BondTerms(0.0, T, r_t), _SIM
     ),
-    "mc_option_price": lambda lam, sigma, tau: mc_option_price(
-        _call(tau), _asset(lam, sigma), _SIM
+    "mc_option_price": lambda lam, sigma, tau, z: mc_option_price(
+        _call(tau, z), _asset(lam, sigma), _SIM
     ),
     # l_used is NaN by design at tau = 0, where the price is the payoff
-    "price": lambda lam, sigma, tau: price(_call(tau), _asset(lam, sigma)).value,
-    "price_fourier": lambda lam, sigma, tau: price(
-        _call(tau), _asset(lam, sigma), "fourier"
+    "price": lambda lam, sigma, tau, z: price(_call(tau, z), _asset(lam, sigma)).value,
+    "price_fourier": lambda lam, sigma, tau, z: price(
+        _call(tau, z), _asset(lam, sigma), "fourier"
     ).value,
-    "common_greeks": lambda lam, sigma, tau: common_greeks(_call(tau), _asset(lam, sigma)),
-    "new_greeks": lambda lam, sigma, tau: new_greeks(_call(tau), _asset(lam, sigma)),
-    "cdf_plain": lambda lam, nu, l: cdf_plain(_jump_spec(lam, nu), l),
-    "cdf_tilted": lambda lam, nu, l: cdf_tilted(_jump_spec(lam, nu), l),
-    "survival_plain": lambda lam, nu, l: survival_plain(_jump_spec(lam, nu), l),
-    "survival_tilted": lambda lam, nu, l: survival_tilted(_jump_spec(lam, nu), l),
-    "fourier_grid": _grid_at,
-    "b_factor": lambda lam, t, T: b_factor(_rate_model(lam), t, T),
-    "a_vasicek": lambda lam, t, T: a_vasicek(_rate_model(lam), t, T),
-    "a_shot": lambda lam, t, T: a_shot(_rate_model(lam), t, T),
-    "zero_yield": lambda lam, price, tenor: zero_yield(price, tenor),
-    "bs_price": lambda lam, sigma, tau: bs_price(_call(tau), sigma),
-    "bs_greeks": lambda lam, sigma, tau: bs_greeks(_call(tau), sigma),
+    "common_greeks": lambda lam, sigma, tau, z: common_greeks(_call(tau, z), _asset(lam, sigma)),
+    "new_greeks": lambda lam, sigma, tau, z: new_greeks(_call(tau, z), _asset(lam, sigma)),
+    "cdf_plain": lambda lam, nu, l, z: cdf_plain(_jump_spec(lam, nu), l),
+    "cdf_tilted": lambda lam, nu, l, z: cdf_tilted(_jump_spec(lam, nu), l),
+    "survival_plain": lambda lam, nu, l, z: survival_plain(_jump_spec(lam, nu), l),
+    "survival_tilted": lambda lam, nu, l, z: survival_tilted(_jump_spec(lam, nu), l),
+    "fourier_grid": lambda lam, nu, l, z: _grid_at(lam, nu, l),
+    "b_factor": lambda lam, t, T, z: b_factor(_rate_model(lam, z), t, T),
+    "a_vasicek": lambda lam, t, T, z: a_vasicek(_rate_model(lam, z), t, T),
+    "a_shot": lambda lam, t, T, z: a_shot(_rate_model(lam, z), t, T),
+    "bond_price_vasicek": lambda lam, r_t, T, z: bond_price(
+        _rate_model(lam, z), BondTerms(0.0, T, r_t), "vasicek"
+    ),
+    "zero_yield": lambda lam, price, tenor, z: zero_yield(price, tenor),
+    "bs_price": lambda lam, sigma, tau, z: bs_price(_call(tau, z), sigma),
+    "bs_greeks": lambda lam, sigma, tau, z: bs_greeks(_call(tau, z), sigma),
 }
 
 _scalar_st = st.one_of(
     st.floats(min_value=0.01, max_value=5.0),
     st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]),
+)
+# spot, strike, the rate model's a and delta_r, and the third argument (a
+# maturity, horizon, threshold or tenor) also range over subnormal to huge
+_wide_st = st.floats(min_value=1e-310, max_value=1e300)
+
+
+def _size_st(default):
+    return st.one_of(st.just(default), _wide_st)
+
+
+_sizes_st = st.builds(
+    _Sizes,
+    spot=_size_st(100.0),
+    strike=_size_st(95.0),
+    a=_size_st(0.5),
+    delta_r=_size_st(0.02),
 )
 
 
@@ -291,41 +322,58 @@ def _floats_in(result):
     entry=st.sampled_from(sorted(_SCALAR_ENTRY_POINTS)),
     lam=st.floats(min_value=0.0, max_value=5.0),
     x=_scalar_st,
-    y=_scalar_st,
+    y=st.one_of(_scalar_st, _wide_st),
+    z=_sizes_st,
 )
-@example(entry="conditional_moments", lam=1.0, x=math.nan, y=1.0)
-@example(entry="conditional_moments", lam=1.0, x=0.03, y=math.nan)
-@example(entry="mc_rate_moments", lam=1.0, x=0.03, y=math.nan)
-@example(entry="mc_rate_moments", lam=1.0, x=0.03, y=math.inf)
-@example(entry="mc_option_price", lam=1e300, x=0.2, y=1.0)
-@example(entry="mc_bond_price", lam=1e300, x=0.03, y=1.0)
-@example(entry="b_factor", lam=1.0, x=math.nan, y=1.0)
-@example(entry="a_vasicek", lam=1.0, x=math.nan, y=1.0)
-@example(entry="zero_yield", lam=1.0, x=math.nan, y=1.0)
-@example(entry="zero_yield", lam=1.0, x=0.9, y=math.nan)
-@example(entry="zero_yield", lam=1.0, x=0.5, y=1e-310)
-@example(entry="bs_price", lam=1.0, x=math.nan, y=1.0)
-@example(entry="bs_price", lam=1.0, x=math.inf, y=1.0)
-@example(entry="bs_greeks", lam=1.0, x=math.nan, y=1.0)
-@example(entry="bs_greeks", lam=1.0, x=math.inf, y=1.0)
-@example(entry="bs_price", lam=1.0, x=1e-200, y=1e-300)
-@example(entry="bs_greeks", lam=1.0, x=1e-200, y=1e-300)
-@example(entry="a_shot", lam=0.0, x=2.0, y=1.0)
-@example(entry="price", lam=1e300, x=0.2, y=1.0)
-@example(entry="common_greeks", lam=1e19, x=0.2, y=1.0)
-@example(entry="new_greeks", lam=1e19, x=0.0, y=1.0)
-@example(entry="cdf_plain", lam=1.0, x=710.0, y=0.0)
-@example(entry="cdf_tilted", lam=1.0, x=710.0, y=0.0)
-@example(entry="survival_plain", lam=1.0, x=710.0, y=0.0)
-@example(entry="survival_tilted", lam=1.0, x=710.0, y=0.0)
-@example(entry="fourier_grid", lam=1.0, x=0.1, y=1e308)
+@example(entry="conditional_moments", lam=1.0, x=math.nan, y=1.0, z=_Sizes())
+@example(entry="conditional_moments", lam=1.0, x=0.03, y=math.nan, z=_Sizes())
+@example(entry="mc_rate_moments", lam=1.0, x=0.03, y=math.nan, z=_Sizes())
+@example(entry="mc_rate_moments", lam=1.0, x=0.03, y=math.inf, z=_Sizes())
+@example(entry="mc_option_price", lam=1e300, x=0.2, y=1.0, z=_Sizes())
+@example(entry="mc_bond_price", lam=1e300, x=0.03, y=1.0, z=_Sizes())
+@example(entry="b_factor", lam=1.0, x=math.nan, y=1.0, z=_Sizes())
+@example(entry="a_vasicek", lam=1.0, x=math.nan, y=1.0, z=_Sizes())
+@example(entry="zero_yield", lam=1.0, x=math.nan, y=1.0, z=_Sizes())
+@example(entry="zero_yield", lam=1.0, x=0.9, y=math.nan, z=_Sizes())
+@example(entry="zero_yield", lam=1.0, x=0.5, y=1e-310, z=_Sizes())
+@example(entry="bs_price", lam=1.0, x=math.nan, y=1.0, z=_Sizes())
+@example(entry="bs_price", lam=1.0, x=math.inf, y=1.0, z=_Sizes())
+@example(entry="bs_greeks", lam=1.0, x=math.nan, y=1.0, z=_Sizes())
+@example(entry="bs_greeks", lam=1.0, x=math.inf, y=1.0, z=_Sizes())
+@example(entry="bs_price", lam=1.0, x=1e-200, y=1e-300, z=_Sizes())
+@example(entry="bs_greeks", lam=1.0, x=1e-200, y=1e-300, z=_Sizes())
+@example(entry="a_shot", lam=0.0, x=2.0, y=1.0, z=_Sizes())
+@example(entry="price", lam=1e300, x=0.2, y=1.0, z=_Sizes())
+@example(entry="common_greeks", lam=1e19, x=0.2, y=1.0, z=_Sizes())
+@example(entry="new_greeks", lam=1e19, x=0.0, y=1.0, z=_Sizes())
+@example(entry="cdf_plain", lam=1.0, x=710.0, y=0.0, z=_Sizes())
+@example(entry="cdf_tilted", lam=1.0, x=710.0, y=0.0, z=_Sizes())
+@example(entry="survival_plain", lam=1.0, x=710.0, y=0.0, z=_Sizes())
+@example(entry="survival_tilted", lam=1.0, x=710.0, y=0.0, z=_Sizes())
+@example(entry="fourier_grid", lam=1.0, x=0.1, y=1e308, z=_Sizes())
 # the tilted psi overflows once lam tau e^{nu + delta^2/2} passes ~709
-@example(entry="fourier_grid", lam=5.0, x=5.0, y=1.0)
-@example(entry="fourier_grid", lam=1.0, x=709.0, y=0.0)
-def test_scalar_entry_points_return_finite_or_raise(entry, lam, x, y):
+@example(entry="fourier_grid", lam=5.0, x=5.0, y=1.0, z=_Sizes())
+@example(entry="fourier_grid", lam=1.0, x=709.0, y=0.0, z=_Sizes())
+# S/K underflows to 0; e^{-q tau}/S overflows where dL1/dl is 0; gamma ~ 1/S overflows
+@example(entry="price", lam=1.0, x=0.2, y=1.0, z=_Sizes(spot=1e-300, strike=1e30))
+@example(entry="common_greeks", lam=1.0, x=0.2, y=1.0, z=_Sizes(spot=1e-300, strike=1e30))
+@example(entry="new_greeks", lam=1.0, x=0.2, y=1.0, z=_Sizes(spot=1e-300, strike=1e30))
+@example(entry="common_greeks", lam=1.0, x=0.2, y=0.5, z=_Sizes(spot=5e-323, strike=2.85))
+@example(entry="common_greeks", lam=1.0, x=0.2, y=1.0, z=_Sizes(spot=1e-309, strike=1e-309))
+# the mean count lam tau overflows a float
+@example(entry="price", lam=1e308, x=0.2, y=2.0, z=_Sizes())
+@example(entry="price", lam=1e300, x=0.2, y=1e10, z=_Sizes())
+# a squared underflows to 0 or overflows; the jump exponent at B(0, T) overflows
+@example(entry="a_vasicek", lam=1.0, x=0.0, y=5.0, z=_Sizes(a=1e-300))
+@example(entry="bond_price_vasicek", lam=1.0, x=0.03, y=5.0, z=_Sizes(a=1e-300))
+@example(entry="bond_price_vasicek", lam=1.0, x=0.03, y=5.0, z=_Sizes(a=1e300))
+@example(entry="bond_price_vasicek", lam=1.0, x=0.03, y=5.0, z=_Sizes(a=1e-160))
+@example(entry="a_shot", lam=2.23, x=0.0, y=375.0, z=_Sizes(a=8.48e-5, delta_r=1.02))
+@example(entry="a_shot", lam=2.23, x=0.0, y=50.0, z=_Sizes(a=8.48e-5, delta_r=1.02))
+def test_scalar_entry_points_return_finite_or_raise(entry, lam, x, y, z):
     with time_limit(2.0):
         try:
-            result = _SCALAR_ENTRY_POINTS[entry](lam, x, y)
+            result = _SCALAR_ENTRY_POINTS[entry](lam, x, y, z)
         except ShotPricerError:
             return
     assert all(math.isfinite(v) for v in _floats_in(result)), result

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import ndtr
 from scipy.stats import poisson
 
@@ -121,6 +121,81 @@ def untrimmed_parts(spec):
     return transform._SeriesParts.from_weights(
         spec, n, plain / math.fsum(plain), tilt / math.fsum(tilt)
     )
+
+
+def reference_lset(spec, l, quad=DEFAULT_QUAD, size=False):
+    """The Greek engine as twelve term rows, (tilted, plain) for d/dM, d/dl and
+    the nu, tau, delta and sigma parts, with ds/dparam formed per count.
+
+    With ``size`` every term, and both parts of phi (1 - a/s), is taken in
+    absolute value (all the scalar factors are >= 0): each field's sum of
+    |terms|, the scale its rounding error is relative to where terms cancel.
+
+    None where a density phi is a subnormal float: its few bits, scaled by
+    1/s, reach normal-sized outputs, and no two ways of forming them agree to
+    1e-11 there.
+    """
+    l2, l1 = transform._series_values(spec, l, quad)[:2]
+    tau, lam, sigma = spec.tau, spec.lam, spec.sigma
+    nu, delta = spec.law.nu, spec.law.delta
+    p = transform._series_parts(spec, quad)
+    s = p.s
+    ds = np.stack([sigma**2 / (2.0 * s), p.n_c * delta / s, sigma * tau / s])
+    growth = math.exp(nu + 0.5 * delta**2)
+    m_tilt = lam * tau * growth
+    ab = np.empty((2, s.size))  # rows (b, a)
+    with np.errstate(over="ignore"):
+        np.divide(l - p.mean_c, s, out=ab[1])
+    np.add(ab[1], s, out=ab[0])
+    np.minimum(np.maximum(ab, -1e3, out=ab), 1e3, out=ab)
+    phi = np.exp(-0.5 * ab * ab) / math.sqrt(2.0 * math.pi)
+    if np.any((phi > 0.0) & (phi < np.finfo(float).tiny)):
+        return None
+    wphi = p.w[:2] * phi
+    dphi = -(phi * ab[1] / s)  # rows phi(b) db/ds, phi(a) da/ds
+    if size:
+        np.abs(dphi, out=dphi)
+    dphi[0] += phi[0]
+    wdphi = p.w[:2] * dphi
+    terms = np.empty((12, s.size))
+    np.multiply(p.dw, ndtr(ab), out=terms[0:2])
+    np.divide(wphi, s, out=terms[2:4])
+    np.divide(wphi * p.n_c, s, out=terms[4:6])
+    np.multiply(ds[:, None, :], wdphi, out=terms[6:].reshape(3, 2, s.size))
+    dm = terms[:2]
+    if p.atom_mean is not None:
+        gap = (l - p.atom_mean) * transform._ATOM_SIDE[:2]  # the cdfs' atom brackets
+        dm = np.hstack((p.atom_dw * np.heaviside(gap, transform._ATOM_AT_0[:2]), dm))
+    if size:
+        terms, dm = np.abs(terms), np.abs(dm)
+    l1_dm, l2_dm = (math.fsum(row) for row in dm.tolist())
+    dl1_dl, dl2_dl, nu1, nu2, tau1, tau2, delta1, delta2, sigma1, sigma2 = (
+        terms[2:].sum(axis=1).tolist()
+    )
+    return transform.LSet(
+        l1=l1,
+        l2=l2,
+        dl1_dl=dl1_dl,
+        dl2_dl=dl2_dl,
+        dl1_dtau=lam * growth * l1_dm + tau1,
+        dl2_dtau=lam * l2_dm + tau2,
+        dl1_dlam=tau * growth * l1_dm,
+        dl2_dlam=tau * l2_dm,
+        dl1_dnu=m_tilt * l1_dm + nu1,
+        dl2_dnu=nu2,
+        dl1_ddelta=delta * m_tilt * l1_dm + delta1,
+        dl2_ddelta=delta2,
+        dl1_dsigma=sigma1,
+        dl2_dsigma=sigma2,
+    )
+
+
+# sigma or delta at 1e-153..1e-151 puts s below 1e-150. Their squares, and
+# the weights below, stay normal floats: the reference's sigma^2 and w phi are
+# formed before the division by s and would keep few bits as subnormals
+_width_st = st.one_of(
+    st.just(0.0), st.floats(min_value=0.01, max_value=0.6), st.floats(1e-153, 1e-151)
+)
 
 
 class TestSeriesWindow:
@@ -276,6 +351,53 @@ class TestSeriesDerivatives:
         ls = series_lset(spec, 0.05)
         phi0, phi1 = ndtr(0.05 / 0.1), ndtr(0.05 / math.sqrt(0.02))
         assert ls.dl2_dlam == pytest.approx(phi1 - phi0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lam_tau=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=300.0)),
+        tau=st.floats(min_value=1e-3, max_value=3.0),
+        sigma=_width_st,
+        nu=st.floats(min_value=-0.5, max_value=0.5),
+        delta=_width_st,
+        count=st.integers(min_value=0, max_value=40),
+        offset=st.one_of(st.just(0.0), st.floats(min_value=-6.0, max_value=6.0)),
+        far=st.one_of(st.none(), st.floats(min_value=-1e6, max_value=1e6)),
+    )
+    # s = 3.2e-155 and l = s: the tau and sigma terms of size 1/s^2 overflow
+    # unless u is scaled by sigma before the sum
+    @example(lam_tau=0.0, tau=1e-3, sigma=1e-153, nu=0.0, delta=0.0, count=0, offset=1.0, far=None)
+    def test_matches_the_twelve_row_reference(
+        self, lam_tau, tau, sigma, nu, delta, count, offset, far
+    ):
+        # l sits on the mean of count `count` (an atom where that has no
+        # spread), `offset` of its deviations away, or anywhere up to 1e6
+        spec = spec_of(tau=tau, lam=lam_tau / tau, sigma=sigma, nu=nu, delta=delta)
+        mean, sd = float(count) * -nu, math.sqrt(count * delta**2 + sigma**2 * tau)
+        l = far if far is not None else mean + offset * sd
+        try:
+            got = dataclasses.asdict(series_lset(spec, l))
+        except TruncationError:
+            return
+        ref = reference_lset(spec, l)
+        assume(ref is not None)
+        ref = dataclasses.asdict(ref)
+        scale = dataclasses.asdict(reference_lset(spec, l, size=True))
+        for name in ("l1", "l2", "dl1_dlam", "dl2_dlam"):
+            assert got[name] == ref[name], name  # the same sums, bit for bit
+        # relative to |x| where the terms share a sign; where they cancel (at
+        # nu = delta^2 and l = 0 every sigma term has the factor 1 - a/s ~ 0)
+        # the field is rounding noise in both engines
+        for name, want in ref.items():
+            assert abs(got[name] - want) <= 1e-11 * scale[name] + 1e-300, (name, got[name], want)
+
+    def test_cancelling_terms_are_compared_on_their_scale(self):
+        # nu = delta^2 and l = 0 give a/s = 1 for every count, so each sigma
+        # term is about 0 and dl1_dsigma is rounding noise: the two engines
+        # disagree far beyond 1e-11 |x| but within 1e-11 of the terms' scale
+        spec = spec_of(tau=1.0, lam=74.0, sigma=8.014221994586796e-152, nu=1e-4, delta=0.01)
+        got = series_lset(spec, 0.0).dl1_dsigma
+        want = reference_lset(spec, 0.0).dl1_dsigma
+        assert abs(got - want) <= 1e-11 * reference_lset(spec, 0.0, size=True).dl1_dsigma
 
     def test_wide_component_far_below_the_threshold_has_no_slope(self):
         # s = 1000 and a = -2000: all mass sits above l, so every row is 0. Clipping
