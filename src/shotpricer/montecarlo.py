@@ -5,19 +5,21 @@ compound-Poisson shot noise with Gaussian jumps through sum_k eta_k h(t_k):
 h = 1 for the log-price, B(t_k, T) for int r ds and e^{-a(horizon - t_k)}
 for the rate. Given the jumps' count and arrival times that sum is normal,
 with mean nu sum h and variance delta^2 sum h^2, and the option sampler draws
-it. The bond and rate oracles are conditional Monte Carlo (Rao-Blackwell):
-they draw only the arrivals and average the closed form given them, a
-discount factor exp(-det + gauss_var/2 + sum_k c(h_k)) with c(h) = -nu h +
-delta^2 h^2 / 2 = log E[e^{-eta h}], and a normal rate of mean det + p and
-variance ou_var + q (p = nu sum h, q = delta^2 sum h^2).
+it (and, at sigma > 0, a second normal for the diffusion). The bond and rate
+oracles are conditional Monte Carlo (Rao-Blackwell): they draw only the
+arrivals and average the closed form given them, a discount factor
+exp(-det + gauss_var/2 + sum_k c(h_k)) with c(h) = -nu h + delta^2 h^2 / 2 =
+log E[e^{-eta h}], and a normal rate of mean det + p and variance ou_var + q
+(p = nu sum h, q = delta^2 sum h^2).
 
 Batch i of paths draws from SFC64 seeded by SeedSequence(seed, spawn_key=(i,)),
-and batches run on one thread per usable CPU. The option sampler draws a
-Poisson count per path. The bond and rate samplers use Poisson superposition
-and splitting: a Poisson(m size) total of jumps, each given to one of
-``size`` paths uniformly, gives every path an independent Poisson(m) count,
-and each jump's uniform u gives its owner floor(size u) and arrival fraction
-size u - floor(size u). Batches reduce to a few floats added in batch order,
+and batches run on one thread per usable CPU. The bond and rate samplers use
+Poisson superposition and splitting: a Poisson(m size) total of jumps, each
+given to one of ``size`` paths uniformly, gives every path an independent
+Poisson(m) count, and each jump's uniform u gives its owner floor(size u) and
+arrival fraction size u - floor(size u). A chunk of ``size`` paths expects
+about _CHUNK_JUMPS jumps, so few jumps per path make few large chunks and
+many make small ones. Batches reduce to a few floats added in batch order,
 so estimates depend only on (seed, paths). Threads run only private numpy
 code; checks come first. Paths that overflow a float raise ParameterError.
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -52,12 +55,18 @@ __all__ = [
 
 _BATCH = 1 << 16
 
-# Paths per chunk of the bond and rate samplers, which draw one jump total per chunk.
-_CHUNK = 1 << 12
+# Jumps one chunk of the bond and rate samplers expects; each chunk draws one
+# jump total. Its per-jump arrays (owners, fractions and a spare buffer, 24
+# bytes a jump) then expect 1.5 MB, inside a core's 2 MB L2 cache.
+_CHUNK_JUMPS = 1 << 16
 
-# Most jumps one batch of paths may expect. It bounds the work per batch; the
-# per-jump arrays (owners, fractions and a spare buffer) live for one chunk of
-# paths, a sixteenth of the batch, so they expect at most 8 MB each.
+# Each thread keeps its per-jump buffers between batches and calls while they
+# hold at most this many jumps (3 MB): fresh buffers cost more in page faults
+# than their arithmetic on one worker.
+_KEEP_JUMPS = 1 << 17
+_BUFFERS = threading.local()
+
+# Most jumps one batch of paths may expect: it bounds the work per batch.
 _BATCH_JUMPS = 1 << 24
 
 # Threads that run batches: one per CPU this process may run on.
@@ -128,8 +137,9 @@ def _estimate(path_values, sim: SimConfig) -> list[McEstimate]:
     path_values(rng, count) returns."""
 
     def sums(rng, count: int) -> list[float]:
+        # each y is summed before it is squared in place
         arrays = path_values(rng, count)
-        return [f for y in arrays for f in (float(np.sum(y)), float(np.sum(y * y)))]
+        return [f for y in arrays for f in (float(np.sum(y)), float(np.sum(np.square(y, out=y))))]
 
     cols = [math.fsum(col) for col in zip(*_map_batches(sums, sim))]
     n = sim.paths
@@ -161,36 +171,32 @@ def _check_jump_count(mean_count: float, limit: float) -> None:
         )
 
 
-def _shot_noise(rng, count: int, mean_count: float, law: GaussianJumpLaw):
-    """Per path: drift nu n and noise delta sqrt(n) Z of the sum of
-    n ~ Poisson(mean_count) jumps, and a further standard normal."""
-    n_jumps = rng.poisson(mean_count, count)
-    s1, s2 = n_jumps.astype(float), np.sqrt(n_jumps)
-    s2 *= law.delta
-    s2 *= rng.standard_normal(count)
-    s1 *= law.nu
-    return s1, s2, rng.standard_normal(count)
-
-
 def _jump_sums(rng, count: int, mean_count: float, weights) -> list[np.ndarray]:
     """Per path, in jump order, the sums over its Poisson(mean_count) jumps of
     the arrays weights(frac, spare) returns; ``weights`` maps the arrival
     fractions in place and may write ``spare``, a buffer of their length.
 
-    Per chunk of up to _CHUNK paths: the Poisson total, then one uniform u per
-    jump; v = size u gives its owner floor(v) < size (u <= 1 - 2^-53 keeps v
-    over half an ulp below size) and its arrival fraction v - floor(v).
+    Chunks hold min(count, max(1, floor(_CHUNK_JUMPS / mean_count))) paths, a
+    whole batch where the reciprocal is inf, and the last may be partial. Per
+    chunk: the Poisson total, then one uniform u per jump into the thread's
+    per-jump buffers (grown when a total outgrows them); v = size u gives
+    its owner floor(v) < size (u <= 1 - 2^-53 keeps v over half an ulp below
+    size) and its arrival fraction v - floor(v).
     """
+    per_chunk = _CHUNK_JUMPS / mean_count if mean_count > 0.0 else math.inf
+    step = int(min(count, max(1.0, per_chunk)))
     chunks = []
-    frac = spare = np.empty(0)
-    owner = np.empty(0, np.intp)
-    for start in range(0, count, _CHUNK):
-        size = min(_CHUNK, count - start)
+    empty = np.empty(0)
+    frac, spare, owner = getattr(_BUFFERS, "arrays", (empty, empty, empty.astype(np.intp)))
+    for start in range(0, count, step):
+        size = min(step, count - start)
         total = rng.poisson(mean_count * size)
         if total > frac.size:
             # an eighth to spare: later totals vary by about their square root
             grow = total + total // 8
             frac, spare, owner = np.empty(grow), np.empty(grow), np.empty(grow, np.intp)
+            if grow <= _KEEP_JUMPS:
+                _BUFFERS.arrays = frac, spare, owner
         v = rng.random(out=frac[:total])
         v *= size
         o = owner[:total]
@@ -223,11 +229,32 @@ def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> Mc
     is_call = terms.kind is OptionKind.CALL
 
     def discounted(rng, count: int) -> tuple[np.ndarray, ...]:
-        jump_drift, jump_noise, z = _shot_noise(rng, count, mean_count, model.law)
-        s_t = np.exp(base + vol * z + (jump_drift + jump_noise))
-        pay = s_t - terms.strike if is_call else terms.strike - s_t
-        paid = disc * np.maximum(pay, 0.0)
-        return (paid, disc * s_t) if is_call else (paid,)
+        # per path n ~ Poisson(mean_count) jumps, whose sum is nu n + delta sqrt(n) Z',
+        # and the diffusion's Z: x = (nu n + delta sqrt(n) Z') + (base + vol Z). At
+        # sigma = 0, vol Z adds 0 to every path, so Z is not drawn.
+        n_jumps = rng.poisson(mean_count, count)
+        noise = np.sqrt(n_jumps)
+        noise *= model.law.delta
+        x = rng.standard_normal(count)
+        noise *= x
+        np.multiply(n_jumps, model.law.nu, out=x)
+        x += noise
+        if vol:
+            z = rng.standard_normal(out=noise)
+            z *= vol
+            z += base
+            x += z
+        else:
+            x += base
+        s_t = np.exp(x, out=x)
+        paid = (np.subtract(s_t, terms.strike, out=noise) if is_call
+                else np.subtract(terms.strike, s_t, out=s_t))
+        np.maximum(paid, 0.0, out=paid)
+        paid *= disc
+        if not is_call:
+            return (paid,)
+        s_t *= disc
+        return paid, s_t
 
     est, *forward = _estimate(discounted, sim)
     _with_spread(est, mean_count, model.law, vol)
@@ -256,7 +283,16 @@ def mc_bond_price(model: RateModel, terms: BondTerms, sim: SimConfig) -> McEstim
     a = model.a
     b_val = b_factor(model, terms.t, terms.T)
     det = terms.r_t * b_val + model.b * (span - b_val)
-    int_b2 = (span - 2.0 * b_val - math.expm1(-2.0 * a * span) / (2.0 * a)) / (a * a)
+    x = a * span
+    if x < 0.5:
+        # the closed form below cancels terms of size span / a^2; sum the Taylor
+        # series span^3 sum_{k>=3} (2^(k-1) - 2) (-x)^(k-3) / k! instead
+        int_b2, power = 0.0, span * span * span / 6.0
+        for k in range(3, 19):
+            int_b2 += (2.0 ** (k - 1) - 2.0) * power
+            power *= -x / (k + 1)
+    else:
+        int_b2 = (span - 2.0 * b_val - math.expm1(-2.0 * a * span) / (2.0 * a)) / (a * a)
     log_scale = 0.5 * model.sigma_r**2 * int_b2 - det
     alpha, beta = model.law.nu / a, 0.5 * (model.law.delta / a) ** 2
 
@@ -315,7 +351,9 @@ def mc_rate_moments(
         z = p * p
         sum_pp, sum_q = float(np.sum(z)), float(np.sum(q))
         z += q
-        return float(np.sum(p)), sum_pp, sum_q, float(np.sum(z * z)), float(np.sum(z * p))
+        sum_zp = float(np.sum(np.multiply(z, p, out=q)))
+        sum_zz = float(np.sum(np.square(z, out=z)))
+        return float(np.sum(p)), sum_pp, sum_q, sum_zz, sum_zp
 
     n = sim.paths
     s_p, s_pp, s_q, s_zz, s_zp = (math.fsum(c) for c in zip(*_map_batches(power_sums, sim)))

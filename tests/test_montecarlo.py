@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
+from scipy.integrate import quad
 
 from shotpricer import (
     AssetModel,
@@ -18,6 +19,7 @@ from shotpricer import (
     OptionTerms,
     RateModel,
     SimConfig,
+    b_factor,
     bond_price,
     bs_price,
     conditional_moments,
@@ -52,18 +54,20 @@ class TestDeterminism:
         assert one.mean != two.mean
 
     def test_estimates_pinned(self, rate_general_model):
-        # 70 000 paths span two SFC64 substream batches, and the second batch
-        # (4464 paths) ends in a partial arrival chunk. The sums of squares are
-        # np.sum(y * y), not np.dot, whose last bits follow the BLAS threads.
+        # 70 000 paths span two SFC64 substream batches. The bond's arrival
+        # chunks hold 6553 paths, so its first batch ends in a partial chunk
+        # of 6; the rate's hold 32768. Each second batch (4464 paths) is one
+        # chunk. The sums of squares are np.sum of y^2, not np.dot, whose
+        # last bits follow the BLAS threads.
         sim = SimConfig(paths=70_000, seed=2024)
         model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.2)
         option = mc_option_price(make_terms(100, 100, 1.0, 0.02), model, sim)
         assert (option.mean, option.std_error) == (10.784179915019298, 0.06512559318588998)
         bond = mc_bond_price(rate_general_model, BondTerms(0.0, 5.0, 0.03), sim)
-        assert (bond.mean, bond.std_error) == (0.809222599163154, 6.470034688442486e-05)
+        assert (bond.mean, bond.std_error) == (0.8091520581936323, 6.45830109650949e-05)
         mean, var = mc_rate_moments(rate_general_model, 0.03, 1.0, sim)
-        assert (mean.mean, mean.std_error) == (0.037860347535735694, 2.121099844232285e-05)
-        assert (var.mean, var.std_error) == (0.0002209584116834183, 4.715592166594703e-07)
+        assert (mean.mean, mean.std_error) == (0.03785207114757888, 2.1182492465086913e-05)
+        assert (var.mean, var.std_error) == (0.00022070397091666726, 4.69057500643595e-07)
         assert option.paths_used == bond.paths_used == mean.paths_used == 70_000
 
     def test_worker_count_does_not_move_estimates(self, monkeypatch, rate_general_model):
@@ -153,14 +157,24 @@ class TestShotNoiseSampler:
         return u, np.multiply(u, u, out=spare)
 
     @staticmethod
-    def stream(seed, count, mean_count):
-        """The sampler's draws, replayed: per chunk of up to _CHUNK paths the
-        Poisson total, then one uniform u per jump, split as v = size u into
-        the owning path floor(v) and the arrival fraction v - floor(v)."""
+    def chunk_paths(count, mean_count):
+        """Paths per chunk: a whole count where _CHUNK_JUMPS / mean_count
+        reaches it (a mean of 0, or one whose reciprocal is inf), else the
+        floor of that quotient, and at least one path."""
+        if mean_count == 0.0 or montecarlo._CHUNK_JUMPS / mean_count >= count:
+            return count
+        return max(1, math.floor(montecarlo._CHUNK_JUMPS / mean_count))
+
+    @classmethod
+    def stream(cls, seed, count, mean_count):
+        """The sampler's draws, replayed: per chunk of up to chunk_paths paths
+        the Poisson total, then one uniform u per jump, split as v = size u
+        into the owning path floor(v) and the arrival fraction v - floor(v)."""
         rng = np.random.Generator(np.random.SFC64(seed))
+        step = cls.chunk_paths(count, mean_count)
         chunks = []
-        for start in range(0, count, montecarlo._CHUNK):
-            size = min(montecarlo._CHUNK, count - start)
+        for start in range(0, count, step):
+            size = min(step, count - start)
             v = rng.random(rng.poisson(mean_count * size)) * size
             owners = np.floor(v)
             chunks.append((size, owners.astype(np.intp), v - owners))
@@ -168,13 +182,17 @@ class TestShotNoiseSampler:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        count=st.integers(1, 3 * montecarlo._CHUNK + 5),
-        mean_count=st.sampled_from([0.0, 1e-3, 0.5, 3.0, 40.0]),
+        count=st.integers(1, 12_000),
+        mean_count=st.sampled_from([0.0, 1e-3, 0.5, 3.0, 12.0, 40.0]),
         seed=st.integers(0, 2**64 - 1),
     )
-    @example(count=3 * montecarlo._CHUNK + 5, mean_count=40.0, seed=7)
-    @example(count=2 * montecarlo._CHUNK + 1, mean_count=1e-3, seed=8)
-    @example(count=montecarlo._CHUNK + 3, mean_count=0.0, seed=9)
+    @example(count=12_000, mean_count=40.0, seed=7)
+    @example(count=2 * montecarlo._BATCH // 3 + 1, mean_count=1e-3, seed=8)
+    @example(count=5000, mean_count=0.0, seed=9)
+    # a subnormal mean, whose reciprocal overflows to inf: one chunk of the batch
+    @example(count=montecarlo._BATCH, mean_count=5e-324, seed=10)
+    # a mean above _CHUNK_JUMPS: one path per chunk
+    @example(count=3, mean_count=1.5 * montecarlo._CHUNK_JUMPS, seed=11)
     def test_loads_match_a_python_replay(self, count, mean_count, seed):
         got = montecarlo._jump_sums(
             np.random.Generator(np.random.SFC64(seed)), count, mean_count, self.loads
@@ -195,17 +213,19 @@ class TestShotNoiseSampler:
 
     def test_owner_stays_below_the_chunk_size(self):
         # numpy's largest uniform is 1 - 2^-53; size times it rounds below
-        # size, so floor(v) needs no clamp, whatever the chunk's size
-        sizes = np.arange(1, montecarlo._CHUNK + 1)
+        # size, so floor(v) needs no clamp for any chunk, up to a whole batch
+        sizes = np.arange(1, montecarlo._BATCH + 1)
         top = np.nextafter(1.0, 0.0)
         assert top == 1.0 - 2.0**-53
         assert (np.floor(sizes * top) == sizes - 1).all()
 
     @pytest.mark.parametrize("mean_count", [0.5, 3.0, 30.0])
     def test_jump_counts_are_independent_poisson(self, mean_count):
-        # 2^16 paths in 16 full chunks and one partial of 1000 paths; a unit
-        # weight per jump makes the sampler's sum each path's jump count
-        count, seed = (1 << 16) + 1000, 11
+        # at least 2^16 paths in at least two full chunks, and one partial of
+        # 1000 paths; a unit weight per jump makes the sampler's sum each
+        # path's jump count
+        step = self.chunk_paths(math.inf, mean_count)
+        count, seed = max(2, math.ceil((1 << 16) / step)) * step + 1000, 11
         chunks = self.stream(seed, count, mean_count)[1]
         for size, owners, _ in chunks:
             assert owners.size == 0 or owners.max() < size
@@ -239,17 +259,22 @@ class TestErrorScaling:
         ratio = small.std_error / big.std_error
         assert ratio == pytest.approx(2.0, rel=0.2)
 
-    def test_standard_errors_match_the_spread_over_seeds(self, rate_general_model):
+    def test_standard_errors_match_the_spread_over_seeds(
+        self, rate_general_model, jump_model, mixed_model, atm_call
+    ):
         # 40 independent estimates: their spread over the mean reported
-        # standard error is about 1, and within [0.75, 1.3] for 40 seeds
-        bond, rate_mean, rate_var = [], [], []
+        # standard error is about 1, and within [0.75, 1.3] for 40 seeds;
+        # the options are one model with sigma = 0 and one with sigma > 0
+        bond, rate_mean, rate_var, jump_call, mixed_call = [], [], [], [], []
         for seed in range(40):
             sim = SimConfig(paths=4096, seed=seed)
             bond.append(mc_bond_price(rate_general_model, BondTerms(0.0, 5.0, 0.03), sim))
             mean, var = mc_rate_moments(rate_general_model, 0.03, 1.0, sim)
             rate_mean.append(mean)
             rate_var.append(var)
-        for ests in (bond, rate_mean, rate_var):
+            jump_call.append(mc_option_price(atm_call, jump_model, sim))
+            mixed_call.append(mc_option_price(atm_call, mixed_model, sim))
+        for ests in (bond, rate_mean, rate_var, jump_call, mixed_call):
             spread = statistics.stdev(e.mean for e in ests)
             assert 0.75 <= spread / statistics.fmean(e.std_error for e in ests) <= 1.3
 
@@ -303,6 +328,19 @@ class TestBondSampler:
         est = mc_bond_price(model, terms, SimConfig(paths=200_000, seed=21))
         assert est.std_error == 0.0
         assert est.mean == pytest.approx(self.lognormal_mean(model, terms), rel=1e-14)
+
+    @pytest.mark.parametrize("a", [10.0**k for k in range(-14, 2)] + [0.0999, 0.1001])
+    def test_gaussian_intercept_matches_quadrature_for_every_a(self, a):
+        # lam = b = r_t = 0 and sigma_r = 1: every path's discount factor is
+        # exp((1/2) int B^2), from the oracle's own int B^2, which is a Taylor
+        # series below a span = 0.5 and read 35.5 for 41.67 at a 1e-8 before
+        model = RateModel(a, 0.0, 1.0, 0.0, GaussianJumpLaw(0.0, 0.0))
+        t, T = 1.0, 6.0
+        est = mc_bond_price(model, BondTerms(t, T, 0.0), SimConfig(paths=2, seed=1))
+        ref, _ = quad(lambda s: b_factor(model, s, T) ** 2, t, T,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        assert est.std_error == 0.0
+        assert 2.0 * math.log(est.mean) == pytest.approx(ref, rel=1e-12)
 
     def test_zero_jump_law_is_exact(self):
         # jumps that arrive but move nothing (nu = delta = 0) leave the same bond
@@ -383,6 +421,18 @@ class TestJumpBudget:
             tracemalloc.stop()
         assert peak <= 16e6
 
+    def test_option_batches_keep_memory_bounded(self, monkeypatch, mixed_model, atm_call):
+        # three per-path arrays per batch: 2.2-3.2 MB in flight on two workers,
+        # where a sampler with per-path temporaries peaked at 5.3-6.8 MB
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        tracemalloc.start()
+        try:
+            mc_option_price(atm_call, mixed_model, SimConfig(paths=1 << 18, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
+
     def test_batch_past_budget_raises_before_drawing(self, rate_jump_model):
         # 2^16 paths expecting 300 jumps each would hold 2e7 jumps per batch
         model = RateModel(0.5, 0.0, 0.0, 300.0, rate_jump_model.law)
@@ -390,6 +440,16 @@ class TestJumpBudget:
         with pytest.raises(ParameterError, match="expected jump count"):
             mc_bond_price(model, BondTerms(0.0, 1.0, 0.03), sim)
         with pytest.raises(ParameterError, match="expected jump count"):
+            mc_rate_moments(model, 0.03, 1.0, sim)
+
+    def test_subnormal_intensity_has_no_spread(self):
+        # lambda_r = 5e-324: the chunk rule's quotient _CHUNK_JUMPS / mean is
+        # inf, so the batch is one chunk; no path draws a jump
+        model = RateModel(0.5, 0.03, 0.01, 5e-324, GaussianJumpLaw(0.005, 0.01))
+        sim = SimConfig(paths=1000, seed=1)
+        with pytest.raises(ParameterError, match="no spread"):
+            mc_bond_price(model, BondTerms(0.0, 5.0, 0.03), sim)
+        with pytest.raises(ParameterError, match="no spread"):
             mc_rate_moments(model, 0.03, 1.0, sim)
 
     def test_few_paths_may_expect_many_jumps(self, rate_jump_model):

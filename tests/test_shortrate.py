@@ -161,6 +161,18 @@ class TestAVasicek:
         expected = -b * a * int_b + 0.5 * sig * sig * int_b2
         assert a_vasicek(model, 0.0, T) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("a", [10.0**k for k in range(-14, 2)] + [0.0999, 0.1001])
+    def test_int_b2_matches_quadrature_for_every_a(self, a):
+        # b = 0 and sigma_r = 1 leave A = (1/2) int_t^T B(s, T)^2 ds. Below
+        # a (T - t) = 0.5 it is a Taylor series; the closed form there
+        # cancelled every digit by a 1e-8 and overflowed at a 1e-12
+        model = RateModel(a, 0.0, 1.0, 0.0, GaussianJumpLaw(0.0, 0.0))
+        t, T = 1.0, 6.0
+        ref, _ = squad(lambda s: b_factor(model, s, T) ** 2, t, T,
+                       epsabs=0.0, epsrel=1e-13, limit=200)
+        assert 2.0 * a_vasicek(model, t, T) == pytest.approx(ref, rel=1e-12)
+        assert math.isfinite(bond_price(model, BondTerms(t, T, 0.03), BondVariant.VASICEK))
+
 
 class TestAGeneral:
     def test_reduces_to_vasicek(self, rate_general_model):
