@@ -29,7 +29,7 @@ from .transform import (
     QuadratureSpec,
     _PARTS_CACHE_SIZE,
     _series_block,
-    _series_values,
+    _series_record,
     fourier_grid,
 )
 
@@ -180,7 +180,7 @@ def price(
         legs = [float(v[0]) for v in (grid.plain, grid.tilted, grid.plain_surv, grid.tilted_surv)]
         est = (disc_spot + disc_strike) * grid.est_error
     else:
-        legs = _series_values(spec, l_eval, quad)
+        legs = _series_record(spec, l_eval, quad)[0]
         # the series is exact up to its Poisson tail cutoff
         est = (terms.spot + terms.strike) * quad.series_tail
     return PriceResult(_value(call, disc_spot, disc_strike, legs), l, backend, est)

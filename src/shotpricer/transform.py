@@ -19,15 +19,14 @@ exp(-z) change of weight). Two independent evaluation routes are provided:
   (``np.sum``: a BLAS ``@`` moves its last bits with kernel and thread count);
   only the Greek engine's two Poisson-mean rows, which telescope to nearly 0,
   are summed exactly (``math.fsum``). It is the reference backend and alone
-  has analytic derivatives (for the Greeks). Everything that depends only on
-  the model and tau (the continuous/atom split, the stacked weight rows, their
-  derivatives and the Greek rows) is built once per (spec, quad) and cached.
-  The values pass runs over a block of thresholds at once (one ``ndtr`` over
-  the rows b, a, -b, -a of every threshold, one reduction); a memoized
-  one-threshold block gives all four transforms to the scalar functions,
-  ``series_lset`` and ``green_density``, and the residual checks price the
-  shifted states of a grid point in one block. The Greek engine gets eight
-  of its sums from one product of the cached rows with two per threshold.
+  has analytic derivatives (for the Greeks). What depends only on the model
+  and tau (the continuous/atom split, twelve stacked weight and Greek rows, the
+  weights' derivatives) is built once per (spec, quad) and cached. Prices,
+  ``series_lset`` and ``green_density`` read a memoized record per threshold:
+  one ``ndtr`` over its rows b, a, -b, -a, one product of twelve rows with the
+  cached ones and one reduction give four transforms and eight Greek sums. The
+  scalar cdfs and survivals read no derivatives and take a lean values pass,
+  the one-threshold case of the block the residual checks run on a grid point.
 * fourier (``fourier_grid``): Gil-Pelaez inversion, one integral in k per
   cumulative, on Gauss-Legendre panels, for a batch of thresholds. It reads
   only psi, with no Poisson weights, so it is an independent cross-check of
@@ -226,19 +225,19 @@ class _SeriesParts:
     tau), a point mass where that is 0.
 
     Continuous components: counts ``n_c``, means ``mean_c``, deviations ``s``;
-    ``w`` stacks their weights as rows (tilted, plain, tilted, plain), ``dw``
-    their derivatives w_{n-1} - w_n in the Poisson mean as rows (tilted,
-    plain), and ``uv`` the Greek rows u = w / (sqrt(2 pi) s), v = n u, sigma u
-    and delta v, each (tilted, plain). Point masses: ``atom_mean``, ``atom_w``
-    (4 rows) and ``atom_dw`` (2 rows), all None when there are none.
+    ``coef`` stacks twelve rows: their weights (tilted, plain, tilted, plain)
+    and the Greek rows u = w / (sqrt(2 pi) s), v = n u, sigma u
+    and delta v, each (tilted, plain); ``dw`` holds the weights' derivatives
+    w_{n-1} - w_n in the Poisson mean as rows (tilted, plain). Point masses:
+    ``atom_mean``, ``atom_w`` (4 rows) and ``atom_dw`` (2 rows), all None when
+    there are none.
     """
 
     n_c: np.ndarray
     mean_c: np.ndarray
     s: np.ndarray
-    w: np.ndarray
+    coef: np.ndarray
     dw: np.ndarray
-    uv: np.ndarray
     atom_mean: np.ndarray | None
     atom_w: np.ndarray | None
     atom_dw: np.ndarray | None
@@ -264,14 +263,16 @@ class _SeriesParts:
             arr.flags.writeable = False
         # sd grows with n, so the point masses (sd == 0) are the first k counts
         k = int(sd.searchsorted(0.0, side="right"))
-        n_c, s, w = n[k:], sd[k:], padded[:, 1:]
-        uv = np.empty((2, 2, 2, s.size))
-        np.divide(w[:2, k:], _SQRT_2PI * s, out=uv[0, 0])
+        n_c, s = n[k:], sd[k:]
+        coef = np.empty((12, s.size))
+        coef[:4] = padded[:, 1 + k :]
+        uv = coef[4:].reshape(2, 2, 2, s.size)
+        np.divide(coef[:2], _SQRT_2PI * s, out=uv[0, 0])
         np.multiply(uv[0, 0], n_c, out=uv[0, 1])
         np.multiply(uv[0], np.array([sigma, delta])[:, None, None], out=uv[1])
-        uv.flags.writeable = False
-        atoms = (mean[:k], w[:, :k], dw[:, :k]) if k else (None, None, None)
-        return cls(n_c, mean[k:], s, w[:, k:], dw[:, k:], uv, *atoms)
+        coef.flags.writeable = False
+        atoms = (mean[:k], padded[:, 1 : k + 1], dw[:, :k]) if k else (None, None, None)
+        return cls(n_c, mean[k:], s, coef, dw[:, k:], *atoms)
 
 
 @functools.lru_cache(maxsize=_PARTS_CACHE_SIZE)
@@ -293,6 +294,12 @@ def _series_parts(spec: CharSpec, quad: QuadratureSpec) -> _SeriesParts:
 # atom brackets of rows (tilted cdf, plain cdf, tilted survival, plain survival)
 _ATOM_SIDE = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # cdfs step up in l, survivals down
 _ATOM_AT_0 = np.array([[0.0], [1.0], [1.0], [0.0]])  # at l = mean: atom in or out
+
+
+def _atom_mass(p: _SeriesParts, gap: np.ndarray) -> np.ndarray:
+    """Weight of the point masses inside the brackets of those four rows;
+    ``gap`` is l - mean per atom, with a leading (thresholds, 1) for a block."""
+    return (p.atom_w * np.heaviside(gap * _ATOM_SIDE, _ATOM_AT_0)).sum(axis=-1)
 
 
 def _series_block(
@@ -322,11 +329,10 @@ def _series_block(
     np.add(a, p.s, out=z[:, 0])
     np.negative(z[:, :2], out=z[:, 2:])
     ndtr(z, out=z)
-    z *= p.w
+    z *= p.coef[:4]
     sums = z.sum(axis=-1)
     if p.atom_mean is not None:
-        gap = (col - p.atom_mean)[:, None, :]  # l - mean per threshold and atom
-        sums += (p.atom_w * np.heaviside(gap * _ATOM_SIDE, _ATOM_AT_0)).sum(axis=-1)
+        sums += _atom_mass(p, (col - p.atom_mean)[:, None, :])
     # the weights sum to one only to rounding; a probability stays at most 1
     np.minimum(sums, 1.0, out=sums)
     return [(plain, tilted, p_surv, t_surv) for tilted, plain, t_surv, p_surv in sums.tolist()]
@@ -581,17 +587,18 @@ def series_lset(spec: CharSpec, l: float, quad: QuadratureSpec = DEFAULT_QUAD) -
     """Evaluate both transforms and all analytic derivatives term by term.
 
     Results are memoized per (spec, l, quad): a call and a put at one strike,
-    and their jump-parameter Greeks, share one evaluation.
+    their prices and their Greeks, share one evaluation.
     """
-    return _series_lset(spec, float(l), quad)
+    return _series_record(spec, float(l), quad)[1]
 
 
 @functools.lru_cache(maxsize=_LSET_CACHE_SIZE)
-def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
-    l2, l1 = _series_values(spec, l, quad)[:2]
-    law = spec.law
+def _series_record(spec: CharSpec, l: float, quad: QuadratureSpec) -> tuple[tuple, LSet]:
+    """The four transforms of ``_series_block`` and the LSet at l from one pass, memoized."""
+    if math.isnan(l):
+        raise ParameterError("threshold l must not be NaN")
     tau, lam, sigma = spec.tau, spec.lam, spec.sigma
-    nu, delta = law.nu, law.delta
+    nu, delta = spec.law.nu, spec.law.delta
     p = _series_parts(spec, quad)
     s = p.s
 
@@ -603,43 +610,52 @@ def _series_lset(spec: CharSpec, l: float, quad: QuadratureSpec) -> LSet:
     growth = math.exp(nu + 0.5 * delta**2)  # 1 + varsigma
     m_tilt = lam * tau * growth
 
-    # One buffer holds the rows (b, a), against the weight rows (tilted,
-    # plain), then e and g below. a = (l + n nu)/s overflows for a huge l or a
-    # narrow component, and phi(a) a would be 0 * inf. Clipping a and b = a + s
-    # to +-1e3 after b is formed changes no finite output: phi and Phi of both
-    # are exactly 0 or 1 there.
-    buf = np.empty((3, 2, s.size))
-    ab, (e, g) = buf[0], buf[1:]
+    # One buffer holds the rows (b, a, -b, -a) of the weight rows, e, e, g, g of
+    # the Greek rows (below) and the two Poisson-mean rows. a = (l + n nu)/s
+    # overflows for a huge l or a narrow component, and phi(a) a would be 0 *
+    # inf. Clipping a and b = a + s to +-1e3 after b is formed changes no finite
+    # output: phi and Phi of both are exactly 0 or 1 there.
+    buf = np.empty((14, s.size))
+    ab = buf[:2]
     with np.errstate(over="ignore"):
         np.divide(l - p.mean_c, s, out=ab[1])
     np.add(ab[1], s, out=ab[0])
     np.minimum(np.maximum(ab, -1e3, out=ab), 1e3, out=ab)  # np.clip costs 2 us more
-    # the Poisson-mean rows telescope to nearly 0, so they alone are summed
-    # exactly; the atoms count with the brackets of the cdfs
-    dm1, dm2 = (p.dw * ndtr(ab)).tolist()
-    if p.atom_mean is not None:
-        atoms = list(zip(p.atom_mean.tolist(), *p.atom_dw.tolist()))
-        dm1 += [tilted for mean, tilted, _ in atoms if l > mean]
-        dm2 += [plain for mean, _, plain in atoms if l >= mean]
-    l1_dm, l2_dm = math.fsum(dm1), math.fsum(dm2)
+    np.negative(ab, out=buf[2:4])
 
-    # The other rows are the cached rows (u, v, sigma u, delta v) times e =
+    # The Greek rows are the coefficient rows (u, v, sigma u, delta v) times e =
     # e^{-z^2/2} or g = e (a/s - E) on z = (b, a), E = (1, 0): d/dl sums u e,
     # the nu part v e (nu moves a and b by n/s). tau, delta and sigma move them
     # through s (da/ds = -a/s, db/ds = 1 - a/s; ds/dparam = sigma^2/2s, n delta/s,
     # sigma tau/s), so their parts are -sigma/2, -1 and -tau times the sums of
     # sigma u g, delta v g and sigma u g; sigma and delta keep tiny-s terms finite.
+    eg = buf[4:12].reshape(2, 2, 2, s.size)  # (e, g), each twice
+    e, g = eg[0, 0], eg[1, 0]
     np.multiply(ab, ab, out=e)
     e *= -0.5
     np.exp(e, out=e)
     np.divide(ab[1], s, out=g[1])
     np.subtract(g[1], 1.0, out=g[0])
     g *= e
-    (dl1_dl, dl2_dl), (nu1, nu2), (sig_g1, sig_g2), (delta_g1, delta_g2) = (
-        (p.uv * buf[1:, None]).sum(axis=-1).reshape(4, 2).tolist()
-    )
+    eg[:, 1] = eg[:, 0]
+    ndtr(buf[:4], out=buf[:4])
+    # the Poisson-mean rows telescope to nearly 0, so they alone are summed
+    # exactly; the atoms count with the brackets of the cdfs
+    dm1, dm2 = np.multiply(p.dw, buf[:2], out=buf[12:]).tolist()
+    buf[:12] *= p.coef
+    sums = buf[:12].sum(axis=-1)
+    values = sums[:4]
+    if p.atom_mean is not None:
+        values = values + _atom_mass(p, l - p.atom_mean)
+        means = p.atom_mean.tolist()
+        dm1 += [w for mean, w in zip(means, p.atom_dw[0].tolist()) if l > mean]
+        dm2 += [w for mean, w in zip(means, p.atom_dw[1].tolist()) if l >= mean]
+    # the weights sum to one only to rounding; a probability stays at most 1
+    l1, l2, t_surv, p_surv = np.minimum(values, 1.0).tolist()
+    dl1_dl, dl2_dl, nu1, nu2, sig_g1, sig_g2, delta_g1, delta_g2 = sums[4:].tolist()
+    l1_dm, l2_dm = math.fsum(dm1), math.fsum(dm2)
 
-    return LSet(
+    return (l2, l1, p_surv, t_surv), LSet(
         l1=l1,
         l2=l2,
         dl1_dl=dl1_dl,

@@ -1,5 +1,6 @@
 """The memoized Poisson series: shared per (model, tau), never changes a result."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,11 +24,13 @@ from shotpricer import (
     survival_tilted,
 )
 from shotpricer.errors import KinkError, ParameterError, TruncationError
+from shotpricer.options import l_parameter
 from shotpricer.transform import (
     DEFAULT_QUAD,
+    LSet,
     _series_block,
-    _series_lset,
     _series_parts,
+    _series_record,
     _series_values,
     series_lset,
 )
@@ -38,7 +41,7 @@ from conftest import time_limit
 def _clear():
     _series_parts.cache_clear()
     _series_values.cache_clear()
-    _series_lset.cache_clear()
+    _series_record.cache_clear()
 
 
 def _contract_values(model, strike, tau):
@@ -93,7 +96,7 @@ def test_cached_parts_are_read_only():
         # the continuous slice is a view of the window, not a copy
         assert parts.n_c.base is not None
     assert _series_parts.cache_info().maxsize <= 8
-    assert _series_lset.cache_info().maxsize <= 16
+    assert _series_record.cache_info().maxsize <= 16
     assert _series_values.cache_info().maxsize <= 16
 
 
@@ -107,8 +110,8 @@ def test_one_strike_runs_one_series_pass(sigma):
     call = OptionTerms(100.0, 95.0, 1.0, 0.03, 0.01, OptionKind.CALL)
     common_greeks(call, model)
     new_greeks(call, model)
-    assert _series_values.cache_info().misses == 1
-    assert _series_lset.cache_info().misses == 1
+    assert _series_record.cache_info().misses == 1
+    assert _series_values.cache_info().misses == 0
     assert _series_parts.cache_info().misses == 1
 
 
@@ -121,7 +124,9 @@ def test_quadrature_specs_never_share_an_entry():
     assert parts_tight is not parts_default
     assert _series_parts.cache_info().currsize == 2
     assert series_lset(spec, 0.1, tight) is not series_lset(spec, 0.1, DEFAULT_QUAD)
-    assert _series_lset.cache_info().currsize == 2
+    assert _series_record.cache_info().currsize == 2
+    assert _series_values(spec, 0.1, tight) is not _series_values(spec, 0.1, DEFAULT_QUAD)
+    assert _series_values.cache_info().currsize == 2
 
 
 def test_truncation_error_is_raised_again_and_not_cached():
@@ -132,11 +137,13 @@ def test_truncation_error_is_raised_again_and_not_cached():
         with pytest.raises(TruncationError):
             series_lset(spec, 0.0)
         with pytest.raises(TruncationError):
+            cdf_plain(spec, 0.0)
+        with pytest.raises(TruncationError):
             _series_parts(spec, DEFAULT_QUAD)
     assert _series_parts.cache_info().currsize == 0
     assert _series_values.cache_info().currsize == 0
-    assert _series_lset.cache_info().currsize == 0
-    assert _series_parts.cache_info().misses == 4
+    assert _series_record.cache_info().currsize == 0
+    assert _series_parts.cache_info().misses == 6
 
 
 def _threshold_terms(spec, l):
@@ -147,11 +154,11 @@ def _threshold_terms(spec, l):
     p = _series_parts(spec, DEFAULT_QUAD)
     with np.errstate(over="ignore"):
         a = (l - p.mean_c) / p.s
-    z = np.empty(p.w.shape)
+    z = np.empty((4, p.s.size))
     z[1] = a
     np.add(a, p.s, out=z[0])
     np.negative(z[:2], out=z[2:])
-    cont = p.w * ndtr(z)
+    cont = p.coef[:4] * ndtr(z)
     if p.atom_mean is None:
         return cont, None
     gap = l - p.atom_mean
@@ -207,8 +214,103 @@ def test_block_refuses_a_nan_threshold(sigma):
     spec = CharSpec(tau=1.0, lam=1.0, sigma=sigma, law=GaussianJumpLaw(-0.05, 0.15))
     with pytest.raises(ParameterError, match="NaN"):
         _series_block(spec, [0.1, math.nan, 0.2], DEFAULT_QUAD)
-    with pytest.raises(ParameterError, match="NaN"):
-        _series_values(spec, math.nan, DEFAULT_QUAD)
+    for one_threshold in (_series_values, _series_record, series_lset):
+        with pytest.raises(ParameterError, match="NaN"):
+            one_threshold(spec, math.nan, DEFAULT_QUAD)
+    # r - q and lam varsigma both overflow, so l = (inf - inf) tau is NaN
+    model = AssetModel(1.5e308, GaussianJumpLaw(1.0, 0.1), sigma)
+    terms = OptionTerms(100.0, 100.0, 1e-306, 1.7e308, -1.7e308, OptionKind.CALL)
+    assert math.isnan(l_parameter(terms, model))
+    for entry in (price, common_greeks):
+        with pytest.raises(ParameterError, match="NaN"):
+            entry(terms, model)
+
+
+def _two_pass_lset(spec, l, quad=DEFAULT_QUAD):
+    """The Greek engine as its own pass after the values pass, as it stood
+    before one record served both: the record's LSet must keep its bits."""
+    l2, l1 = _series_block(spec, (l,), quad)[0][:2]
+    law = spec.law
+    tau, lam, sigma = spec.tau, spec.lam, spec.sigma
+    nu, delta = law.nu, law.delta
+    p = _series_parts(spec, quad)
+    s = p.s
+    growth = math.exp(nu + 0.5 * delta**2)
+    m_tilt = lam * tau * growth
+    buf = np.empty((3, 2, s.size))
+    ab, (e, g) = buf[0], buf[1:]
+    with np.errstate(over="ignore"):
+        np.divide(l - p.mean_c, s, out=ab[1])
+    np.add(ab[1], s, out=ab[0])
+    np.minimum(np.maximum(ab, -1e3, out=ab), 1e3, out=ab)
+    dm1, dm2 = (p.dw * ndtr(ab)).tolist()
+    if p.atom_mean is not None:
+        atoms = list(zip(p.atom_mean.tolist(), *p.atom_dw.tolist()))
+        dm1 += [tilted for mean, tilted, _ in atoms if l > mean]
+        dm2 += [plain for mean, _, plain in atoms if l >= mean]
+    l1_dm, l2_dm = math.fsum(dm1), math.fsum(dm2)
+    np.multiply(ab, ab, out=e)
+    e *= -0.5
+    np.exp(e, out=e)
+    np.divide(ab[1], s, out=g[1])
+    np.subtract(g[1], 1.0, out=g[0])
+    g *= e
+    uv = p.coef[4:].reshape(2, 2, 2, s.size)  # rows (u, v), (sigma u, delta v)
+    (dl1_dl, dl2_dl), (nu1, nu2), (sig_g1, sig_g2), (delta_g1, delta_g2) = (
+        (uv * buf[1:, None]).sum(axis=-1).reshape(4, 2).tolist()
+    )
+    return LSet(
+        l1=l1,
+        l2=l2,
+        dl1_dl=dl1_dl,
+        dl2_dl=dl2_dl,
+        dl1_dtau=lam * growth * l1_dm - 0.5 * sigma * sig_g1,
+        dl2_dtau=lam * l2_dm - 0.5 * sigma * sig_g2,
+        dl1_dlam=tau * growth * l1_dm,
+        dl2_dlam=tau * l2_dm,
+        dl1_dnu=m_tilt * l1_dm + nu1,
+        dl2_dnu=nu2,
+        dl1_ddelta=delta * m_tilt * l1_dm - delta_g1,
+        dl2_ddelta=-delta_g2,
+        dl1_dsigma=-tau * sig_g1,
+        dl2_dsigma=-tau * sig_g2,
+    )
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]  # tells -0.0 from 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lam=st.floats(min_value=0.0, max_value=30.0),
+    nu=st.floats(min_value=-0.5, max_value=0.5),
+    # delta = 0 at sigma = 0 makes every count a point mass, delta > 0 only
+    # count 0; 1e-160 leaves widths near 1e-158
+    delta=st.sampled_from([0.0, 1e-160, 0.02, 0.15, 0.6]),
+    sigma=st.sampled_from([0.0, 0.2]),
+    tau=st.floats(min_value=0.05, max_value=3.0),
+    l=st.one_of(
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+    ),
+)
+@example(lam=1.0, nu=-0.05, delta=0.15, sigma=0.0, tau=1.0, l=0.0)
+@example(lam=1.0, nu=-0.05, delta=0.15, sigma=0.0, tau=1.0, l=-0.0)
+@example(lam=1.0, nu=-0.05, delta=0.15, sigma=0.0, tau=1.0, l=5e-324)
+@example(lam=2.0, nu=0.1, delta=0.0, sigma=0.0, tau=1.0, l=0.0)
+@example(lam=2.0, nu=0.1, delta=0.0, sigma=0.0, tau=1.0, l=0.2)
+@example(lam=2.0, nu=0.0, delta=0.0, sigma=0.0, tau=1.0, l=-0.0)
+@example(lam=2.0, nu=-0.05, delta=0.15, sigma=0.2, tau=0.5, l=1e300)
+@example(lam=2.0, nu=-0.05, delta=0.15, sigma=0.0, tau=0.5, l=-1e300)
+def test_record_keeps_the_bits_of_the_values_pass_and_the_two_pass_engine(
+    lam, nu, delta, sigma, tau, l
+):
+    spec = CharSpec(tau=tau, lam=lam, sigma=sigma, law=GaussianJumpLaw(nu, delta))
+    values, lset = _series_record.__wrapped__(spec, l, DEFAULT_QUAD)
+    assert _bits(values) == _bits(_series_block(spec, (l,), DEFAULT_QUAD)[0])
+    assert _bits(dataclasses.astuple(lset)) == _bits(dataclasses.astuple(_two_pass_lset(spec, l)))
+    assert _series_record(spec, l, DEFAULT_QUAD) == (values, lset)
 
 
 def _pairwise_bound(n, abs_sum):

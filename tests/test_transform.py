@@ -151,12 +151,12 @@ def reference_lset(spec, l, quad=DEFAULT_QUAD, size=False):
     phi = np.exp(-0.5 * ab * ab) / math.sqrt(2.0 * math.pi)
     if np.any((phi > 0.0) & (phi < np.finfo(float).tiny)):
         return None
-    wphi = p.w[:2] * phi
+    wphi = p.coef[:2] * phi
     dphi = -(phi * ab[1] / s)  # rows phi(b) db/ds, phi(a) da/ds
     if size:
         np.abs(dphi, out=dphi)
     dphi[0] += phi[0]
-    wdphi = p.w[:2] * dphi
+    wdphi = p.coef[:2] * dphi
     terms = np.empty((12, s.size))
     np.multiply(p.dw, ndtr(ab), out=terms[0:2])
     np.divide(wphi, s, out=terms[2:4])
@@ -205,16 +205,12 @@ class TestSeriesWindow:
         # the reference runs the same engine over all counts 0..N
         spec = spec_of(lam=mean, sigma=sigma, nu=-0.05, delta=0.1)
         ls = (0.05 * mean - 0.37, 0.05 * mean + 0.13)
-        windowed = [
-            (transform._series_values(spec, l, DEFAULT_QUAD), series_lset(spec, l)) for l in ls
-        ]
+        windowed = [transform._series_record(spec, l, DEFAULT_QUAD) for l in ls]
         ref = untrimmed_parts(spec)
         monkeypatch.setattr(transform, "_series_parts", lambda spec, quad: ref)
-        monkeypatch.setattr(transform, "_series_values", transform._series_values.__wrapped__)
         for l, (values, lset) in zip(ls, windowed):
-            ref_values = transform._series_values(spec, l, DEFAULT_QUAD)
+            ref_values, ref_lset = transform._series_record.__wrapped__(spec, l, DEFAULT_QUAD)
             assert values == pytest.approx(ref_values, rel=0.0, abs=1e-15)
-            ref_lset = transform._series_lset.__wrapped__(spec, l, DEFAULT_QUAD)
             assert dataclasses.astuple(lset) == pytest.approx(
                 dataclasses.astuple(ref_lset), rel=1e-13, abs=0.0
             )
