@@ -95,6 +95,10 @@ def _for_kind(
         rho = rho - terms.tau * disc_strike
         psi = psi + terms.tau * disc_spot
         theta = theta - terms.dividend * disc_spot + terms.rate * disc_strike
+    # theta sums terms scaled by r and q, which a huge rate or dividend can
+    # overflow to infinities of both signs: inf - inf is a NaN theta
+    if not math.isfinite(theta):
+        raise ParameterError(f"theta is {theta}: its rate and dividend terms overflow a float")
     return GreekSet(delta=delta, gamma=gamma, rho=rho, psi=psi, theta=theta, vega=vega)
 
 
@@ -314,6 +318,9 @@ def _xi_weighted_density(
     if model.law.delta == 0.0:
         raise ParameterError("spectral term needs delta > 0")
     p = _series_parts(model.char_spec(tau), quad)
-    a = (l - p.mean_c) / p.s
+    # a narrow component makes a huge; past +-1e3 phi(a) is 0 either way
+    with np.errstate(over="ignore"):
+        a = (l - p.mean_c) / p.s
+    np.minimum(np.maximum(a, -1e3, out=a), 1e3, out=a)
     phi = np.exp(-0.5 * a * a) / _SQRT_2PI
     return math.fsum((p.dw[1] * phi / p.s).tolist())

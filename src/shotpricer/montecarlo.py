@@ -4,24 +4,31 @@ Nothing here is discretized in time. Each oracle reads the same
 compound-Poisson shot noise with Gaussian jumps through sum_k eta_k h(t_k):
 h = 1 for the log-price, B(t_k, T) for int r ds and e^{-a(horizon - t_k)}
 for the rate. Given the jumps' count and arrival times that sum is normal,
-with mean nu sum h and variance delta^2 sum h^2, and the option sampler draws
-it (and, at sigma > 0, a second normal for the diffusion). The bond and rate
-oracles are conditional Monte Carlo (Rao-Blackwell): they draw only the
-arrivals and average the closed form given them, a discount factor
+with mean nu sum h and variance delta^2 sum h^2. The option sampler draws
+each path's jump count n and then one normal, of mean nu n and variance
+sigma^2 tau + delta^2 n, for the jumps and the diffusion together. The bond
+and rate oracles are conditional Monte Carlo (Rao-Blackwell): they draw only
+the arrivals and average the closed form given them, a discount factor
 exp(-det + gauss_var/2 + sum_k c(h_k)) with c(h) = -nu h + delta^2 h^2 / 2 =
 log E[e^{-eta h}], and a normal rate of mean det + p and variance ou_var + q
 (p = nu sum h, q = delta^2 sum h^2).
 
 Batch i of paths draws from SFC64 seeded by SeedSequence(seed, spawn_key=(i,)),
-and batches run on one thread per usable CPU. The bond and rate samplers use
+and batches run on one thread per usable CPU. Counts and arrivals come from
 Poisson superposition and splitting: a Poisson(m size) total of jumps, each
 given to one of ``size`` paths uniformly, gives every path an independent
 Poisson(m) count, and each jump's uniform u gives its owner floor(size u) and
 arrival fraction size u - floor(size u). A chunk of ``size`` paths expects
-about _CHUNK_JUMPS jumps, so few jumps per path make few large chunks and
-many make small ones. Batches reduce to a few floats added in batch order,
-so estimates depend only on (seed, paths). Threads run only private numpy
-code; checks come first. Paths that overflow a float raise ParameterError.
+about _CHUNK_JUMPS jumps and holds at most _CHUNK_PATHS paths, so few jumps
+per path make capped chunks and many make small ones. The option sampler
+counts this way up to _SPLIT_MEAN jumps per path, and above it per path with
+numpy's Poisson sampler. Every per-path and per-jump array sits in a buffer
+set that outlives the call: each running batch takes one from a module-level
+free list of up to 2 * _WORKERS sets and returns it, so a warm call faults
+in no fresh pages. Batches
+reduce to a few floats added in batch order, so estimates depend only on
+(seed, paths). Threads run only private numpy code; checks come first.
+Paths that overflow a float raise ParameterError.
 
 A call's payoff grows like S_T, so under heavy right-tailed jumps a sample
 can miss the rare paths that carry its value, and then its standard error
@@ -34,7 +41,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -55,16 +61,24 @@ __all__ = [
 
 _BATCH = 1 << 16
 
-# Jumps one chunk of the bond and rate samplers expects; each chunk draws one
+# Jumps one chunk of the shot-noise sampler expects; each chunk draws one
 # jump total. Its per-jump arrays (owners, fractions and a spare buffer, 24
 # bytes a jump) then expect 1.5 MB, inside a core's 2 MB L2 cache.
 _CHUNK_JUMPS = 1 << 16
 
-# Each thread keeps its per-jump buffers between batches and calls while they
-# hold at most this many jumps (3 MB): fresh buffers cost more in page faults
-# than their arithmetic on one worker.
+# Most paths in one chunk. np.bincount has no ``out``, so its per-chunk output
+# is the one array a batch allocates; at 64 KiB it stays under glibc's 128
+# KiB mmap threshold, and the allocator hands back pages it already faulted in.
+_CHUNK_PATHS = 1 << 13
+
+# A buffer set keeps its per-jump arrays while they hold at most this many
+# jumps (3 MB); a chunk that outgrows them allocates for the rest of its call.
 _KEEP_JUMPS = 1 << 17
-_BUFFERS = threading.local()
+
+# Most jumps per option path that are counted by superposition, at about
+# 6.5 ns a jump; numpy's per-path Poisson sampler costs 40-90 ns a path at
+# means 4-10 and 60-80 ns past 10. On a 2-CPU x86 host the two crossed near 12.
+_SPLIT_MEAN = 12.0
 
 # Most jumps one batch of paths may expect: it bounds the work per batch.
 _BATCH_JUMPS = 1 << 24
@@ -73,6 +87,34 @@ _BATCH_JUMPS = 1 << 24
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
+
+
+class _Buffers:
+    """One batch's scratch arrays, kept between batches and calls: per-path
+    float arrays of _BATCH, made on first use, and per-jump arrays (arrival
+    fractions, a spare buffer, owners), grown when a chunk's total outgrows
+    them."""
+
+    def __init__(self) -> None:
+        self.per_path: list[np.ndarray] = []
+        empty = np.empty(0)
+        self.per_jump = empty, empty, empty.astype(np.intp)
+
+    def paths(self, k: int, count: int) -> list[np.ndarray]:
+        """The first k per-path arrays, each cut to ``count`` paths."""
+        while len(self.per_path) < k:
+            self.per_path.append(np.empty(_BATCH))
+        return [a[:count] for a in self.per_path[:k]]
+
+
+# Buffer sets no batch is using. A batch pops one (or makes one) and appends
+# it when done while the list holds fewer than 2 * _WORKERS, so one caller
+# keeps _WORKERS sets and concurrent callers keep at most about twice that;
+# the sets past the cap are freed. list.pop and list.append are atomic, so
+# this needs no lock (a race past the length check only keeps a set or two
+# more), and a forked child makes its own sets where its parent's threads
+# held them.
+_FREE_BUFFERS: list[_Buffers] = []
 
 # Most jumps one option path may expect; numpy's Poisson sampler stops at 9.2e18.
 _MAX_MEAN_COUNT = 1e18
@@ -111,19 +153,27 @@ class McEstimate:
 
 
 def _map_batches(work, sim: SimConfig) -> list:
-    """work(rng, count) for each batch of up to _BATCH paths, in batch order.
+    """work(rng, count, buffers) for each batch of up to _BATCH paths, in batch order.
 
     Batch i draws from SFC64 seeded by SeedSequence(seed, spawn_key=(i,)).
-    Several batches run on up to _WORKERS threads; ``work`` must reduce its
-    paths to a few floats.
+    Several batches run on up to _WORKERS threads, each with a buffer set
+    from _FREE_BUFFERS; ``work`` must reduce its paths to a few floats.
     """
     counts = [min(_BATCH, sim.paths - start) for start in range(0, sim.paths, _BATCH)]
 
     def run(index: int):
         seeds = np.random.SeedSequence(sim.seed, spawn_key=(index,))
-        # an overflow shows as inf or NaN in the estimate, which McEstimate refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            return work(np.random.Generator(np.random.SFC64(seeds)), counts[index])
+        try:
+            buffers = _FREE_BUFFERS.pop()
+        except IndexError:
+            buffers = _Buffers()
+        try:
+            # an overflow shows as inf or NaN in the estimate, which McEstimate refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                return work(np.random.Generator(np.random.SFC64(seeds)), counts[index], buffers)
+        finally:
+            if len(_FREE_BUFFERS) < 2 * _WORKERS:
+                _FREE_BUFFERS.append(buffers)
 
     workers = min(_WORKERS, len(counts))
     if workers == 1:
@@ -134,11 +184,11 @@ def _map_batches(work, sim: SimConfig) -> list:
 
 def _estimate(path_values, sim: SimConfig) -> list[McEstimate]:
     """Sample mean and standard error, over all batches, of each of the arrays
-    path_values(rng, count) returns."""
+    path_values(rng, count, buffers) returns."""
 
-    def sums(rng, count: int) -> list[float]:
+    def sums(rng, count: int, buffers: _Buffers) -> list[float]:
         # each y is summed before it is squared in place
-        arrays = path_values(rng, count)
+        arrays = path_values(rng, count, buffers)
         return [f for y in arrays for f in (float(np.sum(y)), float(np.sum(np.square(y, out=y))))]
 
     cols = [math.fsum(col) for col in zip(*_map_batches(sums, sim))]
@@ -171,23 +221,23 @@ def _check_jump_count(mean_count: float, limit: float) -> None:
         )
 
 
-def _jump_sums(rng, count: int, mean_count: float, weights) -> list[np.ndarray]:
+def _jump_sums(rng, count: int, mean_count: float, weights, buffers: _Buffers) -> list[np.ndarray]:
     """Per path, in jump order, the sums over its Poisson(mean_count) jumps of
-    the arrays weights(frac, spare) returns; ``weights`` maps the arrival
-    fractions in place and may write ``spare``, a buffer of their length.
+    the arrays weights(frac, spare) returns, written into the first per-path
+    arrays of ``buffers``; ``weights`` maps the arrival fractions in place and
+    may write ``spare``, a buffer of their length. ``weights`` None gives
+    each path's jump count.
 
-    Chunks hold min(count, max(1, floor(_CHUNK_JUMPS / mean_count))) paths, a
-    whole batch where the reciprocal is inf, and the last may be partial. Per
-    chunk: the Poisson total, then one uniform u per jump into the thread's
-    per-jump buffers (grown when a total outgrows them); v = size u gives
-    its owner floor(v) < size (u <= 1 - 2^-53 keeps v over half an ulp below
-    size) and its arrival fraction v - floor(v).
+    Chunks hold min(count, _CHUNK_PATHS, max(1, floor(_CHUNK_JUMPS /
+    mean_count))) paths, and the last may be partial. Per chunk: the Poisson
+    total, then one uniform u per jump into the per-jump buffers; v = size u
+    gives its owner floor(v) < size (u <= 1 - 2^-53 keeps v over half an ulp
+    below size) and its arrival fraction v - floor(v).
     """
     per_chunk = _CHUNK_JUMPS / mean_count if mean_count > 0.0 else math.inf
-    step = int(min(count, max(1.0, per_chunk)))
-    chunks = []
-    empty = np.empty(0)
-    frac, spare, owner = getattr(_BUFFERS, "arrays", (empty, empty, empty.astype(np.intp)))
+    step = int(min(count, _CHUNK_PATHS, max(1.0, per_chunk)))
+    outs = None
+    frac, spare, owner = buffers.per_jump
     for start in range(0, count, step):
         size = min(step, count - start)
         total = rng.poisson(mean_count * size)
@@ -196,14 +246,35 @@ def _jump_sums(rng, count: int, mean_count: float, weights) -> list[np.ndarray]:
             grow = total + total // 8
             frac, spare, owner = np.empty(grow), np.empty(grow), np.empty(grow, np.intp)
             if grow <= _KEEP_JUMPS:
-                _BUFFERS.arrays = frac, spare, owner
+                buffers.per_jump = frac, spare, owner
         v = rng.random(out=frac[:total])
         v *= size
         o = owner[:total]
         np.copyto(o, v, casting="unsafe")  # truncation is floor for v >= 0
-        v -= o
-        chunks.append([np.bincount(o, w, size) for w in weights(v, spare[:total])])
-    return [np.concatenate(sums, dtype=float) for sums in zip(*chunks)]
+        if weights is None:
+            sums = (np.bincount(o, minlength=size),)
+        else:
+            v -= o
+            sums = [np.bincount(o, w, size) for w in weights(v, spare[:total])]
+        if outs is None:
+            outs = buffers.paths(len(sums), count)
+        for out, s in zip(outs, sums):
+            out[start:start + size] = s
+    return outs
+
+
+def _jump_counts(rng, count: int, mean_count: float, buffers: _Buffers) -> np.ndarray:
+    """Per path a Poisson(mean_count) jump count, as floats in the first
+    per-path array of ``buffers``: by superposition and splitting
+    (``_jump_sums``) up to _SPLIT_MEAN expected jumps, above it from numpy's
+    per-path sampler, _CHUNK_PATHS paths a call."""
+    if mean_count <= _SPLIT_MEAN:
+        return _jump_sums(rng, count, mean_count, None, buffers)[0]
+    (n,) = buffers.paths(1, count)
+    for start in range(0, count, _CHUNK_PATHS):
+        stop = min(start + _CHUNK_PATHS, count)
+        n[start:stop] = rng.poisson(mean_count, stop - start)
+    return n
 
 
 def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> McEstimate:
@@ -224,30 +295,26 @@ def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> Mc
         raise ParameterError(f"e^(-lam varsigma tau) underflows, lam varsigma tau {compensator:g}")
     drift = (terms.rate - terms.dividend - jump_mean - 0.5 * model.sigma**2) * tau
     base = math.log(terms.spot) + drift
-    vol = model.sigma * math.sqrt(tau)
+    var = model.sigma**2 * tau
+    delta2 = model.law.delta**2
     disc = math.exp(-terms.rate * tau)
     is_call = terms.kind is OptionKind.CALL
 
-    def discounted(rng, count: int) -> tuple[np.ndarray, ...]:
-        # per path n ~ Poisson(mean_count) jumps, whose sum is nu n + delta sqrt(n) Z',
-        # and the diffusion's Z: x = (nu n + delta sqrt(n) Z') + (base + vol Z). At
-        # sigma = 0, vol Z adds 0 to every path, so Z is not drawn.
-        n_jumps = rng.poisson(mean_count, count)
-        noise = np.sqrt(n_jumps)
-        noise *= model.law.delta
-        x = rng.standard_normal(count)
-        noise *= x
-        np.multiply(n_jumps, model.law.nu, out=x)
-        x += noise
-        if vol:
-            z = rng.standard_normal(out=noise)
-            z *= vol
-            z += base
-            x += z
-        else:
-            x += base
+    def discounted(rng, count: int, buffers: _Buffers) -> tuple[np.ndarray, ...]:
+        # per path n ~ Poisson(mean_count) jumps; given n, the jumps and the
+        # diffusion add one normal, of mean nu n and variance sigma^2 tau + delta^2 n
+        n = _jump_counts(rng, count, mean_count, buffers)
+        _, scale, x = buffers.paths(3, count)
+        np.multiply(n, delta2, out=scale)
+        scale += var
+        np.sqrt(scale, out=scale)
+        rng.standard_normal(out=x)
+        x *= scale
+        n *= model.law.nu
+        x += n
+        x += base
         s_t = np.exp(x, out=x)
-        paid = (np.subtract(s_t, terms.strike, out=noise) if is_call
+        paid = (np.subtract(s_t, terms.strike, out=n) if is_call
                 else np.subtract(terms.strike, s_t, out=s_t))
         np.maximum(paid, 0.0, out=paid)
         paid *= disc
@@ -257,7 +324,7 @@ def mc_option_price(terms: OptionTerms, model: AssetModel, sim: SimConfig) -> Mc
         return paid, s_t
 
     est, *forward = _estimate(discounted, sim)
-    _with_spread(est, mean_count, model.law, vol)
+    _with_spread(est, mean_count, model.law, model.sigma)
     # A call's payoff grows like S_T, so a heavy right tail it rarely draws
     # hides in both its mean and its standard error. E[e^{-r tau} S_T] is
     # S e^{-q tau}; a sample that misses it by far more than its own standard
@@ -307,8 +374,8 @@ def mc_bond_price(model: RateModel, terms: BondTerms, sim: SimConfig) -> McEstim
         spare *= u
         return (spare,)
 
-    def growth(rng, count: int) -> tuple[np.ndarray]:
-        (logs,) = _jump_sums(rng, count, mean_count, jump_logs)
+    def growth(rng, count: int, buffers: _Buffers) -> tuple[np.ndarray]:
+        (logs,) = _jump_sums(rng, count, mean_count, jump_logs, buffers)
         return (np.expm1(logs, out=logs),)
 
     # each path's discount factor is e^{log_scale} (1 + growth)
@@ -344,11 +411,12 @@ def mc_rate_moments(
         np.exp(u, out=u)
         return u, np.multiply(u, u, out=spare)
 
-    def power_sums(rng, count: int) -> tuple[float, ...]:
-        p, q = _jump_sums(rng, count, mean_count, loads)
+    def power_sums(rng, count: int, buffers: _Buffers) -> tuple[float, ...]:
+        p, q = _jump_sums(rng, count, mean_count, loads, buffers)
+        z = buffers.paths(3, count)[2]
         p *= model.law.nu
         q *= model.law.delta**2
-        z = p * p
+        np.multiply(p, p, out=z)
         sum_pp, sum_q = float(np.sum(z)), float(np.sum(q))
         z += q
         sum_zp = float(np.sum(np.multiply(z, p, out=q)))

@@ -188,6 +188,13 @@ class TestIdentities:
         with pytest.raises(ParameterError):
             identity_report(atm_call, mixed_model)
 
+    def test_narrow_jumps_do_not_overflow_the_correction(self):
+        # delta 1e-160 makes a = (l - n nu) / s about 1e159, whose square
+        # overflowed (a RuntimeWarning, which the suite turns into an error)
+        model = AssetModel(2.0, GaussianJumpLaw(-0.05, 1e-160), 0.0)
+        report = identity_report(make_terms(100.0, 105.0, 1.0, 0.02), model)
+        assert all(math.isfinite(residual) for _, residual in report)
+
     @pytest.mark.parametrize("strike", [95.0, 120.0])
     @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
     def test_rows_carry_rounding_only(self, strike, tau):
@@ -229,6 +236,16 @@ class TestHighIntensityAccuracy:
         assert ng.kappa == pytest.approx(1.1104896765547700e-10, abs=1e-14)
         assert ng.mu == pytest.approx(-3.3657769766623619e-06, rel=1e-7)
         assert ng.epsilon == pytest.approx(4.8073864492128134e-06, rel=1e-9)
+
+
+def test_theta_that_meets_inf_minus_inf_raises():
+    # r and q of +-1.7e308 at tau 1e-306: theta's rate and dividend terms
+    # overflow to infinities of both signs, and their sum was a NaN theta
+    model = AssetModel(1e308, GaussianJumpLaw(1.0, 0.1), 0.0)
+    for kind in OptionKind:
+        terms = OptionTerms(100.0, 100.0, 1e-306, 1.7e308, -1.7e308, kind)
+        with pytest.raises(ParameterError, match="theta"):
+            common_greeks(terms, model)
 
 
 class TestBsGreeks:

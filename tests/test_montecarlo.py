@@ -1,8 +1,11 @@
 """Monte Carlo oracles: determinism, unbiasedness, exactness properties."""
 
 import math
+import resource
 import statistics
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -56,33 +59,65 @@ class TestDeterminism:
     def test_estimates_pinned(self, rate_general_model):
         # 70 000 paths span two SFC64 substream batches. The bond's arrival
         # chunks hold 6553 paths, so its first batch ends in a partial chunk
-        # of 6; the rate's hold 32768. Each second batch (4464 paths) is one
+        # of 6; the rate's and the option's jump counts hold the 8192-path
+        # cap, eight to a batch. Each second batch (4464 paths) is one
         # chunk. The sums of squares are np.sum of y^2, not np.dot, whose
         # last bits follow the BLAS threads.
         sim = SimConfig(paths=70_000, seed=2024)
         model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.2)
         option = mc_option_price(make_terms(100, 100, 1.0, 0.02), model, sim)
-        assert (option.mean, option.std_error) == (10.784179915019298, 0.06512559318588998)
+        assert (option.mean, option.std_error) == (10.748811478915878, 0.06549603476124032)
         bond = mc_bond_price(rate_general_model, BondTerms(0.0, 5.0, 0.03), sim)
         assert (bond.mean, bond.std_error) == (0.8091520581936323, 6.45830109650949e-05)
         mean, var = mc_rate_moments(rate_general_model, 0.03, 1.0, sim)
-        assert (mean.mean, mean.std_error) == (0.03785207114757888, 2.1182492465086913e-05)
-        assert (var.mean, var.std_error) == (0.00022070397091666726, 4.69057500643595e-07)
+        assert (mean.mean, mean.std_error) == (0.03788418491435917, 2.1216192780899207e-05)
+        assert (var.mean, var.std_error) == (0.0002213216078381063, 4.692022070073021e-07)
         assert option.paths_used == bond.paths_used == mean.paths_used == 70_000
 
     def test_worker_count_does_not_move_estimates(self, monkeypatch, rate_general_model):
-        # five batches, the last of one path, so every worker count splits them unevenly
+        # five batches, the last of one path, so every worker count splits
+        # them unevenly; the options count their jumps on each side of the cutoff
         sim = SimConfig(paths=4 * (1 << 16) + 1, seed=8)
         model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.2)
+        busy = AssetModel(2.0 * montecarlo._SPLIT_MEAN, GaussianJumpLaw(-0.05, 0.15), 0.2)
         results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "_WORKERS", workers)
             results.append((
                 mc_option_price(make_terms(100, 95, 1.0, 0.02), model, sim),
+                mc_option_price(make_terms(100, 95, 1.0, 0.02), busy, sim),
                 mc_bond_price(rate_general_model, BondTerms(0.0, 5.0, 0.03), sim),
                 mc_rate_moments(rate_general_model, 0.03, 1.0, sim),
             ))
         assert results[0] == results[1] == results[2]
+
+    def test_concurrent_callers_share_the_free_buffers(self, monkeypatch, rate_general_model):
+        # four callers of three workers each, with a short switch interval: a
+        # buffer set handed to two batches at once would move an estimate, or
+        # show twice in the free list, which keeps about 2 * _WORKERS sets
+        # and never more than the twelve that ever ran at once
+        monkeypatch.setattr(montecarlo, "_FREE_BUFFERS", [])
+        sim = SimConfig(paths=4 * montecarlo._BATCH + 1, seed=4)
+        model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.2)
+        calls = [
+            lambda: mc_option_price(make_terms(100, 95, 1.0, 0.02), model, sim),
+            lambda: mc_bond_price(rate_general_model, BondTerms(0.0, 5.0, 0.03), sim),
+            lambda: mc_rate_moments(rate_general_model, 0.03, 1.0, sim),
+        ]
+        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+        expected = [call() for call in calls]
+        monkeypatch.setattr(montecarlo, "_WORKERS", 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                futures = [callers.submit(call) for _ in range(4) for call in calls]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected * 4
+        kept = montecarlo._FREE_BUFFERS
+        assert len({id(b) for b in kept}) == len(kept) <= 12
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -110,15 +145,14 @@ class TestHeavyTail:
     # An ATM call under jumps of +2 in log price: E[e^{-r tau} S_T] = 100, but
     # 1000 paths rarely draw the e^{2n} paths that carry it, so a sample often
     # reads a few tens against a price of about 91.8. Which seeds draw enough
-    # of the tail depends on the stream, so the checks run over twenty seeds.
+    # of the tail depends on the stream, so the checks run over many seeds.
     terms = make_terms(100.0, 100.0, tau=1.0)
     model = AssetModel(1.0, GaussianJumpLaw(2.0, 0.0), 0.2)
-    seeds = range(1, 21)
 
-    def outcomes(self) -> dict:
+    def outcomes(self, seeds=range(1, 21)) -> dict:
         """Per seed, the 1000-path estimate or the ParameterError it raised."""
         out = {}
-        for seed in self.seeds:
+        for seed in seeds:
             sim = SimConfig(paths=1000, seed=seed)
             try:
                 out[seed] = mc_option_price(self.terms, self.model, sim)
@@ -133,11 +167,16 @@ class TestHeavyTail:
             assert "standard errors" in str(exc)
 
     def test_call_whose_sample_reaches_the_forward_stands(self):
+        # The forward check removes the worst samples, not every miss: over
+        # seeds 1-400 about half stand, and 6.7 % and 7.3 % of those (on two
+        # sampler streams) lie more than 3 SE from the price, some near 6 SE.
+        # An 8 % miss rate bounds the count at the binomial's 0.999 quantile.
         analytic = price(self.terms, self.model).value
-        stood = [e for e in self.outcomes().values() if not isinstance(e, ParameterError)]
-        assert stood
-        for est in stood:
-            assert abs(est.mean - analytic) <= 3.0 * est.std_error
+        outcomes = self.outcomes(range(1, 401)).values()
+        stood = [e for e in outcomes if not isinstance(e, ParameterError)]
+        assert len(stood) >= 100
+        misses = sum(abs(est.mean - analytic) > 3.0 * est.std_error for est in stood)
+        assert misses <= stats.binom.ppf(0.999, len(stood), 0.08)
 
     def test_put_is_not_checked(self):
         # a put's payoff is bounded by K, so its estimate stays honest
@@ -158,11 +197,12 @@ class TestShotNoiseSampler:
 
     @staticmethod
     def chunk_paths(count, mean_count):
-        """Paths per chunk: a whole count where _CHUNK_JUMPS / mean_count
-        reaches it (a mean of 0, or one whose reciprocal is inf), else the
-        floor of that quotient, and at least one path."""
-        if mean_count == 0.0 or montecarlo._CHUNK_JUMPS / mean_count >= count:
-            return count
+        """Paths per chunk: the least of count, _CHUNK_PATHS and the floor of
+        _CHUNK_JUMPS / mean_count (inf at a mean of 0, or one whose
+        reciprocal overflows), and at least one path."""
+        cap = min(count, montecarlo._CHUNK_PATHS)
+        if mean_count == 0.0 or montecarlo._CHUNK_JUMPS / mean_count >= cap:
+            return cap
         return max(1, math.floor(montecarlo._CHUNK_JUMPS / mean_count))
 
     @classmethod
@@ -189,13 +229,14 @@ class TestShotNoiseSampler:
     @example(count=12_000, mean_count=40.0, seed=7)
     @example(count=2 * montecarlo._BATCH // 3 + 1, mean_count=1e-3, seed=8)
     @example(count=5000, mean_count=0.0, seed=9)
-    # a subnormal mean, whose reciprocal overflows to inf: one chunk of the batch
+    # a subnormal mean, whose reciprocal overflows to inf: capped chunks
     @example(count=montecarlo._BATCH, mean_count=5e-324, seed=10)
     # a mean above _CHUNK_JUMPS: one path per chunk
     @example(count=3, mean_count=1.5 * montecarlo._CHUNK_JUMPS, seed=11)
     def test_loads_match_a_python_replay(self, count, mean_count, seed):
         got = montecarlo._jump_sums(
-            np.random.Generator(np.random.SFC64(seed)), count, mean_count, self.loads
+            np.random.Generator(np.random.SFC64(seed)), count, mean_count, self.loads,
+            montecarlo._Buffers(),
         )
         # the same stream, drawn as the sampler is specified: each chunk's
         # total and uniforms, split into owners and fractions, the fractions
@@ -231,9 +272,13 @@ class TestShotNoiseSampler:
             assert owners.size == 0 or owners.max() < size
         assert chunks[-1][0] == 1000 and chunks[-1][1].size > 0
         counts = np.concatenate([np.bincount(owners, minlength=size) for size, owners, _ in chunks])
+        # more paths than a batch: a per-path array that long is kept, since
+        # _Buffers.paths adds arrays only when it holds too few
+        buffers = montecarlo._Buffers()
+        buffers.per_path.append(np.empty(count))
         (sums,) = montecarlo._jump_sums(
             np.random.Generator(np.random.SFC64(seed)), count, mean_count,
-            lambda u, spare: (np.ones_like(u),),
+            lambda u, spare: (np.ones_like(u),), buffers,
         )
         assert sums.tolist() == counts.astype(float).tolist()
         # chi-square against Poisson(mean_count), tails pooled so that every
@@ -250,6 +295,24 @@ class TestShotNoiseSampler:
         # paths next to each other, within a chunk and across chunk edges,
         # draw independent counts: the lag-1 correlation is about N(0, 1/count)
         assert abs(np.corrcoef(counts[:-1], counts[1:])[0, 1]) <= 4.0 / math.sqrt(count)
+
+    @pytest.mark.parametrize("factor", [0.0, 0.03, 0.3, 1.0, 1.2, 3.0, 1e6])
+    def test_option_jump_counts_are_poisson(self, factor):
+        # below the cutoff by superposition, above it per path: a batch of
+        # whole counts whose mean, variance and lag-1 correlation fit
+        # Poisson(m) to within 5 of their standard errors
+        m, count = factor * montecarlo._SPLIT_MEAN, montecarlo._BATCH
+        n = montecarlo._jump_counts(
+            np.random.Generator(np.random.SFC64(12)), count, m, montecarlo._Buffers()
+        )
+        assert n.size == count and (n == np.floor(n)).all()
+        if m == 0.0:
+            assert not n.any()
+            return
+        assert abs(n.mean() - m) <= 5.0 * math.sqrt(m / count)
+        # a Poisson sample variance has variance (m + 2 m^2) / count
+        assert abs(n.var(ddof=1) - m) <= 5.0 * math.sqrt((m + 2.0 * m * m) / count)
+        assert abs(np.corrcoef(n[:-1], n[1:])[0, 1]) <= 5.0 / math.sqrt(count)
 
 
 class TestErrorScaling:
@@ -432,6 +495,30 @@ class TestJumpBudget:
         finally:
             tracemalloc.stop()
         assert peak <= 5e6
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_calls_fault_in_no_fresh_pages(self, monkeypatch, workers,
+                                                rate_general_model, mixed_model, atm_call):
+        # every per-path and per-jump array sits in a kept buffer set, and the
+        # per-chunk np.bincount output stays under glibc's mmap threshold: a
+        # warm call took 0-2 minor faults, where fresh arrays per batch took
+        # 230-1450 (the fewest of three calls absorbs a stray thread start)
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        sim = SimConfig(paths=1 << 18, seed=3)
+        busy = AssetModel(2.0 * montecarlo._SPLIT_MEAN, GaussianJumpLaw(-0.05, 0.15), 0.2)
+        for oracle in (
+            lambda: mc_option_price(atm_call, mixed_model, sim),
+            lambda: mc_option_price(atm_call, busy, sim),
+            lambda: mc_bond_price(rate_general_model, BondTerms(0.0, 5.0, 0.03), sim),
+            lambda: mc_rate_moments(rate_general_model, 0.03, 1.0, sim),
+        ):
+            oracle()
+            faults = []
+            for _ in range(3):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                oracle()
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            assert min(faults) <= 32, faults
 
     def test_batch_past_budget_raises_before_drawing(self, rate_jump_model):
         # 2^16 paths expecting 300 jumps each would hold 2e7 jumps per batch
