@@ -8,9 +8,11 @@ derivative identities stay available as genuine residual tests.
 
 Every parameter Greek exploits the balance identity
 S e^{-q tau} dL1/dl = K e^{-r tau} dL2/dl, which removes the l-channel from
-each chain rule. At sigma = 0 the transition law has an atom: gamma excludes
-the distributional spike (``delta_jump`` reports the delta discontinuity
-separately) and direct evaluation at l = 0 raises KinkError.
+each chain rule. Calls and puts share one formula on the legs their prices
+read (a put's survivals keep their size where 1 - L cancels). At sigma = 0
+the transition law has an atom: gamma excludes the distributional spike
+(``delta_jump`` reports the delta discontinuity separately) and direct
+evaluation at l = 0 raises KinkError.
 """
 
 from __future__ import annotations
@@ -60,10 +62,6 @@ class NewGreekSet:
     epsilon: float
 
 
-def _norm_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
-
-
 def _checked_gamma(gamma: float, density: float) -> float:
     """``gamma`` where finite; 0 where its ``density`` factor is 0 (a tiny spot
     overflows e^{-q tau}/S, and inf * 0 is NaN); else ParameterError."""
@@ -85,21 +83,23 @@ def _check_evaluable(terms: OptionTerms, model: AssetModel) -> float:
     return l
 
 
-def _for_kind(
-    terms: OptionTerms, disc_spot: float, disc_strike: float, delta, gamma, rho, psi, theta, vega
+def _greek_set(
+    terms: OptionTerms, disc_spot: float, disc_strike: float, p1: float, p2: float,
+    gamma: float, theta: float, vega: Optional[float],
 ) -> GreekSet:
-    """The Greeks of ``terms.kind`` from the call's; by parity a put is
-    call - S e^{-q tau} + K e^{-r tau}."""
-    if terms.kind is not OptionKind.CALL:
-        delta = delta - math.exp(-terms.dividend * terms.tau)
-        rho = rho - terms.tau * disc_strike
-        psi = psi + terms.tau * disc_spot
-        theta = theta - terms.dividend * disc_spot + terms.rate * disc_strike
+    """One formula for both kinds on the legs (P1, P2) that the price
+    S e^{-q tau} P1 - K e^{-r tau} P2 reads: the cdfs (L1, L2) of a call, minus
+    the survivals (-S1, -S2) of a put. Delta is e^{-q tau} P1, rho
+    tau K e^{-r tau} P2 and psi -tau S e^{-q tau} P1."""
     # theta sums terms scaled by r and q, which a huge rate or dividend can
     # overflow to infinities of both signs: inf - inf is a NaN theta
     if not math.isfinite(theta):
         raise ParameterError(f"theta is {theta}: its rate and dividend terms overflow a float")
-    return GreekSet(delta=delta, gamma=gamma, rho=rho, psi=psi, theta=theta, vega=vega)
+    tau = terms.tau
+    return GreekSet(
+        delta=math.exp(-terms.dividend * tau) * p1, gamma=gamma, rho=tau * disc_strike * p2,
+        psi=-tau * disc_spot * p1, theta=theta, vega=vega,
+    )
 
 
 def common_greeks(
@@ -109,28 +109,27 @@ def common_greeks(
 ) -> GreekSet:
     """Delta, gamma, rho, psi, theta (and vega when sigma > 0).
 
-    The values are the analytic series derivatives.
+    The values are the analytic series derivatives on the legs the price
+    reads; a survival moves as minus its cdf.
     """
     l = _check_evaluable(terms, model)
     ls = series_lset(model.char_spec(terms.tau), l, quad)
     tau = terms.tau
     disc_spot = terms.spot * math.exp(-terms.dividend * tau)
     disc_strike = terms.strike * math.exp(-terms.rate * tau)
+    p1, p2 = (ls.l1, ls.l2) if terms.kind is OptionKind.CALL else (-ls.s1, -ls.s2)
 
-    delta_c = math.exp(-terms.dividend * tau) * ls.l1
     gamma = _checked_gamma(math.exp(-terms.dividend * tau) / terms.spot * ls.dl1_dl, ls.dl1_dl)
-    rho_c = tau * disc_strike * ls.l2
-    psi_c = -tau * disc_spot * ls.l1
-    theta_c = (
-        terms.dividend * disc_spot * ls.l1
-        - terms.rate * disc_strike * ls.l2
+    theta = (
+        terms.dividend * disc_spot * p1
+        - terms.rate * disc_strike * p2
         - disc_spot * ls.dl1_dtau
         + disc_strike * ls.dl2_dtau
     )
     vega = None
     if model.sigma > 0.0:
         vega = disc_spot * ls.dl1_dsigma - disc_strike * ls.dl2_dsigma
-    return _for_kind(terms, disc_spot, disc_strike, delta_c, gamma, rho_c, psi_c, theta_c, vega)
+    return _greek_set(terms, disc_spot, disc_strike, p1, p2, gamma, theta, vega)
 
 
 def new_greeks(
@@ -178,22 +177,21 @@ def bs_greeks(terms: OptionTerms, sigma: float) -> GreekSet:
     sqrt_tau = math.sqrt(tau)
     disc_spot = terms.spot * math.exp(-terms.dividend * tau)
     disc_strike = terms.strike * math.exp(-terms.rate * tau)
-    pdf_d1 = _norm_pdf(d1)
+    pdf_d1 = math.exp(-0.5 * d1 * d1) / _SQRT_2PI
+    sign = 1.0 if terms.kind is OptionKind.CALL else -1.0  # legs Phi(d), or -Phi(-d)
+    p1, p2 = sign * float(ndtr(sign * d1)), sign * float(ndtr(sign * d2))
 
-    delta_c = math.exp(-terms.dividend * tau) * float(ndtr(d1))
     vol_spot = terms.spot * sigma * sqrt_tau  # 0 where a tiny spot underflows it
     gamma = _checked_gamma(
         math.exp(-terms.dividend * tau) * pdf_d1 / vol_spot if vol_spot else math.inf, pdf_d1
     )
-    rho_c = tau * disc_strike * float(ndtr(d2))
-    psi_c = -tau * disc_spot * float(ndtr(d1))
-    theta_c = (
-        terms.dividend * disc_spot * float(ndtr(d1))
-        - terms.rate * disc_strike * float(ndtr(d2))
+    theta = (
+        terms.dividend * disc_spot * p1
+        - terms.rate * disc_strike * p2
         - sigma * disc_spot * pdf_d1 / (2.0 * sqrt_tau)
     )
     vega = disc_spot * sqrt_tau * pdf_d1
-    return _for_kind(terms, disc_spot, disc_strike, delta_c, gamma, rho_c, psi_c, theta_c, vega)
+    return _greek_set(terms, disc_spot, disc_strike, p1, p2, gamma, theta, vega)
 
 
 def fd_sensitivity_with_error(
@@ -278,8 +276,8 @@ def identity_report(
         ("theta_kappa_call", abs(g_call.theta - theta_k) / scale(g_call.theta, theta_k))
     )
     theta_k_put = (
-        -terms.dividend * disc_spot * (1.0 - ls.l1)
-        + terms.rate * disc_strike * (1.0 - ls.l2)
+        -terms.dividend * disc_spot * ls.s1
+        + terms.rate * disc_strike * ls.s2
         - lam * ng.kappa / tau
     )
     report.append(

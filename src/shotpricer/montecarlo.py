@@ -49,7 +49,7 @@ import numpy as np
 from .errors import ParameterError
 from .jump_measure import GaussianJumpLaw, varsigma
 from .options import AssetModel, OptionKind, OptionTerms
-from .shortrate import BondTerms, RateModel, b_factor
+from .shortrate import BondTerms, RateModel, a_vasicek, b_factor
 
 __all__ = [
     "SimConfig",
@@ -348,19 +348,8 @@ def mc_bond_price(model: RateModel, terms: BondTerms, sim: SimConfig) -> McEstim
     mean_count = model.lambda_r * span
     _check_jump_count(mean_count, _BATCH_JUMPS / min(sim.paths, _BATCH))
     a = model.a
-    b_val = b_factor(model, terms.t, terms.T)
-    det = terms.r_t * b_val + model.b * (span - b_val)
-    x = a * span
-    if x < 0.5:
-        # the closed form below cancels terms of size span / a^2; sum the Taylor
-        # series span^3 sum_{k>=3} (2^(k-1) - 2) (-x)^(k-3) / k! instead
-        int_b2, power = 0.0, span * span * span / 6.0
-        for k in range(3, 19):
-            int_b2 += (2.0 ** (k - 1) - 2.0) * power
-            power *= -x / (k + 1)
-    else:
-        int_b2 = (span - 2.0 * b_val - math.expm1(-2.0 * a * span) / (2.0 * a)) / (a * a)
-    log_scale = 0.5 * model.sigma_r**2 * int_b2 - det
+    # the Gaussian part of log P: the intercept A less r_t B
+    log_scale = a_vasicek(model, terms.t, terms.T) - terms.r_t * b_factor(model, terms.t, terms.T)
     alpha, beta = model.law.nu / a, 0.5 * (model.law.delta / a) ** 2
 
     def jump_logs(u: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray]:

@@ -15,18 +15,20 @@ exp(-z) change of weight). Two independent evaluation routes are provided:
   keeps the Poisson window, the counts where either weight exceeds the floor
   ``series_tail * _WEIGHT_FLOOR`` plus one each side: both dropped tails stay
   below ``series_tail``, and the weight below it, taken as 0 by the Greek
-  engine, is under the floor. Rows are summed by numpy's pairwise reduction
-  (``np.sum``: a BLAS ``@`` moves its last bits with kernel and thread count);
-  only the Greek engine's two Poisson-mean rows, which telescope to nearly 0,
-  are summed exactly (``math.fsum``). It is the reference backend and alone
-  has analytic derivatives (for the Greeks). What depends only on the model
-  and tau (the continuous/atom split, twelve stacked weight and Greek rows, the
-  weights' derivatives) is built once per (spec, quad) and cached. Prices,
+  engine, is under the floor. Every row is summed by numpy's pairwise
+  reduction (``np.sum``: a BLAS ``@`` moves its last bits with kernel and
+  thread count). It is the reference backend and alone has analytic
+  derivatives (for the Greeks). What depends only on the model and tau (the
+  continuous/atom split, twelve stacked weight and Greek rows, the weights'
+  derivatives) is built once per (spec, quad) and cached. Prices,
   ``series_lset`` and ``green_density`` read a memoized record per threshold:
-  one ``ndtr`` over its rows b, a, -b, -a, one product of twelve rows with the
-  cached ones and one reduction give four transforms and eight Greek sums. The
-  scalar cdfs and survivals read no derivatives and take a lean values pass,
-  the one-threshold case of the block the residual checks run on a grid point.
+  one ``ndtr`` over its rows b, a, -b, -a, one product of sixteen rows with the
+  cached ones and one reduction give four transforms, eight Greek sums and
+  four Poisson-mean sums; each mean derivative reads the side (cdf or
+  survival) of the smaller transform, whose terms carry its size where the
+  other side's cancel. The scalar cdfs and survivals read no
+  derivatives and take a lean values pass, the one-threshold case of the
+  block the residual checks run on a grid point.
 * fourier (``fourier_grid``): Gil-Pelaez inversion, one integral in k per
   cumulative, on Gauss-Legendre panels, for a batch of thresholds. It reads
   only psi, with no Poisson weights, so it is an independent cross-check of
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, ndtr, wrightomega
+from scipy.special import gammainc, gammaincc, gammaln, ndtr, wrightomega
 
 from ._quad import gauss_legendre
 from .errors import ParameterError, QuadratureError, TruncationError, require_finite_square
@@ -112,10 +114,11 @@ class QuadratureSpec:
     """Accuracy target shared by all numerical routines.
 
     ``rel_tol`` is the target for the Fourier backend. The series backend is
-    exact up to the Poisson tail, which it keeps below ``series_tail``. The
-    Fourier frequency range follows from ``rel_tol`` and the
-    characteristic-function envelope, and its panel count doubles until two
-    passes agree; the series stops at count 4096 (about lam tau 3700).
+    exact up to the Poisson tail it drops, which each law's exact cdf measures
+    and which must stay below ``series_tail``. The Fourier frequency range
+    follows from ``rel_tol`` and the characteristic-function envelope, and its
+    panel count doubles until two passes agree; the series stops at count 4096
+    (about lam tau 3700).
     """
 
     rel_tol: float = 1e-9
@@ -174,11 +177,12 @@ def _poisson_weights(
     """First count n_lo, Poisson(mean) weights P_{n_lo}..P_{n_hi} and their
     tilt P_n e^{n theta - mean (e^theta - 1)}, which is Poisson(mean e^theta).
 
-    Candidates run from min(mean, mean e^theta) - 12 sqrt(peak) - 30 to a top;
-    the window keeps those where either weight exceeds ``tail_target *
-    _WEIGHT_FLOOR``, plus one each side. The top grows until 1 minus the
-    smaller window sum is below ``tail_target`` (an empty window has tail 1);
-    past ``_N_MAX`` it raises TruncationError. Each set is divided by its own
+    Candidates run from min(mean, mean e^theta) - 12 sqrt(peak) - 30 to peak +
+    12 sqrt(peak) + 30, at most ``_N_MAX``; the window keeps those where either
+    weight exceeds ``tail_target * _WEIGHT_FLOOR``, plus one each side. The
+    mass each law drops outside it is read from its exact cdf (incomplete gamma
+    functions, as in scipy's ``pdtr``), and where the larger is not below
+    ``tail_target`` it raises TruncationError. Each set is divided by its own
     sum: gammaln rounding would leave a gap growing with the mean (6e-13 at
     3000). Mean 0 keeps a zero-weight count 1, whose weight moves with the mean.
     """
@@ -188,24 +192,23 @@ def _poisson_weights(
     peak = max(mean, m_tilt)
     hi = math.ceil(min(peak + 12.0 * math.sqrt(peak) + 30.0, _N_MAX))
     lo = math.floor(min(max(0.0, min(mean, m_tilt) - 12.0 * math.sqrt(peak) - 30.0), hi))
-    while True:
-        n = np.arange(lo, hi + 1, dtype=float)
-        log_p = -mean + n * math.log(mean) - gammaln(n + 1.0)
-        plain = np.exp(log_p)
-        tilt = np.exp(log_p + n * theta - (m_tilt - mean))
-        live = np.flatnonzero(np.maximum(plain, tilt) > tail_target * _WEIGHT_FLOOR)
-        i, j = (max(live[0] - 1, 0), live[-1] + 2) if live.size else (0, 0)
-        sums = [w[i:j].sum() for w in (plain, tilt)]
-        tail = 1.0 - min(sums)
-        if tail < tail_target:
-            return lo + int(i), plain[i:j] / sums[0], tilt[i:j] / sums[1]
-        if hi >= _N_MAX:
-            raise TruncationError(
-                f"Poisson series capped at {_N_MAX} terms met tail "
-                f"{tail:g} > {tail_target:g}",
-                tail_mass=tail,
-            )
-        hi = min(2 * hi + 50, _N_MAX)
+    n = np.arange(lo, hi + 1, dtype=float)
+    log_p = -mean + n * math.log(mean) - gammaln(n + 1.0)
+    plain = np.exp(log_p)
+    tilt = np.exp(log_p + n * theta - (m_tilt - mean))
+    live = np.flatnonzero(np.maximum(plain, tilt) > tail_target * _WEIGHT_FLOOR)
+    tail = 1.0  # an empty window drops all the mass
+    if live.size:
+        i, j = int(max(live[0] - 1, 0)), int(min(live[-1] + 2, n.size))
+        # P(N < lo + i) + P(N > lo + j - 1) for each law
+        tail = max(float(gammaincc(lo + i, m) + gammainc(lo + j, m)) for m in (mean, m_tilt))
+    if not tail < tail_target:
+        raise TruncationError(
+            f"Poisson window up to count {_N_MAX} drops tail {tail:g}, not below {tail_target:g}",
+            tail_mass=tail,
+        )
+    plain, tilt = plain[i:j], tilt[i:j]
+    return lo + i, plain / plain.sum(), tilt / tilt.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +231,9 @@ class _SeriesParts:
     ``coef`` stacks twelve rows: their weights (tilted, plain, tilted, plain)
     and the Greek rows u = w / (sqrt(2 pi) s), v = n u, sigma u
     and delta v, each (tilted, plain); ``dw`` holds the weights' derivatives
-    w_{n-1} - w_n in the Poisson mean as rows (tilted, plain). Point masses:
-    ``atom_mean``, ``atom_w`` (4 rows) and ``atom_dw`` (2 rows), all None when
-    there are none.
+    w_{n-1} - w_n in the Poisson mean as rows (tilted, plain, tilted, plain).
+    Point masses: ``atom_mean``, ``atom_w`` and ``atom_dw`` (4 rows each), all
+    None when there are none.
     """
 
     n_c: np.ndarray
@@ -258,7 +261,7 @@ class _SeriesParts:
         padded[1, 1:] = plain_w
         padded[2:] = padded[:2]
         # Poisson weights of mean M obey n w_n = M w_{n-1}, so dw_n/dM is w_{n-1} - w_n
-        dw = padded[:2, :-1] - padded[:2, 1:]
+        dw = padded[:, :-1] - padded[:, 1:]
         for arr in (n, mean, sd, padded, dw):  # the views taken below are read-only too
             arr.flags.writeable = False
         # sd grows with n, so the point masses (sd == 0) are the first k counts
@@ -296,10 +299,11 @@ _ATOM_SIDE = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # cdfs step up in l, surv
 _ATOM_AT_0 = np.array([[0.0], [1.0], [1.0], [0.0]])  # at l = mean: atom in or out
 
 
-def _atom_mass(p: _SeriesParts, gap: np.ndarray) -> np.ndarray:
-    """Weight of the point masses inside the brackets of those four rows;
-    ``gap`` is l - mean per atom, with a leading (thresholds, 1) for a block."""
-    return (p.atom_w * np.heaviside(gap * _ATOM_SIDE, _ATOM_AT_0)).sum(axis=-1)
+def _atom_mass(w: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Sums of the atoms' four rows ``w`` inside the brackets of those four
+    rows; ``gap`` is l - mean per atom, with a leading (thresholds, 1) for a
+    block."""
+    return (w * np.heaviside(gap * _ATOM_SIDE, _ATOM_AT_0)).sum(axis=-1)
 
 
 def _series_block(
@@ -332,7 +336,7 @@ def _series_block(
     z *= p.coef[:4]
     sums = z.sum(axis=-1)
     if p.atom_mean is not None:
-        sums += _atom_mass(p, (col - p.atom_mean)[:, None, :])
+        sums += _atom_mass(p.atom_w, (col - p.atom_mean)[:, None, :])
     # the weights sum to one only to rounding; a probability stays at most 1
     np.minimum(sums, 1.0, out=sums)
     return [(plain, tilted, p_surv, t_surv) for tilted, plain, t_surv, p_surv in sums.tolist()]
@@ -559,7 +563,8 @@ def green_density(
 
 @dataclass(frozen=True)
 class LSet:
-    """Tilted/plain transforms and their derivatives at fixed threshold l.
+    """Tilted/plain cdfs and survivals and the cdfs' derivatives at fixed
+    threshold l; a survival's derivative is minus its cdf's.
 
     All parameter derivatives (tau, lam, nu, delta, sigma) hold l fixed;
     the l-channel cancels out of every Greek through the balance identity
@@ -569,6 +574,8 @@ class LSet:
 
     l1: float
     l2: float
+    s1: float
+    s2: float
     dl1_dl: float
     dl2_dl: float
     dl1_dtau: float
@@ -611,11 +618,11 @@ def _series_record(spec: CharSpec, l: float, quad: QuadratureSpec) -> tuple[tupl
     m_tilt = lam * tau * growth
 
     # One buffer holds the rows (b, a, -b, -a) of the weight rows, e, e, g, g of
-    # the Greek rows (below) and the two Poisson-mean rows. a = (l + n nu)/s
+    # the Greek rows (below) and the four Poisson-mean rows. a = (l + n nu)/s
     # overflows for a huge l or a narrow component, and phi(a) a would be 0 *
     # inf. Clipping a and b = a + s to +-1e3 after b is formed changes no finite
     # output: phi and Phi of both are exactly 0 or 1 there.
-    buf = np.empty((14, s.size))
+    buf = np.empty((16, s.size))
     ab = buf[:2]
     with np.errstate(over="ignore"):
         np.divide(l - p.mean_c, s, out=ab[1])
@@ -639,25 +646,28 @@ def _series_record(spec: CharSpec, l: float, quad: QuadratureSpec) -> tuple[tupl
     g *= e
     eg[:, 1] = eg[:, 0]
     ndtr(buf[:4], out=buf[:4])
-    # the Poisson-mean rows telescope to nearly 0, so they alone are summed
-    # exactly; the atoms count with the brackets of the cdfs
-    dm1, dm2 = np.multiply(p.dw, buf[:2], out=buf[12:]).tolist()
+    np.multiply(p.dw, buf[:4], out=buf[12:])  # dw Phi(b, a, -b, -a)
     buf[:12] *= p.coef
-    sums = buf[:12].sum(axis=-1)
-    values = sums[:4]
+    sums = buf.sum(axis=-1)
     if p.atom_mean is not None:
-        values = values + _atom_mass(p, l - p.atom_mean)
-        means = p.atom_mean.tolist()
-        dm1 += [w for mean, w in zip(means, p.atom_dw[0].tolist()) if l > mean]
-        dm2 += [w for mean, w in zip(means, p.atom_dw[1].tolist()) if l >= mean]
+        gap = l - p.atom_mean
+        sums[:4] += _atom_mass(p.atom_w, gap)
+        sums[12:] += _atom_mass(p.atom_dw, gap)
     # the weights sum to one only to rounding; a probability stays at most 1
-    l1, l2, t_surv, p_surv = np.minimum(values, 1.0).tolist()
-    dl1_dl, dl2_dl, nu1, nu2, sig_g1, sig_g2, delta_g1, delta_g2 = sums[4:].tolist()
-    l1_dm, l2_dm = math.fsum(dm1), math.fsum(dm2)
+    l1, l2, s1, s2 = np.minimum(sums[:4], 1.0).tolist()
+    dl1_dl, dl2_dl, nu1, nu2, sig_g1, sig_g2, delta_g1, delta_g2 = sums[4:12].tolist()
+    # L + S = 1 (the window's weights sum to 1), so dL/dM = -dS/dM, and each
+    # side's sum is its transform's dM up to the window's edge weights (under
+    # the floor). Read the side of the smaller transform: near 1, a side cancels.
+    cdf_dm1, cdf_dm2, surv_dm1, surv_dm2 = sums[12:].tolist()
+    l1_dm = cdf_dm1 if l1 <= s1 else -surv_dm1
+    l2_dm = cdf_dm2 if l2 <= s2 else -surv_dm2
 
-    return (l2, l1, p_surv, t_surv), LSet(
+    return (l2, l1, s2, s1), LSet(
         l1=l1,
         l2=l2,
+        s1=s1,
+        s2=s2,
         dl1_dl=dl1_dl,
         dl2_dl=dl2_dl,
         dl1_dtau=lam * growth * l1_dm - 0.5 * sigma * sig_g1,

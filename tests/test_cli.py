@@ -272,6 +272,14 @@ class TestOtherCommands:
         header = [l for l in out.splitlines() if l.startswith("# config")][0]
         assert '"rel_tol": 1e-08' in header
 
+    @pytest.mark.parametrize("command", ["price", "greeks"])
+    def test_tightest_tolerance_runs(self, command, capsys):
+        # series tail 1e-16: the window's dropped mass is measured from the
+        # Poisson cdfs, not as 1 minus a rounded sum of its weights
+        code, out, err = run([command, "--tol", "1e-15"], capsys)
+        assert code == 0, err
+        assert len(body_lines(out)) == 1 + 2 * 3 * 2
+
     def test_mc_covers_rate_moments(self, capsys):
         code, out, _ = run(["mc", "--paths", "20000", "--seed", "4"], capsys)
         assert code == 0

@@ -238,6 +238,23 @@ class TestHighIntensityAccuracy:
         assert ng.epsilon == pytest.approx(4.8073864492128134e-06, rel=1e-9)
 
 
+@pytest.mark.parametrize("strike", [2.0, 3.0])
+def test_deep_otm_put_greeks_keep_their_size(strike):
+    # prices 5.0e-19 and 1.2e-16. Derived from the call's by parity, this
+    # put's delta read 0.0 and its kappa 160 times its size at K 2
+    model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.2)
+    terms = make_terms(100.0, strike, 1.0, 0.03, 0.0, OptionKind.PUT)
+    g, ng = common_greeks(terms, model), new_greeks(terms, model)
+    pairs = [
+        (g.delta, fd_sensitivity(lambda v: reprice(terms, model, spot=v), 100.0, 1e-2)),
+        (g.theta, -fd_sensitivity(lambda v: reprice(terms, model, tau=v), 1.0, 1e-4)),
+        (g.rho, fd_sensitivity(lambda v: reprice(terms, model, rate=v), 0.03, 1e-4)),
+        (ng.kappa, fd_sensitivity(lambda v: reprice(terms, model, lam=v), 1.0, 1e-4)),
+    ]
+    for analytic, fd in pairs:
+        assert analytic == pytest.approx(fd, rel=1e-4, abs=0.0)
+
+
 def test_theta_that_meets_inf_minus_inf_raises():
     # r and q of +-1.7e308 at tau 1e-306: theta's rate and dividend terms
     # overflow to infinities of both signs, and their sum was a NaN theta

@@ -13,6 +13,7 @@ from shotpricer import (
     GaussianJumpLaw,
     OptionKind,
     OptionTerms,
+    QuadratureSpec,
     SimConfig,
     bs_price,
     l_parameter,
@@ -177,6 +178,15 @@ class TestPrice:
         far = price(make_terms(100.0, 20.0, rate=0.03, dividend=0.01, kind="put"), mixed_model)
         near = price(make_terms(100.0, 30.0, rate=0.03, dividend=0.01, kind="put"), mixed_model)
         assert 0.0 < far.value < near.value
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    def test_tight_tolerance_at_high_intensity(self, sigma):
+        # lam tau 1000 at rel_tol 1e-12 keeps a window whose dropped Poisson
+        # mass is below 1e-13; 1 minus the rounded window sum read 3e-13
+        model = AssetModel(1000.0, GaussianJumpLaw(-0.05, 0.15), sigma)
+        terms = make_terms(100.0, 100.0, rate=0.03)
+        tight = price(terms, model, quad=QuadratureSpec(rel_tol=1e-12)).value
+        assert tight == pytest.approx(price(terms, model).value, rel=1e-9)
 
 
 class TestBsPrice:

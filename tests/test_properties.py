@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from shotpricer import (
     AssetModel,
@@ -184,6 +184,54 @@ def test_new_greeks_kind_invariant(strike, tau, lam, nu, delta):
     assert abs(got_c.kappa - got_p.kappa) <= 1e-10 * scale
     assert abs(got_c.mu - got_p.mu) <= 1e-10 * scale
     assert abs(got_c.epsilon - got_p.epsilon) <= 1e-10 * scale
+
+
+def _d4(f, x, h):
+    """Four-point central difference of f at x with step h."""
+    return (8.0 * (f(x + h) - f(x - h)) - (f(x + 2.0 * h) - f(x - 2.0 * h))) / (12.0 * h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(OptionKind),
+    depth=st.floats(min_value=2.5, max_value=16.0),
+    tau=st.floats(min_value=0.1, max_value=2.0),
+    rate=st.floats(min_value=0.0, max_value=0.08),
+    q=st.floats(min_value=0.0, max_value=0.04),
+    lam=st.floats(min_value=0.1, max_value=5.0),
+    nu=st.floats(min_value=-0.2, max_value=0.1),
+    delta=st.floats(min_value=0.05, max_value=0.3),
+    sigma=st.sampled_from([0.0, 0.1, 0.25]),
+)
+# the put at K 2 (price 5e-19), whose delta read 0 and kappa 160 times its size
+@example(kind=OptionKind.PUT, depth=15.34, tau=1.0, rate=0.03, q=0.0, lam=1.0, nu=-0.05,
+         delta=0.15, sigma=0.2)
+def test_wing_greeks_match_differences_of_the_price(
+    kind, depth, tau, rate, q, lam, nu, delta, sigma
+):
+    # strikes `depth` standard deviations of the log return out of the money,
+    # prices down to 1e-250: a put's Greeks read its survivals, and each
+    # Poisson-mean sum the side of the smaller transform, so every Greek keeps
+    # its relative size. Measured over 7600 random cases: at most 5e-8.
+    sd = math.sqrt(sigma**2 * tau + lam * tau * (nu**2 + delta**2))
+    strike = 100.0 * math.exp(depth * sd if kind is OptionKind.CALL else -depth * sd)
+
+    def value(spot=100.0, tau=tau, rate=rate, lam=lam):
+        model = AssetModel(lam, GaussianJumpLaw(nu, delta), sigma)
+        return price(OptionTerms(spot, strike, tau, rate, q, kind), model).value
+
+    assume(value() > 1e-250)
+    terms = OptionTerms(100.0, strike, tau, rate, q, kind)
+    model = AssetModel(lam, GaussianJumpLaw(nu, delta), sigma)
+    g, ng = common_greeks(terms, model), new_greeks(terms, model)
+    pairs = {
+        "delta": (g.delta, _d4(lambda v: value(spot=v), 100.0, 1e-2)),
+        "theta": (g.theta, -_d4(lambda v: value(tau=v), tau, 1e-4 * tau)),
+        "rho": (g.rho, _d4(lambda v: value(rate=v), rate, 1e-4)),
+        "kappa": (ng.kappa, _d4(lambda v: value(lam=v), lam, 1e-4 * lam)),
+    }
+    for name, (analytic, fd) in pairs.items():
+        assert abs(analytic - fd) <= 1e-6 * abs(fd), (name, analytic, fd)
 
 
 _VALID_FIELDS = {

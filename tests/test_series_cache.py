@@ -228,8 +228,13 @@ def test_block_refuses_a_nan_threshold(sigma):
 
 def _two_pass_lset(spec, l, quad=DEFAULT_QUAD):
     """The Greek engine as its own pass after the values pass, as it stood
-    before one record served both: the record's LSet must keep its bits."""
-    l2, l1 = _series_block(spec, (l,), quad)[0][:2]
+    before one record served both: the record's LSet must keep its bits.
+
+    Each Poisson-mean sum has a cdf side, sum dw Phi(b or a), and a survival
+    side, sum dw Phi(-b or -a), with the atoms in their brackets. A cdf's
+    derivative is its side where the cdf is at most its survival, and minus
+    the survival side elsewhere."""
+    l2, l1, s2, s1 = _series_block(spec, (l,), quad)[0]
     law = spec.law
     tau, lam, sigma = spec.tau, spec.lam, spec.sigma
     nu, delta = law.nu, law.delta
@@ -243,12 +248,15 @@ def _two_pass_lset(spec, l, quad=DEFAULT_QUAD):
         np.divide(l - p.mean_c, s, out=ab[1])
     np.add(ab[1], s, out=ab[0])
     np.minimum(np.maximum(ab, -1e3, out=ab), 1e3, out=ab)
-    dm1, dm2 = (p.dw * ndtr(ab)).tolist()
+    # rows (tilted cdf, plain cdf, tilted survival, plain survival)
+    dm = (p.dw * ndtr(np.vstack((ab, -ab)))).sum(axis=-1)
     if p.atom_mean is not None:
-        atoms = list(zip(p.atom_mean.tolist(), *p.atom_dw.tolist()))
-        dm1 += [tilted for mean, tilted, _ in atoms if l > mean]
-        dm2 += [plain for mean, _, plain in atoms if l >= mean]
-    l1_dm, l2_dm = math.fsum(dm1), math.fsum(dm2)
+        gap = l - p.atom_mean
+        above, at = gap > 0.0, gap >= 0.0
+        dm += (p.atom_dw * np.array((above, at, ~above, ~at))).sum(axis=-1)
+    cdf_dm1, cdf_dm2, surv_dm1, surv_dm2 = dm.tolist()
+    l1_dm = cdf_dm1 if l1 <= s1 else -surv_dm1
+    l2_dm = cdf_dm2 if l2 <= s2 else -surv_dm2
     np.multiply(ab, ab, out=e)
     e *= -0.5
     np.exp(e, out=e)
@@ -262,6 +270,8 @@ def _two_pass_lset(spec, l, quad=DEFAULT_QUAD):
     return LSet(
         l1=l1,
         l2=l2,
+        s1=s1,
+        s2=s2,
         dl1_dl=dl1_dl,
         dl2_dl=dl2_dl,
         dl1_dtau=lam * growth * l1_dm - 0.5 * sigma * sig_g1,

@@ -95,6 +95,30 @@ class TestPoissonWeights:
         assert n_lo > 0
         assert len(plain_w) <= 760
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mean=st.floats(min_value=1e-3, max_value=4500.0),
+        theta=st.floats(min_value=-0.6, max_value=0.4),
+        digits=st.floats(min_value=2.0, max_value=16.0),
+    )
+    @example(mean=3618.597881308566, theta=-0.09629317309744057, digits=15.056)
+    @example(mean=3664.886317864814, theta=-0.41048786927088476, digits=15.52)
+    @example(mean=1000.0, theta=-0.05 + 0.5 * 0.15**2, digits=15.0)
+    def test_window_drops_less_than_its_target(self, mean, theta, digits):
+        # a window comes back only where both laws' dropped tails are below
+        # target, and raises only where the candidates reach the count cap
+        target = QuadratureSpec(rel_tol=10.0**-digits).series_tail
+        m_tilt = mean * math.exp(theta)
+        peak = max(mean, m_tilt)
+        try:
+            n_lo, plain_w, _ = _poisson_weights(mean, target, theta)
+        except TruncationError:
+            assert peak + 12.0 * math.sqrt(peak) + 30.0 > transform._N_MAX
+            return
+        n_hi = n_lo + len(plain_w) - 1
+        for m in (mean, m_tilt):
+            assert poisson.cdf(n_lo - 1, m) + poisson.sf(n_hi, m) < target
+
     def test_cap_raises(self):
         with pytest.raises(TruncationError):
             series_weights(5000.0)
@@ -124,8 +148,11 @@ def untrimmed_parts(spec):
 
 
 def reference_lset(spec, l, quad=DEFAULT_QUAD, size=False):
-    """The Greek engine as twelve term rows, (tilted, plain) for d/dM, d/dl and
-    the nu, tau, delta and sigma parts, with ds/dparam formed per count.
+    """The Greek engine as term rows, (tilted, plain) for d/dl, the nu, tau,
+    delta and sigma parts and both sides of d/dM, with ds/dparam formed per
+    count. d/dM sums the side of the smaller transform: the cdf side
+    dw Phi(b or a), or minus the survival side dw Phi(-b or -a), as
+    cdf + survival = 1.
 
     With ``size`` every term, and both parts of phi (1 - a/s), is taken in
     absolute value (all the scalar factors are >= 0): each field's sum of
@@ -135,7 +162,7 @@ def reference_lset(spec, l, quad=DEFAULT_QUAD, size=False):
     1/s, reach normal-sized outputs, and no two ways of forming them agree to
     1e-11 there.
     """
-    l2, l1 = transform._series_values(spec, l, quad)[:2]
+    l2, l1, s2, s1 = transform._series_values(spec, l, quad)
     tau, lam, sigma = spec.tau, spec.lam, spec.sigma
     nu, delta = spec.law.nu, spec.law.delta
     p = transform._series_parts(spec, quad)
@@ -157,24 +184,31 @@ def reference_lset(spec, l, quad=DEFAULT_QUAD, size=False):
         np.abs(dphi, out=dphi)
     dphi[0] += phi[0]
     wdphi = p.coef[:2] * dphi
-    terms = np.empty((12, s.size))
-    np.multiply(p.dw, ndtr(ab), out=terms[0:2])
-    np.divide(wphi, s, out=terms[2:4])
-    np.divide(wphi * p.n_c, s, out=terms[4:6])
-    np.multiply(ds[:, None, :], wdphi, out=terms[6:].reshape(3, 2, s.size))
-    dm = terms[:2]
-    if p.atom_mean is not None:
-        gap = (l - p.atom_mean) * transform._ATOM_SIDE[:2]  # the cdfs' atom brackets
-        dm = np.hstack((p.atom_dw * np.heaviside(gap, transform._ATOM_AT_0[:2]), dm))
+    terms = np.empty((10, s.size))
+    np.divide(wphi, s, out=terms[0:2])
+    np.divide(wphi * p.n_c, s, out=terms[2:4])
+    np.multiply(ds[:, None, :], wdphi, out=terms[4:].reshape(3, 2, s.size))
+    # rows (tilted, plain) of the cdf side, then of the survival side
+    dm = p.dw * ndtr(np.vstack((ab, -ab)))
     if size:
         terms, dm = np.abs(terms), np.abs(dm)
-    l1_dm, l2_dm = (math.fsum(row) for row in dm.tolist())
+    dm = dm.sum(axis=1)
+    if p.atom_mean is not None:
+        gap = (l - p.atom_mean) * transform._ATOM_SIDE  # the atom brackets
+        atoms = p.atom_dw * np.heaviside(gap, transform._ATOM_AT_0)
+        dm += (np.abs(atoms) if size else atoms).sum(axis=1)
+    l1_dm, l2_dm = (
+        cdf if value <= surv_value else (surv if size else -surv)
+        for cdf, surv, value, surv_value in zip(dm[:2], dm[2:], (l1, l2), (s1, s2))
+    )
     dl1_dl, dl2_dl, nu1, nu2, tau1, tau2, delta1, delta2, sigma1, sigma2 = (
-        terms[2:].sum(axis=1).tolist()
+        terms.sum(axis=1).tolist()
     )
     return transform.LSet(
         l1=l1,
         l2=l2,
+        s1=s1,
+        s2=s2,
         dl1_dl=dl1_dl,
         dl2_dl=dl2_dl,
         dl1_dtau=lam * growth * l1_dm + tau1,
@@ -378,7 +412,7 @@ class TestSeriesDerivatives:
         assume(ref is not None)
         ref = dataclasses.asdict(ref)
         scale = dataclasses.asdict(reference_lset(spec, l, size=True))
-        for name in ("l1", "l2", "dl1_dlam", "dl2_dlam"):
+        for name in ("l1", "l2", "s1", "s2", "dl1_dlam", "dl2_dlam"):
             assert got[name] == ref[name], name  # the same sums, bit for bit
         # relative to |x| where the terms share a sign; where they cancel (at
         # nu = delta^2 and l = 0 every sigma term has the factor 1 - a/s ~ 0)
@@ -400,7 +434,11 @@ class TestSeriesDerivatives:
         # a to -1e3 before forming b = a + s would put b at 0, where phi is 0.4.
         spec = CharSpec(tau=1.0, lam=1.0, sigma=1000.0, law=GaussianJumpLaw(0.0, 0.1))
         ls = series_lset(spec, -2e6)
-        assert dataclasses.astuple(ls) == (0.0,) * len(dataclasses.fields(ls))
+        # the survivals hold every weight (1 to rounding), and the rest is 0
+        weights = transform._series_parts(spec, DEFAULT_QUAD).coef[:2].sum(axis=1)
+        assert (ls.s1, ls.s2) == tuple(weights.tolist())
+        rest = dataclasses.astuple(dataclasses.replace(ls, s1=0.0, s2=0.0))
+        assert rest == (0.0,) * len(dataclasses.fields(ls))
 
 
 class TestFourierBackend:
