@@ -26,7 +26,7 @@ from scipy.special import ndtr
 
 from .errors import DegenerateMaturityError, KinkError, ParameterError, ShotPricerError
 from .jump_measure import varsigma
-from .options import AssetModel, OptionKind, OptionTerms, bs_d1_d2, l_parameter
+from .options import AssetModel, OptionKind, OptionTerms, _leg_rule, bs_d1_d2, l_parameter
 from .transform import _SQRT_2PI, DEFAULT_QUAD, QuadratureSpec, _series_parts, series_lset
 
 __all__ = [
@@ -87,10 +87,9 @@ def _greek_set(
     terms: OptionTerms, disc_spot: float, disc_strike: float, p1: float, p2: float,
     gamma: float, theta: float, vega: Optional[float],
 ) -> GreekSet:
-    """One formula for both kinds on the legs (P1, P2) that the price
-    S e^{-q tau} P1 - K e^{-r tau} P2 reads: the cdfs (L1, L2) of a call, minus
-    the survivals (-S1, -S2) of a put. Delta is e^{-q tau} P1, rho
-    tau K e^{-r tau} P2 and psi -tau S e^{-q tau} P1."""
+    """One formula for both kinds on the legs (P1, P2) the price reads
+    (``options._leg_rule``): delta is e^{-q tau} P1, rho tau K e^{-r tau} P2
+    and psi -tau S e^{-q tau} P1."""
     # theta sums terms scaled by r and q, which a huge rate or dividend can
     # overflow to infinities of both signs: inf - inf is a NaN theta
     if not math.isfinite(theta):
@@ -117,7 +116,7 @@ def common_greeks(
     tau = terms.tau
     disc_spot = terms.spot * math.exp(-terms.dividend * tau)
     disc_strike = terms.strike * math.exp(-terms.rate * tau)
-    p1, p2 = (ls.l1, ls.l2) if terms.kind is OptionKind.CALL else (-ls.s1, -ls.s2)
+    _, p1, p2 = _leg_rule(terms.kind, disc_spot, disc_strike, (ls.l2, ls.l1, ls.s2, ls.s1))
 
     gamma = _checked_gamma(math.exp(-terms.dividend * tau) / terms.spot * ls.dl1_dl, ls.dl1_dl)
     theta = (
@@ -178,8 +177,7 @@ def bs_greeks(terms: OptionTerms, sigma: float) -> GreekSet:
     disc_spot = terms.spot * math.exp(-terms.dividend * tau)
     disc_strike = terms.strike * math.exp(-terms.rate * tau)
     pdf_d1 = math.exp(-0.5 * d1 * d1) / _SQRT_2PI
-    sign = 1.0 if terms.kind is OptionKind.CALL else -1.0  # legs Phi(d), or -Phi(-d)
-    p1, p2 = sign * float(ndtr(sign * d1)), sign * float(ndtr(sign * d2))
+    _, p1, p2 = _leg_rule(terms.kind, disc_spot, disc_strike, ndtr([d2, d1, -d2, -d1]).tolist())
 
     vol_spot = terms.spot * sigma * sqrt_tau  # 0 where a tiny spot underflows it
     gamma = _checked_gamma(
@@ -256,9 +254,8 @@ def identity_report(
 
     ls = series_lset(model.char_spec(tau), l, quad)
     call = replace(terms, kind=OptionKind.CALL)
-    put = replace(terms, kind=OptionKind.PUT)
     g_call = common_greeks(call, model, quad)
-    g_put = common_greeks(put, model, quad)
+    g_put = common_greeks(replace(terms, kind=OptionKind.PUT), model, quad)
     ng = new_greeks(call, model, quad)
 
     def scale(*vals: float) -> float:
@@ -266,23 +263,13 @@ def identity_report(
 
     report: list[tuple[str, float]] = []
 
-    # theta from the kappa route, call then put
-    theta_k = (
-        terms.dividend * disc_spot * ls.l1
-        - terms.rate * disc_strike * ls.l2
-        - lam * ng.kappa / tau
-    )
-    report.append(
-        ("theta_kappa_call", abs(g_call.theta - theta_k) / scale(g_call.theta, theta_k))
-    )
-    theta_k_put = (
-        -terms.dividend * disc_spot * ls.s1
-        + terms.rate * disc_strike * ls.s2
-        - lam * ng.kappa / tau
-    )
-    report.append(
-        ("theta_kappa_put", abs(g_put.theta - theta_k_put) / scale(g_put.theta, theta_k_put))
-    )
+    # theta from the kappa route, call then put, on the legs each price reads
+    for kind, theta in ((OptionKind.CALL, g_call.theta), (OptionKind.PUT, g_put.theta)):
+        _, p1, p2 = _leg_rule(kind, disc_spot, disc_strike, (ls.l2, ls.l1, ls.s2, ls.s1))
+        theta_k = (
+            terms.dividend * disc_spot * p1 - terms.rate * disc_strike * p2 - lam * ng.kappa / tau
+        )
+        report.append((f"theta_kappa_{kind.value}", abs(theta - theta_k) / scale(theta, theta_k)))
 
     d_delta, d_rho = _lam_derivatives(call, model, quad)
 

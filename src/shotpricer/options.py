@@ -1,12 +1,13 @@
 """European call/put valuation under jump and jump-plus-diffusion dynamics.
 
-The call value is S e^{-q tau} L1(l) - K e^{-r tau} L2(l) where L1/L2 are the
-tilted/plain cumulative transforms from :mod:`shotpricer.transform` and l is
-the drift-adjusted log-moneyness. The put value is
-K e^{-r tau} S2(l) - S e^{-q tau} S1(l) with S1/S2 the survival transforms,
-which carry the mass above l directly: deep out-of-the-money puts keep their
-relative precision instead of cancelling in 1 - L, and since L + S == 1
-put-call parity holds to rounding.
+Every option value here follows one leg rule: S e^{-q tau} P1 - K e^{-r tau}
+P2, floored at 0. At the drift-adjusted log-moneyness l, the legs (P1, P2)
+are the tilted/plain cdfs (L1, L2) of :mod:`shotpricer.transform` for a call
+and minus the survivals (-S1, -S2) for a put. The survivals carry the mass
+above l directly, so deep out-of-the-money puts keep their relative precision
+instead of cancelling in 1 - L, and since L + S == 1 put-call parity holds to
+rounding. Prices (series and Fourier), Black-Scholes, the Greeks and the
+residual checks all read the rule.
 The lam = 0 limit is Black-Scholes; sigma = 0 is the pure-jump model.
 """
 
@@ -16,7 +17,6 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
 
 from scipy.special import ndtr
 
@@ -28,7 +28,6 @@ from .transform import (
     CharSpec,
     QuadratureSpec,
     _PARTS_CACHE_SIZE,
-    _series_block,
     _series_record,
     fourier_grid,
 )
@@ -115,27 +114,19 @@ class PriceResult:
 
 
 def log_moneyness(terms: OptionTerms) -> float:
-    """x = ln(S/K)."""
-    return _log_ratio(terms.spot, terms.strike)
-
-
-def _log_ratio(spot: float, strike: float) -> float:
-    """ln(spot/strike), as ln spot - ln strike where the ratio underflows to 0
-    or overflows."""
-    ratio = spot / strike
-    return math.log(ratio) if 0.0 < ratio < math.inf else math.log(spot) - math.log(strike)
+    """x = ln(S/K), as ln S - ln K where the ratio underflows to 0 or overflows."""
+    ratio = terms.spot / terms.strike
+    if 0.0 < ratio < math.inf:
+        return math.log(ratio)
+    return math.log(terms.spot) - math.log(terms.strike)
 
 
 def l_parameter(terms: OptionTerms, model: AssetModel) -> float:
     """Drift-adjusted threshold l = x + (r - q - sigma^2/2 - lam varsigma) tau."""
     if terms.tau <= 0.0:
         raise DegenerateMaturityError("l parameter needs tau > 0")
-    return log_moneyness(terms) + _drift(terms, model) * terms.tau
-
-
-def _drift(terms: OptionTerms, model: AssetModel) -> float:
-    """Risk-neutral log drift r - q - sigma^2/2 - lam varsigma."""
-    return terms.rate - terms.dividend - 0.5 * model.sigma**2 - model.lam * varsigma(model.law)
+    drift = terms.rate - terms.dividend - 0.5 * model.sigma**2 - model.lam * varsigma(model.law)
+    return log_moneyness(terms) + drift * terms.tau
 
 
 def payoff(terms: OptionTerms) -> float:
@@ -165,16 +156,14 @@ def price(
     disc_spot = terms.spot * math.exp(-terms.dividend * terms.tau)
     disc_strike = terms.strike * math.exp(-terms.rate * terms.tau)
     l = l_parameter(terms, model)
-
-    if model.lam == 0.0 and model.sigma == 0.0:
-        fwd_gap = disc_spot - disc_strike
-        value = max(fwd_gap, 0.0) if terms.kind is OptionKind.CALL else max(-fwd_gap, 0.0)
-        return PriceResult(value, l, backend, 0.0)
-
     l_eval = _kink_threshold(l, model)
     spec = model.char_spec(terms.tau)
-    call = terms.kind is OptionKind.CALL
-    if backend is Backend.FOURIER:
+    if model.lam == 0.0 and model.sigma == 0.0:
+        # one point: each leg is 1 on the side of the strike the forward lands
+        above = float(disc_spot > disc_strike)
+        legs = (above, above, 1.0 - above, 1.0 - above)
+        est = 0.0
+    elif backend is Backend.FOURIER:
         # one grid carries all four legs and measures its own error
         grid = fourier_grid(spec, [l_eval], quad)
         legs = [float(v[0]) for v in (grid.plain, grid.tilted, grid.plain_surv, grid.tilted_surv)]
@@ -183,35 +172,8 @@ def price(
         legs = _series_record(spec, l_eval, quad)[0]
         # the series is exact up to its Poisson tail cutoff
         est = (terms.spot + terms.strike) * quad.series_tail
-    return PriceResult(_value(call, disc_spot, disc_strike, legs), l, backend, est)
-
-
-def _shifted_prices(
-    terms: OptionTerms,
-    model: AssetModel,
-    spots: Sequence[float],
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> list[float]:
-    """Series value of ``terms`` with each of ``spots`` in place of its spot.
-
-    Bit for bit ``price(replace(terms, spot=s), model, Backend.SERIES,
-    quad).value``, with the ParameterError OptionTerms raises for a spot it
-    refuses, but no contract is built per spot and one series block serves
-    every threshold.
-    """
-    for spot in spots:
-        _check_size("spot", spot, terms.dividend, terms.tau)
-    if terms.tau == 0.0 or (model.lam == 0.0 and model.sigma == 0.0):
-        return [price(replace(terms, spot=s), model, Backend.SERIES, quad).value for s in spots]
-    call = terms.kind is OptionKind.CALL
-    carry = math.exp(-terms.dividend * terms.tau)
-    disc_strike = terms.strike * math.exp(-terms.rate * terms.tau)
-    shift = _drift(terms, model) * terms.tau
-    ls = [_kink_threshold(_log_ratio(spot, terms.strike) + shift, model) for spot in spots]
-    return [
-        _value(call, spot * carry, disc_strike, legs)
-        for spot, legs in zip(spots, _series_block(model.char_spec(terms.tau), ls, quad))
-    ]
+    value = _leg_rule(terms.kind, disc_spot, disc_strike, legs)[0]
+    return PriceResult(value, l, backend, est)
 
 
 def _kink_threshold(l: float, model: AssetModel) -> float:
@@ -222,16 +184,15 @@ def _kink_threshold(l: float, model: AssetModel) -> float:
     return l
 
 
-def _value(call: bool, disc_spot: float, disc_strike: float, legs) -> float:
-    """Call value S e^{-q tau} L1 - K e^{-r tau} L2 from the cdfs, or put value
-    K e^{-r tau} S2 - S e^{-q tau} S1 from the survivals, floored at 0; ``legs``
-    are the transforms (L2, L1, S2, S1) at the threshold."""
+def _leg_rule(
+    kind: OptionKind, disc_spot: float, disc_strike: float, legs
+) -> tuple[float, float, float]:
+    """Value max(S e^{-q tau} P1 - K e^{-r tau} P2, 0) and the legs P1, P2 it
+    reads: the cdfs (L1, L2) of a call, minus the survivals (-S1, -S2) of a
+    put. ``legs`` are the transforms (L2, L1, S2, S1) at the threshold."""
     plain, tilted, plain_surv, tilted_surv = legs
-    if call:
-        value = disc_spot * tilted - disc_strike * plain
-    else:
-        value = disc_strike * plain_surv - disc_spot * tilted_surv
-    return max(value, 0.0)
+    p1, p2 = (tilted, plain) if kind is OptionKind.CALL else (-tilted_surv, -plain_surv)
+    return max(disc_spot * p1 - disc_strike * p2, 0.0), p1, p2
 
 
 def bs_d1_d2(terms: OptionTerms, sigma: float) -> tuple[float, float]:
@@ -255,12 +216,9 @@ def bs_price(terms: OptionTerms, sigma: float) -> PriceResult:
     d1, d2 = bs_d1_d2(terms, sigma)
     disc_spot = terms.spot * math.exp(-terms.dividend * terms.tau)
     disc_strike = terms.strike * math.exp(-terms.rate * terms.tau)
-    if terms.kind is OptionKind.CALL:
-        value = disc_spot * float(ndtr(d1)) - disc_strike * float(ndtr(d2))
-    else:
-        value = disc_strike * float(ndtr(-d2)) - disc_spot * float(ndtr(-d1))
+    value = _leg_rule(terms.kind, disc_spot, disc_strike, ndtr([d2, d1, -d2, -d1]).tolist())[0]
     l_used = d2 * sigma * math.sqrt(terms.tau)
-    return PriceResult(max(value, 0.0), l_used, Backend.SERIES, 0.0)
+    return PriceResult(value, l_used, Backend.SERIES, 0.0)
 
 
 def parity_residual(

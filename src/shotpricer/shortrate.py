@@ -104,6 +104,11 @@ def _jump_source(model: RateModel, b_val) -> np.ndarray:
     return model.lambda_r * np.expm1(-law.nu * b_val + 0.5 * law.delta**2 * b_val**2)
 
 
+# a_shot's last panel spans at most this many scales 1/(|nu| + delta) of the
+# layer at maturity, where the integrand falls from 0 towards -1.
+_LAYER_SCALES = 32.0
+
+
 def a_shot(
     model: RateModel, t: float, T: float, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> float:
@@ -111,7 +116,10 @@ def a_shot(
 
     Before s = T - 40/a, B(s,T) rounds to 1/a (e^{-40} < 2^{-53}), so that
     stretch adds (T - 40/a - t) times the integrand at B = 1/a and the
-    Gauss-Legendre rule covers at most the last 40/a of the span.
+    Gauss-Legendre rule covers at most the last 40/a of the span. That part
+    is cut into panels whose gaps to T shrink 32-fold until one spans at most
+    32/(|nu| + delta), the layer where the integrand turns over; each panel
+    takes one doubling rule, and a short span stays one panel.
     """
     if not 0.0 <= T - t < math.inf:
         raise ParameterError(f"need t <= T, both finite, got t={t}, T={T}")
@@ -120,10 +128,12 @@ def a_shot(
     if model.law.nu == 0.0 and model.law.delta == 0.0:
         return 0.0
     # the exponent -nu B + delta^2 B^2 / 2 is convex in B, so on [0, B(t, T)]
-    # it is largest at an end: 0, or its value at B(t, T)
+    # it is largest at an end: 0, or its value at B(t, T). So |A| and every
+    # partial sum stay below lam (T - t) e^{max(top, 0)}, which must not overflow.
     b_end = b_factor(model, t, T)
     top = -model.law.nu * b_end + 0.5 * model.law.delta**2 * (b_end * b_end)
-    if not (math.isfinite(top) and math.log(model.lambda_r) + top < 709.0):
+    bound = math.log(model.lambda_r) + max(top, 0.0) + max(math.log(T - t), 0.0)
+    if not bound < 709.0:  # also where top is NaN
         raise ParameterError(f"jump intercept overflows on [{t}, {T}]")
 
     def integrand(s: np.ndarray) -> np.ndarray:
@@ -131,11 +141,17 @@ def a_shot(
         return _jump_source(model, b_val)
 
     start = max(t, T - 40.0 / model.a)
-    total = doubling_gauss_legendre(integrand, start, T, rel_tol=min(quad.rel_tol, 1e-10))
+    rel_tol = min(quad.rel_tol, 1e-10)
+    # near T the integrand moves on a scale of 1/(|nu| + delta): panels graded
+    # toward T, their gaps to T shrinking 32-fold, put one rule on that layer
+    total, lo, gap = 0.0, start, T - start
+    while gap > _LAYER_SCALES / (abs(model.law.nu) + model.law.delta):
+        gap /= 32.0
+        total += doubling_gauss_legendre(integrand, lo, T - gap, rel_tol)
+        lo = T - gap
+    total += doubling_gauss_legendre(integrand, lo, T, rel_tol)
     if start > t:
         total += (start - t) * float(_jump_source(model, 1.0 / model.a))
-        if not math.isfinite(total):
-            raise ParameterError(f"jump intercept overflows on [{t}, {T}]")
     return total
 
 

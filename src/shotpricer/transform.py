@@ -227,7 +227,7 @@ class _SeriesParts:
     is a normal of mean -n nu and standard deviation sqrt(n delta^2 + sigma^2
     tau), a point mass where that is 0.
 
-    Continuous components: counts ``n_c``, means ``mean_c``, deviations ``s``;
+    Continuous components: means ``mean_c`` and deviations ``s``;
     ``coef`` stacks twelve rows: their weights (tilted, plain, tilted, plain)
     and the Greek rows u = w / (sqrt(2 pi) s), v = n u, sigma u
     and delta v, each (tilted, plain); ``dw`` holds the weights' derivatives
@@ -236,7 +236,6 @@ class _SeriesParts:
     None when there are none.
     """
 
-    n_c: np.ndarray
     mean_c: np.ndarray
     s: np.ndarray
     coef: np.ndarray
@@ -266,16 +265,16 @@ class _SeriesParts:
             arr.flags.writeable = False
         # sd grows with n, so the point masses (sd == 0) are the first k counts
         k = int(sd.searchsorted(0.0, side="right"))
-        n_c, s = n[k:], sd[k:]
+        s = sd[k:]
         coef = np.empty((12, s.size))
         coef[:4] = padded[:, 1 + k :]
         uv = coef[4:].reshape(2, 2, 2, s.size)
         np.divide(coef[:2], _SQRT_2PI * s, out=uv[0, 0])
-        np.multiply(uv[0, 0], n_c, out=uv[0, 1])
+        np.multiply(uv[0, 0], n[k:], out=uv[0, 1])
         np.multiply(uv[0], np.array([sigma, delta])[:, None, None], out=uv[1])
         coef.flags.writeable = False
         atoms = (mean[:k], padded[:, 1 : k + 1], dw[:, :k]) if k else (None, None, None)
-        return cls(n_c, mean[k:], s, coef, dw[:, k:], *atoms)
+        return cls(mean[k:], s, coef, dw[:, k:], *atoms)
 
 
 @functools.lru_cache(maxsize=_PARTS_CACHE_SIZE)

@@ -4,10 +4,11 @@ The pricing formulas elsewhere in the package solve integro-differential
 equations; this module substitutes the prices into them and reports
 normalized residuals. Local derivatives are analytic (theta, delta, gamma;
 -B P and B^2 P in the rate). A bond's time derivative is a Richardson
-difference in the maturity. Jump expectations price at shifted states: an
-option point values all its quadrature nodes in one series block, and a
-bond point computes A(t, T) once and prices each shifted rate as
-exp(A - B (r + eta)). Both give the bits of one scalar price per node. It
+difference in the maturity. Jump expectations price at shifted states. An
+option node at jump eta has the threshold l0 + eta; one series block serves
+all of a point's nodes, and each is valued by the price's own leg rule at
+spot S e^eta. A bond point computes A(t, T) once and prices each shifted
+rate as exp(A - B (r + eta)), the bits of one ``bond_price`` per node. It
 also runs the high-intensity scaling study that collapses the jump models
 onto their Gaussian limits, and the series-vs-Fourier cross-check of all
 eight cumulative transforms, one series block and one Fourier grid per
@@ -24,16 +25,17 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from ._quad import gauss_hermite, gauss_legendre
+from .errors import ParameterError
 from .greeks import bs_greeks, common_greeks, fd_sensitivity, identity_report
 from .jump_measure import ArrivalRate, GaussianJumpLaw, diffusion_moments
 from .options import (
     AssetModel,
     OptionKind,
     OptionTerms,
-    _shifted_prices,
+    _kink_threshold,
+    _leg_rule,
     bs_price,
     l_parameter,
-    log_moneyness,
     parity_residual,
     price,
 )
@@ -76,6 +78,10 @@ _NORM_FLOOR = 1e-3
 # nodes per panel of the kink-split one.
 _GH_NODES = 64
 _KINK_NODES = 16
+
+# Largest discounted spot of a jump node, the bound OptionTerms puts on a
+# contract's: node values and their weighted sums stay finite below it.
+_MAX_DISC_SPOT = math.exp(700.0)
 
 # Maturity step of the bond time derivative: round-off and quadrature noise
 # grow as it shrinks, and at 1e-3 the Richardson error is below both.
@@ -125,6 +131,26 @@ def _jump_expectation_kinked(shifted, law, c0, c_x, l0: float) -> float:
     return float(np.dot((half * w).ravel() * dens, shifted(eta) - c0 - np.expm1(eta) * c_x))
 
 
+def _node_values(
+    terms: OptionTerms, model: AssetModel, l0: float, eta: np.ndarray, quad: QuadratureSpec
+) -> np.ndarray:
+    """Value of ``terms`` at each jump node: at spot S e^eta the threshold is
+    l0 + eta (its right limit on the sigma = 0 atom), and the price's leg rule
+    values it on one series block. A discounted spot past e^700, which
+    OptionTerms would refuse, raises ParameterError."""
+    with np.errstate(over="ignore"):
+        disc_spots = terms.spot * np.exp(eta) * math.exp(-terms.dividend * terms.tau)
+    if not np.all(disc_spots <= _MAX_DISC_SPOT):
+        raise ParameterError("the discounted spot of a jump node overflows")
+    disc_strike = terms.strike * math.exp(-terms.rate * terms.tau)
+    ls = [_kink_threshold(l, model) for l in (l0 + eta).tolist()]
+    block = _series_block(model.char_spec(terms.tau), ls, quad)
+    return np.array([
+        _leg_rule(terms.kind, disc_spot, disc_strike, legs)[0]
+        for disc_spot, legs in zip(disc_spots.tolist(), block)
+    ])
+
+
 def option_pide_residual(
     terms_grid: Sequence[OptionTerms],
     model: AssetModel,
@@ -136,9 +162,10 @@ def option_pide_residual(
     + lam E[C(x+eta) - C(x) - (e^eta - 1) C_x] - r C at every grid point,
     normalized by max(|r C|, 1e-3), with x = ln(S/K). The local derivatives
     are the analytic Greeks: C_tau = -theta, C_x = S delta and
-    C_xx = S delta + S^2 gamma. The jump expectation prices the contract at
-    shifted spots. Points too close to maturity or to the sigma = 0 kink are
-    rejected and listed instead of evaluated.
+    C_xx = S delta + S^2 gamma. The jump expectation values the contract at
+    the shifted thresholds l0 + eta (``_node_values``). Points too close to
+    maturity or to the sigma = 0 kink are rejected and listed instead of
+    evaluated.
     """
     worst = 0.0
     rejected = []
@@ -152,11 +179,9 @@ def option_pide_residual(
             rejected.append((terms.spot, terms.tau, "kink proximity"))
             continue
         used += 1
-        x0 = log_moneyness(terms)
 
         def shifted(eta: np.ndarray) -> np.ndarray:
-            spots = [terms.strike * math.exp(x) for x in (x0 + eta).tolist()]
-            return np.array(_shifted_prices(terms, model, spots, quad))
+            return _node_values(terms, model, l0, eta, quad)
 
         spot = terms.spot
         c0 = price(terms, model, Backend.SERIES, quad).value

@@ -1,8 +1,10 @@
 import math
 import signal
+import warnings
 from contextlib import contextmanager
 
 import pytest
+from scipy.integrate import IntegrationWarning, quad as squad
 
 from shotpricer import (
     AssetModel,
@@ -69,3 +71,31 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def layer_reference(model, t, T):
+    """Break-pointed scipy reference for ``a_shot``: (A, lam int |integrand|).
+
+    Before T - 40/a the integrand is flat at B = 1/a (as in ``a_shot``); on
+    the rest scipy's adaptive rule runs between break points T - 2^k / (|nu| +
+    delta), which mark the layer at maturity and its doublings."""
+    law, a = model.law, model.a
+
+    def integrand(s):
+        b_val = -math.expm1(-a * (T - s)) / a
+        return math.expm1(-law.nu * b_val + 0.5 * law.delta**2 * b_val * b_val)
+
+    start = max(t, T - 40.0 / a)
+    scale = 1.0 / (abs(law.nu) + law.delta)
+    cuts = sorted(T - scale * 2.0**k for k in range(-4, 60) if start < T - scale * 2.0**k < T)
+    edges = [start, *cuts, T]
+    flat = (start - t) * integrand(-math.inf) if start > t else 0.0
+    value, size = [flat], [abs(flat)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)  # roundoff at epsrel 1e-13
+        for lo, hi in zip(edges, edges[1:]):
+            value.append(squad(integrand, lo, hi, limit=200, epsabs=0.0, epsrel=1e-13)[0])
+            size.append(
+                squad(lambda s: abs(integrand(s)), lo, hi, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+            )
+    return model.lambda_r * math.fsum(value), model.lambda_r * math.fsum(size)

@@ -25,7 +25,9 @@ from shotpricer import (
     varsigma,
 )
 from shotpricer.errors import DegenerateMaturityError, ParameterError
-from shotpricer.options import _shifted_prices
+from shotpricer import validation
+from shotpricer.transform import DEFAULT_QUAD
+from shotpricer.validation import _node_values, option_pide_residual
 
 from conftest import make_terms
 
@@ -263,17 +265,28 @@ def _per_spot_prices(terms, model, spots):
     ]
 
 
+def _node_prices(terms, model, spots):
+    """The PIDE residual's node values at ``spots``, as jumps eta = ln(s / S)."""
+    eta = np.log(np.array(spots) / terms.spot)
+    return _node_values(terms, model, l_parameter(terms, model), eta, DEFAULT_QUAD).tolist()
+
+
 class TestShiftedPrices:
-    """The batched prices of one contract at many spots (the PIDE residual's
-    jump expectation) are the scalar prices, bit for bit."""
+    """The PIDE residual values one contract at shifted spots S e^eta through
+    the thresholds l0 + eta (``validation._node_values``); those are the
+    scalar prices at the spots, to rounding relative to their size."""
 
     @pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
     @pytest.mark.parametrize("sigma", [0.0, 0.2])
     def test_equal_to_per_spot_prices(self, kind, sigma):
         model = AssetModel(1.5, GaussianJumpLaw(-0.05, 0.15), sigma)
         terms = OptionTerms(100.0, 95.0, 0.75, 0.03, 0.01, kind)
-        spots = [95.0 * math.exp(x) for x in np.linspace(-1.5, 1.5, 41)] + [1e-3, 1e5, 95.0]
-        assert _shifted_prices(terms, model, spots) == _per_spot_prices(terms, model, spots)
+        spots = [95.0 * math.exp(x) for x in np.linspace(-1.5, 1.5, 41)] + [1e-3, 1e5, 100.0]
+        expected = _per_spot_prices(terms, model, spots)
+        got = _node_prices(terms, model, spots)
+        # measured at most 2.4e-13 relative (a 1e-86 call at spot 1e-3)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert got[-1] == expected[-1]  # eta = 0: the same bits
 
     @pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
     def test_node_on_the_atom_reads_the_right_limit(self, kind):
@@ -285,25 +298,22 @@ class TestShiftedPrices:
         terms = OptionTerms(100.0, 100.0, 1.0, 0.02, 0.02, kind)
         assert l_parameter(terms, model) == 0.0
         spots = [99.0, 100.0, 101.0]
-        assert _shifted_prices(terms, model, spots) == _per_spot_prices(terms, model, spots)
+        expected = _per_spot_prices(terms, model, spots)
+        got = _node_prices(terms, model, spots)
+        assert got[1] == expected[1]
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.2])
     @pytest.mark.parametrize("tau", [0.0, 1.0])
-    def test_degenerate_contracts(self, sigma, tau):
-        # expiry, and the deterministic model (lam = sigma = 0), price as price() does
-        model = AssetModel(0.0, GaussianJumpLaw(0.0, 0.1), sigma)
-        terms = OptionTerms(100.0, 100.0, tau, 0.03, 0.0, OptionKind.PUT)
-        spots = [80.0, 100.0, 120.0]
-        assert _shifted_prices(terms, model, spots) == _per_spot_prices(terms, model, spots)
+    def test_degenerate_contracts(self, monkeypatch, sigma, tau):
+        # expiry is rejected, and a model without jumps has no jump term: the
+        # residual values no node for either
+        def no_nodes(*args):
+            raise AssertionError("a node was valued")
 
-    @pytest.mark.parametrize("spot", [0.0, -1.0, math.inf, math.nan, 1e305])
-    def test_refused_spot_raises_what_the_contract_raises(self, spot):
-        # 0.0 is a shifted spot K e^x whose e^x underflowed; 1e305 e^{-q tau}
-        # is past the overflow guard
-        terms = OptionTerms(100.0, 100.0, 1.0, 0.03, 0.0, OptionKind.CALL)
-        model = AssetModel(1.0, GaussianJumpLaw(-0.05, 0.15), 0.0)
-        with pytest.raises(ParameterError) as expected:
-            dataclasses.replace(terms, spot=spot)
-        with pytest.raises(ParameterError) as got:
-            _shifted_prices(terms, model, [100.0, spot])
-        assert str(got.value) == str(expected.value)
+        monkeypatch.setattr(validation, "_node_values", no_nodes)
+        model = AssetModel(0.0, GaussianJumpLaw(0.0, 0.1), sigma)
+        terms = OptionTerms(110.0, 100.0, tau, 0.03, 0.0, OptionKind.PUT)
+        report = option_pide_residual([terms], model)
+        assert report.grid_points == (0 if tau == 0.0 else 1)
+        assert report.max_residual <= 1e-8

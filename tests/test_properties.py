@@ -42,7 +42,7 @@ from shotpricer import (
 from shotpricer.errors import ParameterError, ShotPricerError, TruncationError
 from shotpricer.transform import DEFAULT_QUAD, fourier_grid, series_lset
 
-from conftest import time_limit
+from conftest import layer_reference, time_limit
 
 nu_st = st.floats(min_value=-0.5, max_value=0.5)
 delta_st = st.floats(min_value=0.0, max_value=0.6)
@@ -548,3 +548,30 @@ def test_overflowing_discount_rejected_with_the_terms():
         OptionTerms(100.0, 1e300, 100.0, -8.0, 0.0, OptionKind.PUT)
     with pytest.raises(ParameterError, match="overflows"):
         OptionTerms(1e-300, 1.0, 100.0, 0.0, -8.0, OptionKind.CALL)
+
+
+def _log_uniform_st(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=_log_uniform_st(1e-3, 5.0),
+    nu=st.floats(min_value=-2.0, max_value=60.0),
+    delta=st.floats(min_value=0.0, max_value=2.0),
+    T=_log_uniform_st(1e-2, 1e4),
+)
+@example(a=0.01, nu=5.0, delta=0.3, T=5000.0)
+@example(a=0.01, nu=50.0, delta=1.0, T=5000.0)
+def test_a_shot_matches_break_pointed_reference(a, nu, delta, T):
+    # the layer at maturity included; relative to lam int |integrand|, over
+    # 7 400 random draws of these ranges the error measured at most 5.9e-12.
+    # Subnormal intercepts (a jump size near 1e-308) keep only a few bits.
+    assume(abs(nu) + delta > 0.0)
+    model = RateModel(a, 0.0, 0.0, 1.0, GaussianJumpLaw(nu, delta))
+    try:
+        got = a_shot(model, 0.0, T)
+    except ParameterError:  # the intercept's bound lam (T - t) e^top overflows
+        assume(False)
+    value, size = layer_reference(model, 0.0, T)
+    assert abs(got - value) <= 3e-11 * size + np.finfo(float).tiny

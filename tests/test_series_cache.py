@@ -94,7 +94,7 @@ def test_cached_parts_are_read_only():
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.5
         # the continuous slice is a view of the window, not a copy
-        assert parts.n_c.base is not None
+        assert parts.mean_c.base is not None
     assert _series_parts.cache_info().maxsize <= 8
     assert _series_record.cache_info().maxsize <= 16
     assert _series_values.cache_info().maxsize <= 16

@@ -23,7 +23,7 @@ from shotpricer import (
 )
 from shotpricer._quad import doubling_gauss_legendre
 from shotpricer.errors import ParameterError, QuadratureError, ShotPricerError
-from conftest import time_limit
+from conftest import layer_reference, time_limit
 
 
 def substituted_reference(model, t, T):
@@ -119,11 +119,22 @@ class TestAShot:
         with pytest.raises(ParameterError, match="overflows"):
             a_shot(model, 0.0, 1e308)
 
-    def test_sharp_layer_raises_in_bounded_time(self):
-        # the integrand turns over in a layer that 1024 nodes do not resolve
+    def test_sharp_layer_resolved_in_bounded_time(self):
+        # the integrand turns over within about 1/51 of maturity, a layer that
+        # 1024 nodes on one panel do not resolve; the graded panels do
         model = RateModel(0.01, 0.0, 0.0, 1.0, GaussianJumpLaw(50.0, 1.0))
-        with time_limit(2.0), pytest.raises(QuadratureError):
-            a_shot(model, 0.0, 5000.0)
+        with time_limit(2.0):
+            got = a_shot(model, 0.0, 5000.0)
+        assert got == pytest.approx(layer_reference(model, 0.0, 5000.0)[0], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("nu, delta, T", [(5.0, 0.3, 5000.0), (20.0, 0.1, 1000.0)])
+    def test_layer_at_maturity_matches_reference(self, nu, delta, T):
+        # one panel put its last node years before T, where the integrand
+        # falls from 0 to about -1 within 1/nu: 16 and 32 nodes agreed on a
+        # value 4.0e-5 (nu 5) and 5.0e-5 (nu 20) relative off
+        model = RateModel(0.01, 0.0, 0.0, 1.0, GaussianJumpLaw(nu, delta))
+        ref = layer_reference(model, 0.0, T)[0]
+        assert a_shot(model, 0.0, T) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestDoublingRule:

@@ -167,7 +167,10 @@ def reference_lset(spec, l, quad=DEFAULT_QUAD, size=False):
     nu, delta = spec.law.nu, spec.law.delta
     p = transform._series_parts(spec, quad)
     s = p.s
-    ds = np.stack([sigma**2 / (2.0 * s), p.n_c * delta / s, sigma * tau / s])
+    # the continuous components are the top s.size counts of the window
+    n_lo, plain_w, _ = _poisson_weights(spec.mean_count, quad.series_tail, nu + 0.5 * delta**2)
+    n_c = np.arange(n_lo, n_lo + len(plain_w), dtype=float)[len(plain_w) - s.size :]
+    ds = np.stack([sigma**2 / (2.0 * s), n_c * delta / s, sigma * tau / s])
     growth = math.exp(nu + 0.5 * delta**2)
     m_tilt = lam * tau * growth
     ab = np.empty((2, s.size))  # rows (b, a)
@@ -186,7 +189,7 @@ def reference_lset(spec, l, quad=DEFAULT_QUAD, size=False):
     wdphi = p.coef[:2] * dphi
     terms = np.empty((10, s.size))
     np.divide(wphi, s, out=terms[0:2])
-    np.divide(wphi * p.n_c, s, out=terms[2:4])
+    np.divide(wphi * n_c, s, out=terms[2:4])
     np.multiply(ds[:, None, :], wdphi, out=terms[4:].reshape(3, 2, s.size))
     # rows (tilted, plain) of the cdf side, then of the survival side
     dm = p.dw * ndtr(np.vstack((ab, -ab)))

@@ -27,6 +27,7 @@ from shotpricer.errors import ParameterError
 from shotpricer.greeks import fd_sensitivity
 from shotpricer.options import Backend, price, varsigma
 from shotpricer.shortrate import b_factor, bond_price
+from shotpricer.transform import DEFAULT_QUAD, _series_values
 from conftest import make_terms
 
 
@@ -162,16 +163,14 @@ class TestDiffusionConvergence:
                 assert type(value) is expected, (type(record).__name__, field.name, type(value))
 
 
-def _per_node_prices(terms, model, spots, quad):
-    """Reference for the residual's shifted prices: one price() per node."""
-    return [
-        price(dataclasses.replace(terms, spot=s), model, Backend.SERIES, quad).value for s in spots
-    ]
+def _per_threshold_block(spec, ls, quad):
+    """Reference for the residual's node block: one scalar series pass per threshold."""
+    return [_series_values(spec, float(l), quad) for l in ls]
 
 
 class TestBatchedJumpExpectations:
     """The residuals price every jump node in one pass; each point's residual
-    is the one a price per node gives, bit for bit."""
+    is the one a scalar pass per node gives, bit for bit."""
 
     @pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
     @pytest.mark.parametrize(
@@ -186,32 +185,45 @@ class TestBatchedJumpExpectations:
     def test_option_residual_equals_per_node_reference(self, monkeypatch, kind, model):
         grid = [dataclasses.replace(t, kind=kind) for t in option_grid()]
         batched = [option_pide_residual([t], model) for t in grid]
-        monkeypatch.setattr(validation, "_shifted_prices", _per_node_prices)
+        monkeypatch.setattr(validation, "_series_block", _per_threshold_block)
         assert [option_pide_residual([t], model) for t in grid] == batched
 
     def test_option_node_on_the_atom(self, monkeypatch):
-        # delta = 0 prices one node, x0 + nu; with zero drift and nu = -x0 it
-        # sits at l = 0, on the sigma = 0 atom
+        # delta = 0 prices one node, l0 + nu; with zero drift and nu = -x0 it
+        # sits at l = 0, on the sigma = 0 atom, where it reads the right limit
         x0 = math.log(128.0 / 100.0)
         law = GaussianJumpLaw(-x0, 0.0)
         model = AssetModel(1.0, law, 0.0)
         terms = OptionTerms(128.0, 100.0, 1.0, varsigma(law), 0.0, OptionKind.CALL)
-        node = dataclasses.replace(terms, spot=100.0 * math.exp(x0 + law.nu))
-        assert node.spot == 100.0 and validation.l_parameter(node, model) == 0.0
+        l0 = validation.l_parameter(terms, model)
+        assert l0 + law.nu == 0.0
+        node = validation._node_values(terms, model, l0, np.array([law.nu]), DEFAULT_QUAD)
+        at_spot = price(dataclasses.replace(terms, spot=128.0 * math.exp(law.nu)), model)
+        assert node[0] == pytest.approx(at_spot.value, rel=1e-12)
         batched = option_pide_residual([terms], model)
-        monkeypatch.setattr(validation, "_shifted_prices", _per_node_prices)
+        monkeypatch.setattr(validation, "_series_block", _per_threshold_block)
         assert option_pide_residual([terms], model) == batched
 
-    def test_underflowing_node_raises_as_before(self, monkeypatch):
-        # the node K e^{x0 - 800} underflows to a spot of 0
+    def test_underflowing_node_is_worth_zero(self, monkeypatch):
+        # the node's spot S e^{-800} underflows to 0, where the call is worth 0
         model = AssetModel(1.0, GaussianJumpLaw(-800.0, 0.0), 0.0)
         terms = OptionTerms(100.0, 100.0, 1.0, 0.03, 0.0, OptionKind.CALL)
-        with pytest.raises(ParameterError, match="spot must be > 0") as got:
+        l0 = validation.l_parameter(terms, model)
+        eta = np.array([-800.0])
+        assert validation._node_values(terms, model, l0, eta, DEFAULT_QUAD).tolist() == [0.0]
+        report = option_pide_residual([terms], model)
+        assert report.grid_points == 1 and math.isfinite(report.max_residual)
+        monkeypatch.setattr(validation, "_series_block", _per_threshold_block)
+        assert option_pide_residual([terms], model) == report
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    def test_overflowing_node_raises(self, sigma):
+        # the spot 1e304 ~ e^{699.98} is inside the bound OptionTerms puts on a
+        # discounted spot, e^{700}; the node S e^{0.5} is past it
+        model = AssetModel(1.0, GaussianJumpLaw(0.5, 0.0), sigma)
+        terms = OptionTerms(1e304, 1e304, 1.0, 0.03, 0.0, OptionKind.PUT)
+        with pytest.raises(ParameterError, match="jump node overflows"):
             option_pide_residual([terms], model)
-        monkeypatch.setattr(validation, "_shifted_prices", _per_node_prices)
-        with pytest.raises(ParameterError) as expected:
-            option_pide_residual([terms], model)
-        assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("variant", list(BondVariant))
     def test_bond_residual_equals_per_node_reference(self, rate_general_model, variant):
