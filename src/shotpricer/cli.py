@@ -31,8 +31,8 @@ from .shortrate import (
     BondTerms,
     BondVariant,
     RateModel,
-    _a_for,
     _affine_price,
+    a_general,
     b_factor,
     conditional_moments,
     zero_yield,
@@ -124,11 +124,13 @@ _DEFAULTS: dict[str, Any] = {
 
 @dataclass
 class RunConfig:
-    """Fully resolved run description (defaults + file + flag overrides)."""
+    """Fully resolved run description (defaults + file + flag overrides): typed
+    config sections, and ``bond_model``, the rate model the bond variant prices."""
 
     command: str
     asset: AssetModel
     rate_model: RateModel
+    bond_model: RateModel
     contracts: dict
     bond: dict
     sim: SimConfig
@@ -199,18 +201,27 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         sim = SimConfig(paths=int(merged["sim"]["paths"]), seed=int(merged["sim"]["seed"]))
         quad = QuadratureSpec(rel_tol=float(merged["quad"]["rel_tol"]))
         backend = Backend(merged["backend"])
-        BondVariant(merged["bond"]["variant"])
-        for kind in merged["contracts"]["kinds"]:
-            OptionKind(kind)
-    except (ShotPricerError, ValueError, TypeError, KeyError) as exc:
+        c, b = merged["contracts"], merged["bond"]
+        contracts = dict(
+            spot=float(c["spot"]), rate=float(c["rate"]), dividend=float(c["dividend"]),
+            strikes=[float(strike) for strike in c["strikes"]],
+            maturities=[float(tau) for tau in c["maturities"]],
+            kinds=[OptionKind(kind) for kind in c["kinds"]],
+        )
+        bond = dict(
+            r0=float(b["r0"]), t=float(b["t"]), variant=BondVariant(b["variant"]),
+            maturities=[float(maturity) for maturity in b["maturities"]],
+        )
+    except (ShotPricerError, ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
     return RunConfig(
         command=args.command,
         asset=asset,
         rate_model=rate_model,
-        contracts=merged["contracts"],
-        bond=merged["bond"],
+        bond_model=bond["variant"].model(rate_model),
+        contracts=contracts,
+        bond=bond,
         sim=sim,
         quad=quad,
         backend=backend,
@@ -244,14 +255,7 @@ def _option_rows(cfg: RunConfig) -> Iterator[tuple[OptionTerms, dict]]:
     for tau in c["maturities"]:
         for strike in c["strikes"]:
             for kind in c["kinds"]:
-                terms = OptionTerms(
-                    spot=float(c["spot"]),
-                    strike=float(strike),
-                    tau=float(tau),
-                    rate=float(c["rate"]),
-                    dividend=float(c["dividend"]),
-                    kind=OptionKind(kind),
-                )
+                terms = OptionTerms(c["spot"], strike, tau, c["rate"], c["dividend"], kind)
                 yield terms, {
                     "S": terms.spot,
                     "K": terms.strike,
@@ -269,17 +273,15 @@ def _option_rows(cfg: RunConfig) -> Iterator[tuple[OptionTerms, dict]]:
 def _bond_rows(cfg: RunConfig) -> Iterator[tuple[BondTerms, dict]]:
     """Each configured bond maturity with its model columns, A, B and price.
 
-    The price is formed from A exactly as bond_price does, so A is computed
-    once per row.
+    A and B are those of the variant's model, and the price is formed from
+    A exactly as bond_price does, so A is computed once per row.
     """
-    m = cfg.rate_model
-    variant = BondVariant(cfg.bond["variant"])
-    t0 = float(cfg.bond["t"])
-    r0 = float(cfg.bond["r0"])
+    m, priced = cfg.rate_model, cfg.bond_model
+    t0, r0 = cfg.bond["t"], cfg.bond["r0"]
     for maturity in cfg.bond["maturities"]:
-        terms = BondTerms(t=t0, T=float(maturity), r_t=r0)
-        a_val = _a_for(m, t0, terms.T, variant, cfg.quad)
-        b_val = b_factor(m, t0, terms.T)
+        terms = BondTerms(t=t0, T=maturity, r_t=r0)
+        a_val = a_general(priced, t0, terms.T, cfg.quad)
+        b_val = b_factor(priced, t0, terms.T)
         yield terms, {
             "a": m.a,
             "b": m.b,
@@ -290,7 +292,7 @@ def _bond_rows(cfg: RunConfig) -> Iterator[tuple[BondTerms, dict]]:
             "t": t0,
             "T": terms.T,
             "r0": r0,
-            "variant": variant.value,
+            "variant": cfg.bond["variant"].value,
             "A": a_val,
             "B": b_val,
             "price": _affine_price(a_val, b_val, r0),
@@ -351,7 +353,7 @@ def _run_mc(cfg: RunConfig) -> tuple[list[dict], int]:
         analytic = price(terms, cfg.asset, cfg.backend, cfg.quad).value
         rows.append(row("option", cols, analytic, mc_option_price(terms, cfg.asset, sim)))
     m = cfg.rate_model
-    r0 = float(cfg.bond["r0"])
+    r0 = cfg.bond["r0"]
     # bond and rate rows put the rate model in the option model's columns
     rate_cols = {
         "r": r0,
@@ -362,7 +364,7 @@ def _run_mc(cfg: RunConfig) -> tuple[list[dict], int]:
     }
     for terms, bond in _bond_rows(cfg):
         cols = {**rate_cols, "kind": bond["variant"], "T": terms.T}
-        rows.append(row("bond", cols, bond["price"], mc_bond_price(m, terms, sim)))
+        rows.append(row("bond", cols, bond["price"], mc_bond_price(cfg.bond_model, terms, sim)))
     horizon = 1.0
     mean, var = conditional_moments(m, r0, horizon)
     mean_est, var_est = mc_rate_moments(m, r0, horizon, sim)
@@ -375,8 +377,7 @@ def _run_mc(cfg: RunConfig) -> tuple[list[dict], int]:
 def _run_validate(cfg: RunConfig) -> tuple[list[dict], int]:
     c = cfg.contracts
     checks = contract_checks(
-        cfg.asset, cfg.rate_model, float(c["spot"]), float(c["rate"]), float(c["dividend"]),
-        cfg.backend, cfg.quad,
+        cfg.asset, cfg.rate_model, c["spot"], c["rate"], c["dividend"], cfg.backend, cfg.quad
     )
     rows = [
         {"check": check, "config": config, "value": value, "tolerance": tol,

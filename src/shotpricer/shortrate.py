@@ -1,24 +1,24 @@
 """Affine zero-coupon bond pricing under jump-driven short-rate dynamics.
 
-Three nested models share the factor loading B(t,T) = (1 - e^{-a(T-t)})/a:
-
-* ``shot``: mean-reverting rate kicked by compound-Poisson jumps only;
-  the log-price intercept A(t,T) is a one-dimensional quadrature: a
-  doubling Gauss-Legendre rule over the last 40/a of the span, where B
-  still moves, plus the flat stretch before it in closed form.
-* ``vasicek``: the Gaussian mean-reverting model; A is closed form.
-* ``general``: superposition of the two; the intercepts add.
-
-All variants price as P = exp(A - B r_t), so log-price is exactly affine in
-the current rate. The jump model reproduces the Gaussian one in the
-high-intensity, small-jump limit, including its long-term mean lam nu / a
-and squared volatility lam (nu^2 + delta^2).
+The ``general`` model is a Gaussian mean-reverting rate (drift b, volatility
+sigma_r) kicked by compound-Poisson jumps. Its special cases are ``shot``,
+the jumps alone (b = sigma_r = 0), and ``vasicek``, the Gaussian block alone.
+``BondVariant.model`` is the one mapping from a variant to the model it
+prices, and every bond formula applies the general one to that model. All
+share B(t,T) = (1 - e^{-a(T-t)})/a and price as P = exp(A - B r_t). The
+intercept A adds a closed form for the Gaussian block and, for the jumps, a
+doubling Gauss-Legendre rule over the last 40/a of the span, where B still
+moves, plus the flat stretch before it in closed form. The jump model
+reproduces the Gaussian one in the high-intensity, small-jump limit,
+including its long-term mean lam nu / a and squared volatility
+lam (nu^2 + delta^2).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -44,19 +44,37 @@ __all__ = [
 ]
 
 
+# Variant models kept per (variant, model); a curve prices every maturity on one.
+_VARIANT_CACHE_SIZE = 16
+
+
 class BondVariant(str, Enum):
+    """Which blocks of the short-rate dynamics a bond is priced under."""
+
     SHOT = "shot"
     VASICEK = "vasicek"
     GENERAL = "general"
 
+    @functools.lru_cache(maxsize=_VARIANT_CACHE_SIZE)
+    def model(self, rate_model: RateModel) -> RateModel:
+        """The rate model this variant prices, one per (variant, model):
+        ``shot`` drops the Gaussian block (b = sigma_r = 0), ``vasicek`` the
+        jumps (lambda_r = 0 and a point mass at 0, so no jump term can form
+        whatever the law), ``general`` nothing."""
+        if self is BondVariant.SHOT:
+            return replace(rate_model, b=0.0, sigma_r=0.0)
+        if self is BondVariant.VASICEK:
+            return replace(rate_model, lambda_r=0.0, law=GaussianJumpLaw(0.0, 0.0))
+        return rate_model
+
 
 @dataclass(frozen=True)
 class RateModel:
-    """Short-rate dynamics parameters.
+    """Short-rate dynamics parameters of the ``general`` model.
 
-    ``b`` and ``sigma_r`` belong to the Gaussian part and are ignored by the
-    pure-jump variant; ``lambda_r`` and ``law`` describe the jump stream.
-    Set the unused block to zero to recover either special case.
+    ``b`` and ``sigma_r`` drive the Gaussian block, ``lambda_r`` and ``law``
+    the jump stream. ``BondVariant.model`` maps a variant to the model it
+    prices by switching one block off.
     """
 
     a: float
@@ -194,25 +212,17 @@ def a_general(
     return a_vasicek(model, t, T) + a_shot(model, t, T, quad)
 
 
-def _a_for(model: RateModel, t: float, T: float, variant: BondVariant, quad) -> float:
-    variant = BondVariant(variant)
-    if variant is BondVariant.SHOT:
-        return a_shot(model, t, T, quad)
-    if variant is BondVariant.VASICEK:
-        return a_vasicek(model, t, T)
-    return a_general(model, t, T, quad)
-
-
 def bond_price(
     model: RateModel,
     terms: BondTerms,
     variant: BondVariant = BondVariant.GENERAL,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
-    """Zero-coupon price exp{A(t,T) - B(t,T) r_t}; P(T,T) = 1 exactly."""
+    """Zero-coupon price exp{A(t,T) - B(t,T) r_t} of the variant's model; P(T,T) = 1."""
     if terms.t == terms.T:
         return 1.0
-    a_val = _a_for(model, terms.t, terms.T, variant, quad)
+    model = BondVariant(variant).model(model)
+    a_val = a_general(model, terms.t, terms.T, quad)
     return _affine_price(a_val, b_factor(model, terms.t, terms.T), terms.r_t)
 
 
@@ -265,34 +275,23 @@ def ode_residual(
 
     Time derivatives are Richardson-refined central differences of the
     computed A and B; the source term is -a b B - sigma^2 B^2 / 2 minus the
-    jump integrand, with the pieces the variant actually carries.
+    jump integrand, all of the variant's model.
     """
     if not t < T:
         raise ParameterError("need t < T")
-    variant = BondVariant(variant)
+    model = BondVariant(variant).model(model)
     inner = np.linspace(t, T, _ODE_POINTS + 2)[1:-1]
-    res_a = 0.0
-    res_b = 0.0
+    res_a = res_b = 0.0
     for s in inner:
         h = min(_ODE_STEP, 0.25 * (T - s), 0.25 * (s - t))
-
-        def da(x: float) -> float:
-            return _a_for(model, x, T, variant, quad)
-
-        def db(x: float) -> float:
-            return b_factor(model, x, T)
-
-        dA = fd_sensitivity(da, s, h)
-        dB = fd_sensitivity(db, s, h)
+        dA = fd_sensitivity(lambda x: a_general(model, x, T, quad), s, h)
+        dB = fd_sensitivity(lambda x: b_factor(model, x, T), s, h)
         b_here = b_factor(model, s, T)
-        source = 0.0
-        if variant is not BondVariant.SHOT:
-            source += -model.a * model.b * b_here + 0.5 * model.sigma_r**2 * b_here**2
-        if variant is not BondVariant.VASICEK:
-            source += float(_jump_source(model, b_here))
+        gauss = -model.a * model.b * b_here + 0.5 * model.sigma_r**2 * b_here**2
+        source = gauss + float(_jump_source(model, b_here))
         res_a = max(res_a, abs(dA + source))
         res_b = max(res_b, abs(dB - model.a * b_here + 1.0))
-    return res_a, res_b
+    return float(res_a), float(res_b)
 
 
 def zero_yield(price: float, tenor: float) -> float:

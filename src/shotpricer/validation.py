@@ -43,8 +43,8 @@ from .shortrate import (
     BondTerms,
     BondVariant,
     RateModel,
-    _a_for,
     _affine_price,
+    a_general,
     a_shot,
     a_vasicek,
     b_factor,
@@ -216,13 +216,13 @@ def bond_pide_residual(
 ) -> ResidualReport:
     """Max normalized residual of the term-structure equation on a grid.
 
-    The pure-jump variant checks P_t - a r P_r + lam E[P(r+eta) - P(r)] = r P;
-    the generalized variant adds the a(b - r) drift and the P_rr term.
-    P_r = -B P and P_rr = B^2 P follow from P = exp(A - B r). P_t is -P_T,
-    a Richardson difference in the maturity, because A and B depend on
-    T - t only; so t = 0 needs no earlier time.
+    Checks P_t + a(b - r) P_r + sigma^2 P_rr / 2 + lam E[P(r+eta) - P(r)]
+    = r P under the variant's model. P_r = -B P and P_rr = B^2 P follow
+    from P = exp(A - B r). P_t is -P_T, a Richardson difference in the
+    maturity, because A and B depend on T - t only; so t = 0 needs no
+    earlier time.
     """
-    variant = BondVariant(variant)
+    model = BondVariant(variant).model(model)
     u, w = gauss_hermite(_GH_NODES)
     eta = model.law.nu + model.law.delta * u
     worst = 0.0
@@ -233,27 +233,22 @@ def bond_pide_residual(
             rejected.append((terms.t, terms.r_t, "too close to maturity"))
             continue
         used += 1
-
-        def value(maturity: float, r: float) -> float:
-            return bond_price(model, BondTerms(t=terms.t, T=maturity, r_t=r), variant, quad)
-
         # A(t, T) once: every shifted rate prices as exp(A - B (r + eta))
-        a_val = _a_for(model, terms.t, terms.T, variant, quad)
+        a_val = a_general(model, terms.t, terms.T, quad)
         b_val = b_factor(model, terms.t, terms.T)
         p0 = _affine_price(a_val, b_val, terms.r_t)
-        p_t = -fd_sensitivity(lambda s: value(s, terms.r_t), terms.T, _MATURITY_STEP)
+        p_t = -fd_sensitivity(
+            lambda s: bond_price(model, BondTerms(terms.t, s, terms.r_t), quad=quad),
+            terms.T, _MATURITY_STEP,
+        )
         p_r = -b_val * p0
-        if variant is BondVariant.VASICEK or model.lambda_r == 0.0:
+        if model.lambda_r == 0.0:
             jump_term = 0.0
         else:
             shifted = np.array([_affine_price(a_val, b_val, r) for r in terms.r_t + eta])
             jump_term = model.lambda_r * float(np.dot(w, shifted - p0))
-        if variant is BondVariant.SHOT:
-            drift = -model.a * terms.r_t * p_r
-            diff = 0.0
-        else:
-            drift = model.a * (model.b - terms.r_t) * p_r
-            diff = 0.5 * model.sigma_r**2 * b_val * b_val * p0
+        drift = model.a * (model.b - terms.r_t) * p_r
+        diff = 0.5 * model.sigma_r**2 * b_val * b_val * p0
         res = p_t + drift + diff + jump_term - terms.r_t * p0
         worst = max(worst, abs(res) / max(abs(terms.r_t * p0), _NORM_FLOOR))
     return ResidualReport(

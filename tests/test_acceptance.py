@@ -9,7 +9,6 @@ import json
 import math
 import time
 
-import numpy as np
 import pytest
 from scipy.special import ndtr
 
@@ -30,7 +29,6 @@ from shotpricer import (
     backend_agreement,
     bond_pide_residual,
     bond_price,
-    bs_greeks,
     bs_price,
     common_greeks,
     conditional_moments,

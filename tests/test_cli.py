@@ -45,8 +45,6 @@ class TestPrice:
 
     def test_rows_recomputable(self, capsys):
         # every row carries everything needed to reprice it
-        import math
-
         from shotpricer import AssetModel, GaussianJumpLaw, OptionKind, OptionTerms, price
 
         code, out, _ = run(["price"], capsys)
@@ -260,6 +258,22 @@ class TestOtherCommands:
         z_idx = header.split(",").index("z")
         for row in rows:
             assert abs(float(row.split(",")[z_idx])) < 5.0
+
+    @pytest.mark.parametrize("variant", ["shot", "vasicek"])
+    def test_mc_bond_rows_simulate_the_variant(self, variant, tmp_path, capsys):
+        # a bond row compares the variant's price with a run of the same model
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bond": {"variant": variant}}))
+        code, out, _ = run(["mc", "--config", str(cfg), "--paths", "20000"], capsys)
+        assert code == 0
+        header, *rows = body_lines(out)
+        bonds = [dict(zip(header.split(","), r.split(","))) for r in rows if r.startswith("bond,")]
+        assert len(bonds) == 4 and all(b["kind"] == variant for b in bonds)
+        for bond in bonds:
+            assert abs(float(bond["z"])) <= 5.0
+            if variant == "vasicek":  # no jumps: every path is the analytic price
+                assert float(bond["mc_std_error"]) == 0.0
+                assert bond["mc_mean"] == bond["analytic"]
 
     def test_backend_flag(self, capsys):
         code, out, _ = run(["price", "--backend", "fourier"], capsys)

@@ -4,7 +4,6 @@ import math
 from dataclasses import replace
 
 import pytest
-from scipy.special import ndtr
 
 from shotpricer import (
     AssetModel,

@@ -113,20 +113,28 @@ def test_backend_agreement_on_an_all_atom_grid_evaluates_nothing():
 
 
 @pytest.mark.parametrize(
-    "config, message",
+    "command, config, message",
     [
-        ("[1, 2]", "config root must be a JSON object"),
-        ('{"command": "frobnicate"}', "unknown command 'frobnicate'"),
-        ('{"asset": 3}', "config key 'asset' must be a section"),
-        ('{"output": {"format": "xml"}}', "unknown output format 'xml'"),
+        ("price", "[1, 2]", "config root must be a JSON object"),
+        ("price", '{"command": "frobnicate"}', "unknown command 'frobnicate'"),
+        ("price", '{"asset": 3}', "config key 'asset' must be a section"),
+        ("price", '{"output": {"format": "xml"}}', "unknown output format 'xml'"),
+        # every section is converted before a runner reads it
+        ("price", '{"contracts": {"strikes": ["x"]}}', "could not convert string to float: 'x'"),
+        ("greeks", '{"contracts": {"maturities": 5}}', "'int' object is not iterable"),
+        ("bond", '{"bond": {"r0": "abc"}}', "could not convert string to float: 'abc'"),
+        ("curve", '{"bond": {"maturities": [null]}}', "not 'NoneType'"),
+        ("mc", '{"contracts": {"spot": 1' + "0" * 400 + "}}", "int too large to convert to float"),
     ],
-    ids=["root", "command", "section", "format"],
+    ids=["root", "command", "section", "format", "strikes", "maturities", "r0",
+         "bond-maturities", "huge-int"],
 )
-def test_config_guards_exit_2(tmp_path, capsys, config, message):
+def test_config_guards_exit_2(tmp_path, capsys, command, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
-    assert main(["price", "--config", str(cfg)]) == 2
-    assert message in capsys.readouterr().err
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
 
 
 def test_overflowing_bond_intercept_exits_1(tmp_path, capsys):

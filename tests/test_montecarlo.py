@@ -19,7 +19,6 @@ from shotpricer import (
     BondVariant,
     GaussianJumpLaw,
     OptionKind,
-    OptionTerms,
     RateModel,
     SimConfig,
     b_factor,

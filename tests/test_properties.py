@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from shotpricer import (
     AssetModel,
     BondTerms,
+    BondVariant,
     CharSpec,
     GaussianJumpLaw,
     OptionKind,
@@ -31,6 +32,7 @@ from shotpricer import (
     mc_option_price,
     mc_rate_moments,
     new_greeks,
+    ode_residual,
     parity_residual,
     price,
     survival_plain,
@@ -575,3 +577,38 @@ def test_a_shot_matches_break_pointed_reference(a, nu, delta, T):
         assume(False)
     value, size = layer_reference(model, 0.0, T)
     assert abs(got - value) <= 3e-11 * size + np.finfo(float).tiny
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(min_value=0.05, max_value=3.0),
+    b=st.floats(min_value=-0.05, max_value=0.1),
+    sigma_r=st.floats(min_value=0.0, max_value=0.05),
+    lambda_r=st.floats(min_value=0.0, max_value=5.0),
+    nu=st.floats(min_value=-0.05, max_value=0.05),
+    delta=st.floats(min_value=0.0, max_value=0.05),
+    T=st.floats(min_value=0.1, max_value=30.0),
+    r_t=st.floats(min_value=-0.02, max_value=0.12),
+)
+def test_variant_prices_the_general_model_with_one_block_off(
+    a, b, sigma_r, lambda_r, nu, delta, T, r_t
+):
+    # shot is general at b = sigma_r = 0 and vasicek general without jumps,
+    # bit for bit (or the same typed error), whatever the other block holds
+    model = RateModel(a, b, sigma_r, lambda_r, GaussianJumpLaw(nu, delta))
+    terms = BondTerms(0.0, T, r_t)
+
+    def outcome(call, *args):
+        try:
+            return call(*args)
+        except ShotPricerError as exc:
+            return type(exc)
+
+    for variant, reduced in (
+        (BondVariant.SHOT, dataclasses.replace(model, b=0.0, sigma_r=0.0)),
+        (BondVariant.VASICEK, dataclasses.replace(model, lambda_r=0.0)),
+    ):
+        assert outcome(bond_price, model, terms, variant) == outcome(bond_price, reduced, terms)
+        assert outcome(ode_residual, model, 0.0, T, variant) == outcome(
+            ode_residual, reduced, 0.0, T
+        )

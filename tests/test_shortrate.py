@@ -16,6 +16,7 @@ from shotpricer import (
     a_shot,
     a_vasicek,
     b_factor,
+    bond_pide_residual,
     bond_price,
     conditional_moments,
     ode_residual,
@@ -286,6 +287,39 @@ class TestOdeResidual:
         for variant in (BondVariant.SHOT, BondVariant.GENERAL):
             res_a, _ = ode_residual(rate_general_model, 0.0, 5.0, variant)
             assert res_a <= 1e-6
+
+    @pytest.mark.parametrize("variant", list(BondVariant))
+    def test_residuals_are_python_floats(self, rate_general_model, variant):
+        res = ode_residual(rate_general_model, 0.0, 5.0, variant)
+        assert [type(r) for r in res] == [float, float]
+
+
+class TestVariantModel:
+    def test_each_variant_switches_one_block_off(self, rate_general_model):
+        m = rate_general_model
+        assert BondVariant.GENERAL.model(m) == m
+        assert BondVariant.SHOT.model(m) == replace(m, b=0.0, sigma_r=0.0)
+        assert BondVariant.VASICEK.model(m) == replace(
+            m, lambda_r=0.0, law=GaussianJumpLaw(0.0, 0.0)
+        )
+
+    def test_projection_is_memoized(self, rate_general_model):
+        for variant in BondVariant:
+            assert variant.model(rate_general_model) is variant.model(rate_general_model)
+
+    def test_vasicek_ignores_a_law_whose_jump_term_overflows(self, rate_general_model):
+        # at nu_r -2000 exp(-nu B) overflows; no jump term forms under vasicek
+        m = replace(rate_general_model, law=GaussianJumpLaw(-2000.0, 0.02))
+        ref = replace(rate_general_model, lambda_r=0.0)
+        terms = BondTerms(0.5, 5.0, 0.03)
+        with np.errstate(all="raise"):
+            got = bond_price(m, terms, "vasicek")
+            res = ode_residual(m, 0.0, 5.0, "vasicek")
+            pide = bond_pide_residual(m, [terms], "vasicek").max_residual
+        assert got == bond_price(ref, terms)
+        assert res == ode_residual(ref, 0.0, 5.0)
+        assert pide == bond_pide_residual(ref, [terms]).max_residual
+        assert all(math.isfinite(v) for v in (got, *res, pide))
 
 
 class TestZeroYield:

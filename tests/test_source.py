@@ -12,6 +12,7 @@ import shotpricer
 
 _SOURCES = sorted(Path(shotpricer.__file__).parent.glob("*.py"))
 _MODULES = [p for p in _SOURCES if p.name != "__init__.py"]
+_TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
@@ -34,10 +35,14 @@ def _exported_names(tree: ast.Module) -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=[p.name for p in _MODULES])
+@pytest.mark.parametrize(
+    "path",
+    _MODULES + _TESTS,
+    ids=[p.name for p in _MODULES] + [f"tests/{p.name}" for p in _TESTS],
+)
 def test_no_unused_imports(path):
     # no linter is installed; an import that is neither used nor re-exported
-    # through __all__ is dead
+    # through __all__ is dead, in the library and in its tests alike
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = _imported_names(tree) - used - _exported_names(tree)
