@@ -1,4 +1,4 @@
-"""Shared Gauss-Legendre / Gauss-Hermite helpers."""
+"""Shared Gauss-Legendre helpers."""
 
 from __future__ import annotations
 
@@ -26,16 +26,6 @@ def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return half * x + 0.5 * (b + a), half * w
 
 
-@lru_cache(maxsize=16)
-def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for expectations under the standard normal density.
-
-    Returns ``(u, w)`` such that E[f(Z)] ~= sum w_i f(u_i) for Z ~ N(0, 1).
-    """
-    u, w = np.polynomial.hermite.hermgauss(n)
-    return u * np.sqrt(2.0), w / np.sqrt(np.pi)
-
-
 def doubling_gauss_legendre(f, a: float, b: float, rel_tol: float) -> float:
     """Gauss-Legendre integral of a vectorized callable over the whole of [a, b].
 
@@ -59,7 +49,7 @@ def doubling_gauss_legendre(f, a: float, b: float, rel_tol: float) -> float:
         if not math.isfinite(est):
             raise QuadratureError(f"integrand not finite on [{a}, {b}]", achieved=est)
         err = abs(est - prev)
-        if err <= rel_tol * abs(float(np.dot(w, np.abs(fx)))):
+        if err <= max(rel_tol * abs(float(np.dot(w, np.abs(fx)))), n * math.ulp(0.0)):
             return est
         prev = est
         n *= 2

@@ -5,7 +5,8 @@ Subcommands: ``price``, ``greeks``, ``bond``, ``curve``, ``mc``,
 with flag overrides; every run echoes the resolved config and the library
 version into the report header. Report bodies are deterministic for a fixed
 config and seed (timestamps live only in the header). Exit codes: 0 success,
-1 numerical contract failure, 2 config/usage error.
+1 numerical contract failure, 2 config/usage error (an unwritable report
+included).
 
 All rates are annual, times are year fractions, prices are currency units.
 """
@@ -463,8 +464,11 @@ def execute(cfg: RunConfig) -> int:
     rows = [{col: row.get(col) for col in _COLUMNS[cfg.command]} for row in values]
     text = render_report(cfg, rows)
     if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {cfg.out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
     if status:

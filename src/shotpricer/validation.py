@@ -4,14 +4,15 @@ The pricing formulas elsewhere in the package solve integro-differential
 equations; this module substitutes the prices into them and reports
 normalized residuals. Local derivatives are analytic (theta, delta, gamma;
 -B P and B^2 P in the rate). A bond's time derivative is a Richardson
-difference in the maturity. Jump expectations price at shifted states. An
-option node at jump eta has the threshold l0 + eta; one series block serves
-all of a point's nodes, and each is valued by the price's own leg rule at
-spot S e^eta. A bond point computes A(t, T) once and prices each shifted
-rate as exp(A - B (r + eta)), the bits of one ``bond_price`` per node. It
-also runs the high-intensity scaling study that collapses the jump models
-onto their Gaussian limits, and the series-vs-Fourier cross-check of all
-eight cumulative transforms, one series block and one Fourier grid per
+difference in the maturity. Every jump expectation, option or bond, sums
+one Gauss-Legendre node rule, ``_jump_rule``, over prices at shifted states.
+An option node at jump eta has the threshold l0 + eta; one series block
+serves all of a point's nodes, and each is valued by the price's own leg
+rule at spot S e^eta. A bond point computes A(t, T) once and prices each
+shifted rate as exp(A - B (r + eta)), the bits of one ``bond_price`` per
+node. It also runs the high-intensity scaling study that collapses the jump
+models onto their Gaussian limits, and the series-vs-Fourier cross-check of
+all eight cumulative transforms, one series block and one Fourier grid per
 model. ``contract_checks`` holds the numerical contract, every check of CLI
 ``validate`` with its grid and tolerance.
 """
@@ -24,7 +25,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._quad import gauss_hermite, gauss_legendre
+from ._quad import gauss_legendre
 from .errors import ParameterError
 from .greeks import bs_greeks, common_greeks, fd_sensitivity, identity_report
 from .jump_measure import ArrivalRate, GaussianJumpLaw, diffusion_moments
@@ -74,10 +75,10 @@ __all__ = [
 
 _NORM_FLOOR = 1e-3
 
-# Gauss-Hermite nodes of the smooth jump expectations, and Gauss-Legendre
-# nodes per panel of the kink-split one.
-_GH_NODES = 64
-_KINK_NODES = 16
+# Gauss-Legendre nodes per panel of the jump rule, and its half-width in
+# standard deviations of the jump law.
+_JUMP_NODES = 48
+_JUMP_SPAN = 12.0
 
 # Largest discounted spot of a jump node, the bound OptionTerms puts on a
 # contract's: node values and their weighted sums stay finite below it.
@@ -95,40 +96,28 @@ class ResidualReport:
     rejected_points: tuple = ()
 
 
-def _jump_expectation_smooth(shifted, law, c0, c_x) -> float:
-    """E[C(x+eta) - C(x) - (e^eta - 1) C_x] by Gauss-Hermite (smooth C only);
-    ``shifted(eta)`` prices C(x+eta) at an array of jumps."""
-    u, w = gauss_hermite(_GH_NODES)
-    eta = law.nu + law.delta * u
-    return float(np.dot(w, shifted(eta) - c0 - np.expm1(eta) * c_x))
+def _jump_rule(
+    law: GaussianJumpLaw, kink: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes eta and weights w with E[f(eta)] ~= sum w f(eta) under the jump law.
 
-
-def _jump_expectation_kinked(shifted, law, c0, c_x, l0: float) -> float:
-    """Same expectation when C has the sigma = 0 delta-kink inside the range.
-
-    Gauss-Hermite converges poorly across the derivative kink at
-    eta = -l(x0), so the Gaussian weight is folded into Gauss-Legendre
-    panels at most delta/2 wide, split exactly at the kink; each side is
-    analytic. One rule is mapped onto every panel at once, and all nodes are
-    priced in one ``shifted`` call.
+    Gauss-Legendre panels on nu +- 12 delta, cut at nu, where the weight
+    peaks, and at ``kink`` when it lies inside; each panel of a function
+    that is smooth but for that kink is then analytic, so the rule converges
+    geometrically. The Gaussian density is folded into the weights. A point
+    mass, delta = 0, is the one node nu with weight 1.
     """
     if law.delta == 0.0:
-        eta = law.nu
-        return float(shifted(np.array([eta]))[0]) - c0 - math.expm1(eta) * c_x
-    lo = law.nu - 10.0 * law.delta
-    hi = law.nu + 10.0 * law.delta + law.delta**2
-    cuts = [lo, -l0, hi] if lo < -l0 < hi else [lo, hi]
-    edges = [
-        np.linspace(a, b, max(1, math.ceil((b - a) / (0.5 * law.delta))) + 1)
-        for a, b in zip(cuts[:-1], cuts[1:])
-    ]
-    left = np.concatenate([e[:-1] for e in edges])[:, None]
-    right = np.concatenate([e[1:] for e in edges])[:, None]
-    x, w = gauss_legendre(-1.0, 1.0, _KINK_NODES)
-    half = 0.5 * (right - left)
-    eta = (half * x + 0.5 * (right + left)).ravel()
-    dens = np.exp(-0.5 * ((eta - law.nu) / law.delta) ** 2) / (law.delta * _SQRT_2PI)
-    return float(np.dot((half * w).ravel() * dens, shifted(eta) - c0 - np.expm1(eta) * c_x))
+        return np.array([law.nu]), np.array([1.0])
+    cuts = {-_JUMP_SPAN, 0.0, _JUMP_SPAN}
+    if kink is not None and abs(kink - law.nu) < _JUMP_SPAN * law.delta:
+        cuts.add((kink - law.nu) / law.delta)
+    cuts = sorted(cuts)
+    left = np.array(cuts[:-1])[:, None]
+    half = 0.5 * (np.array(cuts[1:])[:, None] - left)
+    x, w = gauss_legendre(-1.0, 1.0, _JUMP_NODES)
+    z = (left + half * (x + 1.0)).ravel()
+    return law.nu + law.delta * z, (half * w).ravel() * np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 def _node_values(
@@ -179,10 +168,6 @@ def option_pide_residual(
             rejected.append((terms.spot, terms.tau, "kink proximity"))
             continue
         used += 1
-
-        def shifted(eta: np.ndarray) -> np.ndarray:
-            return _node_values(terms, model, l0, eta, quad)
-
         spot = terms.spot
         c0 = price(terms, model, Backend.SERIES, quad).value
         greeks = common_greeks(terms, model, quad)
@@ -191,10 +176,10 @@ def option_pide_residual(
         c_xx = c_x + spot * spot * greeks.gamma
         if model.lam == 0.0:
             jump_term = 0.0
-        elif model.sigma > 0.0:
-            jump_term = model.lam * _jump_expectation_smooth(shifted, model.law, c0, c_x)
         else:
-            jump_term = model.lam * _jump_expectation_kinked(shifted, model.law, c0, c_x, l0)
+            eta, w = _jump_rule(model.law, -l0 if model.sigma == 0.0 else None)
+            nodes = _node_values(terms, model, l0, eta, quad)
+            jump_term = model.lam * float(np.dot(w, nodes - c0 - np.expm1(eta) * c_x))
         res = (
             -c_tau
             + 0.5 * model.sigma**2 * c_xx
@@ -223,8 +208,7 @@ def bond_pide_residual(
     earlier time.
     """
     model = BondVariant(variant).model(model)
-    u, w = gauss_hermite(_GH_NODES)
-    eta = model.law.nu + model.law.delta * u
+    eta, w = _jump_rule(model.law)
     worst = 0.0
     rejected = []
     used = 0

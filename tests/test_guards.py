@@ -142,3 +142,12 @@ def test_overflowing_bond_intercept_exits_1(tmp_path, capsys):
     cfg.write_text('{"rate": {"nu_r": -2000.0}}')
     assert main(["bond", "--config", str(cfg)]) == 1
     assert "error: jump intercept overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_report_exits_2(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    assert main(["bond", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write report {out}:")
+    assert "Traceback" not in err

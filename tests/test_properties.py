@@ -43,12 +43,14 @@ from shotpricer import (
 )
 from shotpricer.errors import ParameterError, ShotPricerError, TruncationError
 from shotpricer.transform import DEFAULT_QUAD, fourier_grid, series_lset
+from shotpricer.validation import _jump_rule
 
 from conftest import layer_reference, time_limit
 
 nu_st = st.floats(min_value=-0.5, max_value=0.5)
 delta_st = st.floats(min_value=0.0, max_value=0.6)
 delta_pos_st = st.floats(min_value=0.02, max_value=0.6)
+jump_delta_st = st.floats(min_value=0.01, max_value=2.0)
 lam_st = st.floats(min_value=0.0, max_value=5.0)
 lam_pos_st = st.floats(min_value=0.05, max_value=5.0)
 sigma_st = st.floats(min_value=0.0, max_value=0.5)
@@ -612,3 +614,39 @@ def test_variant_prices_the_general_model_with_one_block_off(
         assert outcome(ode_residual, model, 0.0, T, variant) == outcome(
             ode_residual, reduced, 0.0, T
         )
+
+
+def _norm_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=nu_st, delta=jump_delta_st, s=st.floats(min_value=-11.0, max_value=11.0))
+def test_jump_rule_cut_at_the_kink_prices_a_call(nu, delta, s):
+    # E[max(e^eta - K, 0)] in closed form, with the kink ln K = nu + s delta;
+    # an uncut rule is about 1e-3 off here
+    log_strike = nu + s * delta
+    strike = math.exp(log_strike)
+    forward = math.exp(nu + 0.5 * delta * delta)
+    d2 = (nu - log_strike) / delta
+    ref = forward * _norm_cdf(d2 + delta) - strike * _norm_cdf(d2)
+    eta, w = _jump_rule(GaussianJumpLaw(nu, delta), log_strike)
+    got = float(np.dot(w, np.maximum(np.exp(eta) - strike, 0.0)))
+    assert abs(got - ref) <= 1e-12 * (forward + strike)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=nu_st, delta=jump_delta_st, u=st.floats(min_value=-4.0, max_value=4.0))
+def test_jump_rule_tilted_moment(nu, delta, u):
+    # E[e^{t eta}] = exp(t nu + t^2 delta^2 / 2) for |t| delta = |u| <= 4
+    t = u / delta
+    eta, w = _jump_rule(GaussianJumpLaw(nu, delta))
+    ref = math.exp(t * nu + 0.5 * u * u)
+    assert float(np.dot(w, np.exp(t * eta))) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=nu_st, kink=st.none() | st.floats(min_value=-1.0, max_value=1.0))
+def test_jump_rule_point_mass(nu, kink):
+    eta, w = _jump_rule(GaussianJumpLaw(nu, 0.0), kink)
+    assert eta.tolist() == [nu] and w.tolist() == [1.0]

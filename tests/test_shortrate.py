@@ -151,6 +151,24 @@ class TestDoublingRule:
             doubling_gauss_legendre(lambda x: np.sin(1e6 * x), 0.0, 1.0, 1e-10)
         assert info.value.achieved > 0.0
 
+    # a point-mass jump of subnormal size: rel_tol times the integral of |f|
+    # underflows below the spacing of subnormal floats, so two passes can
+    # agree only to within a few of those spacings
+    _SUBNORMAL = RateModel(1.0, 0.0, 0.0, 1.0, GaussianJumpLaw(2.2250738585e-313, 0.0))
+
+    def test_subnormal_integrand_bond_price(self):
+        assert bond_price(self._SUBNORMAL, BondTerms(0.1999, 1.0, 0.0)) == 1.0
+
+    def test_subnormal_integrand_intercept(self):
+        # A = -lam nu int_0^span (1 - e^{-a s}) ds at a = 1
+        span = 1.0 - 0.1999
+        ref = -self._SUBNORMAL.law.nu * (span + math.expm1(-span))
+        assert a_shot(self._SUBNORMAL, 0.1999, 1.0) == pytest.approx(ref, rel=1e-6)
+
+    def test_subnormal_integrand_ode_residual(self):
+        res = ode_residual(self._SUBNORMAL, 0.0, 1.0, BondVariant.SHOT)
+        assert all(math.isfinite(r) for r in res)
+
 
 class TestAVasicek:
     def test_trivial_zero(self):

@@ -22,7 +22,6 @@ from shotpricer import (
     option_pide_residual,
 )
 from shotpricer import validation
-from shotpricer._quad import gauss_hermite
 from shotpricer.errors import ParameterError
 from shotpricer.greeks import fd_sensitivity
 from shotpricer.options import Backend, price, varsigma
@@ -76,7 +75,7 @@ class TestOptionPide:
         assert rep.grid_points == 0
         assert all(reason == "tau too small" for *_, reason in rep.rejected_points)
 
-    def test_hermite_node_count_sufficient(self):
+    def test_jump_rule_node_count_sufficient(self):
         model = AssetModel(0.5, GaussianJumpLaw(0.05, 0.1), 0.15)
         grid = option_grid(xs=(-0.25, 0.12), taus=(1.0,))
         assert option_pide_residual(grid, model).max_residual <= 1e-10
@@ -236,8 +235,7 @@ class TestBatchedJumpExpectations:
 
 def _bond_residual_reference(model, terms, variant):
     """One point's term-structure residual with every price a bond_price call."""
-    u, w = gauss_hermite(validation._GH_NODES)
-    eta = model.law.nu + model.law.delta * u
+    eta, w = validation._jump_rule(model.law)
 
     def value(maturity, r):
         return bond_price(model, BondTerms(terms.t, maturity, r), variant)
